@@ -10,6 +10,7 @@ The library splits into:
 * :mod:`rotoconv.datasets` - MNIST/CIFAR-10 parsing and synthetic corpora
 * :mod:`rotoconv.training` - task training and evaluation harness
 * :mod:`rotoconv.audit` - rotation sweeps and activation-robustness audits
+* :mod:`rotoconv.fileio` - atomic (temp file + rename) writes
 * :mod:`rotoconv.cli` - the ``rotoconv`` command
 """
 

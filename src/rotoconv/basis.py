@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .groups import RotationOperators, rotate_exact90
 
 KINDS = ("full", "partial", "overcomplete", "random", "gaussian", "bilinear")
@@ -194,7 +195,7 @@ def save_basis(basis: Basis, path) -> None:
     header += basis.config_fingerprint
     body = np.ascontiguousarray(basis.elements, dtype="<f8").tobytes()
     digest = hashlib.sha256(header + body).digest()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + body + digest)
 
 

@@ -19,6 +19,7 @@ from .audit import emit_reports, robustness_suite, rotation_sweep
 from .basis import load_basis, render_basis_pgm, save_basis
 from .datasets import (LabeledImageSet, load_cifar10, load_mnist, subset,
                        synthetic_image_corpus, synthetic_labeled_set)
+from .fileio import atomic_write
 from .network import FingerprintMismatch, build_model, load_checkpoint, save_checkpoint
 from .pretrain import PretrainConfig, pretrain, write_loss_csv
 from .training import TrainConfig, train, write_training_csv
@@ -43,18 +44,28 @@ def _write_manifest(out_path, command: str, options: dict, inputs: list, outputs
         "outputs": {str(p): _sha256_file(p) for p in outputs if Path(p).exists()},
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=str))
 
 
-def _load_config_tokens(argv: list) -> list:
-    """Expand ``--config FILE`` into key=value tokens ahead of explicit flags."""
+def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
+    """Expand ``--config FILE`` into key=value tokens ahead of explicit flags.
+
+    A missing or unreadable FILE exits through ``parser.error`` (status 2).
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        parser.error("argument --config: expected one argument")
     cfg_path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
+    try:
+        text = Path(cfg_path).read_text()
+    except OSError as err:
+        parser.error(f"argument --config: cannot read {cfg_path!r}: {err.strerror}")
     tokens = []
-    for line in Path(cfg_path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -292,8 +303,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _load_config_tokens(argv)
     parser = build_parser()
+    argv = _load_config_tokens(argv, parser)
     args = parser.parse_args(argv)
     handlers = {
         "pretrain-basis": _cmd_pretrain,

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_write
+
 
 class DatasetError(Exception):
     """Base class for dataset parsing failures."""
@@ -260,7 +262,8 @@ def _cache_put(cache_dir, paths, **arrays):
     if key is None:
         return
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    np.savez(Path(cache_dir) / f"{key}.npz", **arrays)
+    with atomic_write(Path(cache_dir) / f"{key}.npz") as fh:
+        np.savez(fh, **arrays)
 
 
 # -- synthetic corpora (demos and desk-scale tests) ---------------------------------

@@ -1,0 +1,30 @@
+"""Crash-safe file output shared by every writer of artifacts and caches."""
+
+from __future__ import annotations
+
+import os
+import uuid
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temporary file beside ``path`` for writing; publish it on success.
+
+    On a clean exit the data is flushed to disk and ``os.replace`` renames the
+    temporary file onto ``path``, so a reader sees either the previous file or
+    the complete new one, never a partial write. If the body raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

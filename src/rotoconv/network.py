@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .basis import Basis
+from .fileio import atomic_write
 from .tensor import Tensor
 
 
@@ -495,7 +496,7 @@ def save_checkpoint(model: Model, path) -> None:
     payload = _CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(hjson)) + hjson
     payload += b"".join(blobs)
     payload += hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(payload)
 
 
@@ -509,7 +510,14 @@ def read_checkpoint_header(path) -> dict:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
         raise CheckpointFormatError("checksum mismatch")
-    header = json.loads(blob[12:12 + hlen])
+    if 12 + hlen > len(blob) - 32:
+        raise CheckpointFormatError(f"header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(blob[12:12 + hlen])
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointFormatError(f"unreadable checkpoint header: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("checkpoint header is not a JSON object")
     header["_blob"] = blob
     header["_offset"] = 12 + hlen
     return header

@@ -9,6 +9,7 @@ runs use float64 (``dtype="float64"`` at the leaves propagates through).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -383,24 +384,43 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
+# Upper bound on one im2col column buffer. A batch whose columns would exceed
+# it is processed in chunks of whole samples (at least one per chunk), so the
+# transient buffer stays the same size however large the batch grows.
+_COLUMN_BYTES = 32 << 20
+
+
+def _padded(x: np.ndarray, k: int, padding: str) -> np.ndarray:
+    if padding == "valid":
+        return x
     p = k // 2
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
-def _correlate_forward(x: np.ndarray, w: np.ndarray, padding: str, stride: int) -> np.ndarray:
-    b, c, h, wid = x.shape
-    o, _, k, _ = w.shape
-    xp = _pad_same(x, k) if padding == "same" else x
-    hp, wp = xp.shape[2:]
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    out = np.zeros((b, ho, wo, o), dtype=x.dtype)
+def _columns(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """im2col: padded [n,C,Hp,Wp] -> [C*k*k, n*Ho*Wo].
+
+    Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
+    (sample, output row, output col).
+    """
+    c = xp.shape[1]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
+
+
+def _col2im_add(cols: np.ndarray, gxp: np.ndarray, k: int, stride: int, ho: int, wo: int):
+    """Adjoint of ``_columns``: scatter-add [C*k*k, n*Ho*Wo] onto padded [n,C,Hp,Wp]."""
+    n, c = gxp.shape[:2]
+    cols = cols.reshape(c, k, k, n, ho, wo)
     for u in range(k):
         for v in range(k):
-            xs = xp[:, :, u:u + (ho - 1) * stride + 1:stride, v:v + (wo - 1) * stride + 1:stride]
-            out += np.tensordot(xs, w[:, :, u, v], axes=([1], [1]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+            gxp[:, :, u:u + (ho - 1) * stride + 1:stride,
+                v:v + (wo - 1) * stride + 1:stride] += cols[:, u, v].transpose(1, 0, 2, 3)
+
+
+def _sample_chunks(n: int, sample_bytes: int) -> list:
+    step = max(1, _COLUMN_BYTES // max(sample_bytes, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor, padding: str, stride: int):
@@ -419,29 +439,41 @@ def _check_conv_args(x: Tensor, kernel: Tensor, padding: str, stride: int):
 
 
 def correlate2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1) -> Tensor:
-    """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k] (zero padded)."""
+    """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k] (zero padded).
+
+    im2col + GEMM: each chunk of samples becomes a column matrix
+    [C*k*k, n*Ho*Wo]; the forward pass is ``W @ cols``, grad-w is
+    ``g @ cols.T`` and grad-x is ``W.T @ g`` scattered back by col2im. The
+    columns are rebuilt in backward rather than kept on the graph.
+    """
     _check_conv_args(x, kernel, padding, stride)
-    k = kernel.data.shape[2]
-    out_data = _correlate_forward(x.data, kernel.data, padding, stride)
+    o, c, k, _ = kernel.data.shape
+    xp = _padded(x.data, k, padding)
+    n, _, hp, wp = xp.shape
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    w2 = kernel.data.reshape(o, c * k * k)
+    chunks = _sample_chunks(n, c * k * k * ho * wo * xp.itemsize)
+    out_data = np.empty((n, o, ho, wo), dtype=x.data.dtype)
+    for sl in chunks:
+        y = w2 @ _columns(xp[sl], k, stride)
+        out_data[sl] = y.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g):
-        xp = _pad_same(x.data, k) if padding == "same" else x.data
-        ho, wo = g.shape[2:]
-        if kernel.requires_grad:
-            gw = np.zeros_like(kernel.data)
-            for u in range(k):
-                for v in range(k):
-                    xs = xp[:, :, u:u + (ho - 1) * stride + 1:stride,
-                            v:v + (wo - 1) * stride + 1:stride]
-                    gw[:, :, u, v] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
-            accumulate_grad(kernel, gw)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(k):
-                for v in range(k):
-                    piece = np.tensordot(g, kernel.data[:, :, u, v], axes=([1], [0]))
-                    gxp[:, :, u:u + (ho - 1) * stride + 1:stride,
-                        v:v + (wo - 1) * stride + 1:stride] += piece.transpose(0, 3, 1, 2)
+        xp = _padded(x.data, k, padding)
+        gw = np.zeros_like(w2) if kernel.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for sl in chunks:
+            g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
+            if gw is not None:
+                gw += g2 @ _columns(xp[sl], k, stride).T
+            if gxp is not None:
+                # np.dot, not @: numpy's matmul is ~4x slower here when O == 1
+                # (the single-output-channel adjoint in basis pretraining).
+                _col2im_add(np.dot(w2.T, g2), gxp[sl], k, stride, ho, wo)
+        if gw is not None:
+            accumulate_grad(kernel, gw.reshape(kernel.data.shape))
+        if gxp is not None:
             if padding == "same":
                 p = k // 2
                 gxp = gxp[:, :, p:p + x.data.shape[2], p:p + x.data.shape[3]]

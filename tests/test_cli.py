@@ -57,6 +57,17 @@ class TestPretrainBasis:
         manifest = json.loads((tmp_path / "c.rcbs.manifest.json").read_text())
         assert manifest["options"]["n_elements"] == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--config"], "expected one argument"),
+        (["verify", "--config", "no-such.cfg"], "cannot read"),
+    ])
+    def test_bad_config_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and message in err
+
 
 class TestInspectBasis:
     def test_renders_grid_with_exact_quarter_turn_rows(self, tmp_path, pretrained):

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, Model,
                               build_model, count_parameters, gconv_input,
                               gconv_intermediate, global_group_maxpool,
-                              load_checkpoint, save_checkpoint)
+                              load_checkpoint, read_checkpoint_header,
+                              save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
@@ -236,6 +240,18 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path, partial_basis)
+
+    @pytest.mark.parametrize("header,declared", [
+        (b'{"arch": {}}', 4096),    # length runs past the end of the file
+        (b"\xff not json", None),  # bytes that are not a JSON document
+        (b"[1, 2]", None),          # JSON, but not an object
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, declared):
+        payload = b"RCKP" + struct.pack("<II", 1, declared or len(header)) + header
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(CheckpointFormatError):
+            read_checkpoint_header(path)
 
     def test_translational_round_trip(self, rng, tmp_path):
         model = build_model("translational", seed=5, dtype="float32")

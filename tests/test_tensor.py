@@ -69,6 +69,79 @@ class TestCorrelate2d:
                           t64(rng.random((1, 1, 3, 3))), stride=0)
 
 
+def _conv_and_grads(x, w, padding, stride, g):
+    """Forward output plus grad-x and grad-w for the upstream gradient ``g``."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.correlate2d(xt, wt, padding, stride)
+    T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1))).backward()
+    return out.data, xt.grad, wt.grad
+
+
+def _oracle_conv_and_grads(x, w, padding, stride, g):
+    """The same three arrays from the brute-force and dense-matrix oracles alone."""
+    out = brute_correlate2d(x, w, padding, stride)
+    m = conv_dense_matrix(x.shape[1:], w, padding, stride)
+    dense_out = np.stack([m @ xi.reshape(-1) for xi in x]).reshape(out.shape)
+    gx = np.stack([m.T @ gi.reshape(-1) for gi in g]).reshape(x.shape)
+    # The output is linear in the kernel: grad-w[o, c, u, v] is <g[:, o], x * e_cuv>.
+    gw = np.zeros(w.shape)
+    for c, u, v in np.ndindex(w.shape[1:]):
+        one_hot = np.zeros((1,) + w.shape[1:])
+        one_hot[0, c, u, v] = 1.0
+        resp = brute_correlate2d(x, one_hot, padding, stride)
+        gw[:, c, u, v] = np.einsum("bohw,bhw->o", g, resp[:, 0])
+    return out, dense_out, gx, gw
+
+
+class TestCorrelate2dAgainstOracles:
+    """Forward, grad-x and grad-w of the im2col kernel against tests/oracles.py."""
+
+    @pytest.mark.parametrize("k,padding,stride,batch,c,o,hw", [
+        (1, "same", 1, 2, 3, 2, 5),
+        (3, "same", 1, 2, 2, 3, 6),
+        (5, "same", 1, 2, 2, 2, 6),
+        (3, "valid", 2, 2, 2, 3, 7),
+        (3, "same", 1, 2, 1, 9, 7),  # the pretrain shape: one channel in, nine out
+    ])
+    def test_forward_and_gradients(self, rng, k, padding, stride, batch, c, o, hw):
+        x = rng.standard_normal((batch, c, hw, hw))
+        w = rng.standard_normal((o, c, k, k))
+        g = rng.standard_normal(brute_correlate2d(x, w, padding, stride).shape)
+        got = _conv_and_grads(x, w, padding, stride, g)
+        want_out, dense_out, want_gx, want_gw = _oracle_conv_and_grads(x, w, padding, stride, g)
+        assert np.abs(got[0] - want_out).max() <= 1e-10
+        assert np.abs(got[0] - dense_out).max() <= 1e-10
+        assert np.abs(got[1] - want_gx).max() <= 1e-10
+        assert np.abs(got[2] - want_gw).max() <= 1e-10
+
+    def test_batch_split_across_column_chunks(self, rng, monkeypatch):
+        x = rng.standard_normal((5, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        g = rng.standard_normal((5, 3, 6, 6))
+        sample_bytes = 2 * 3 * 3 * 6 * 6 * x.itemsize
+        monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * sample_bytes)
+        assert len(T._sample_chunks(5, sample_bytes)) == 3  # 2 + 2 + 1 samples
+        got = _conv_and_grads(x, w, "same", 1, g)
+        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, "same", 1, g)
+        assert np.abs(got[0] - want_out).max() <= 1e-10
+        assert np.abs(got[1] - want_gx).max() <= 1e-10
+        assert np.abs(got[2] - want_gw).max() <= 1e-10
+
+    def test_float32_against_float64_oracle(self, rng):
+        # Each result sums at most 2*6*6 = 72 float32 products (eps 1.2e-7), so
+        # its rounding error stays well under 1e-5 of the largest magnitude;
+        # the worst relative error measured on this case is 1.1e-7.
+        x = rng.standard_normal((2, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        g = rng.standard_normal((2, 3, 6, 6))
+        got = _conv_and_grads(x.astype(np.float32), w.astype(np.float32), "same", 1,
+                              g.astype(np.float32))
+        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, "same", 1, g)
+        for arr, want in zip(got, (want_out, want_gx, want_gw)):
+            assert arr.dtype == np.float32
+            assert np.abs(arr - want).max() <= 1e-5 * np.abs(want).max()
+
+
 class TestTransposeCorrelate2d:
     def test_dirac_kernel_is_identity(self, rng):
         x = t64(rng.random((1, 1, 5, 5)))
