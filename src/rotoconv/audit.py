@@ -85,15 +85,13 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     else:
         ref = a_r
     channels = ref.shape[0]
-    total = 0.0
-    for k in range(channels):
-        diff = ref[k] - rect[k]
-        norm_ref = float(np.sqrt((ref[k].astype(np.float64) ** 2).sum()))
-        norm_rect = float(np.sqrt((rect[k].astype(np.float64) ** 2).sum()))
-        if norm_ref == 0.0 or norm_rect == 0.0:
-            continue
-        total += float((diff.astype(np.float64) ** 2).sum()) / (norm_ref * norm_rect)
-    return total
+    ref = ref.reshape(channels, -1)
+    rect = rect.reshape(channels, -1)
+    sq_diff = ((ref - rect).astype(np.float64) ** 2).sum(axis=1)
+    norm_ref = np.sqrt((ref.astype(np.float64) ** 2).sum(axis=1))
+    norm_rect = np.sqrt((rect.astype(np.float64) ** 2).sum(axis=1))
+    live = (norm_ref != 0.0) & (norm_rect != 0.0)
+    return float((sq_diff[live] / (norm_ref[live] * norm_rect[live])).sum())
 
 
 def robustness_suite(model: Model, images, n_images: int,
@@ -104,6 +102,8 @@ def robustness_suite(model: Model, images, n_images: int,
 
     Reference activations always come from the unrotated image; the rotated
     copies are produced by the index-``R`` operator at the input resolution.
+    Each image and its rotated copies go through one graph-free forward, and
+    each layer's errors are taken as soon as that layer's output exists.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -113,34 +113,27 @@ def robustness_suite(model: Model, images, n_images: int,
         angle_indices = list(range(order))
     input_ops = RotationOperators(arr.shape[-1], order, method)
     layer_ops: dict = {}
-    layer_names = None
-    sums = None
-    per_angle_sums = None
+    layer_names = [layer.name for layer in model.layers]
+    sums = np.zeros(len(layer_names))
+    per_angle_sums = np.zeros((len(layer_names), len(angle_indices)))
     for image in arr:
-        base = model.forward_with_activations(image[None])
-        if layer_names is None:
-            layer_names = [(name, kind) for name, kind, _ in base]
-            sums = np.zeros(len(base))
-            per_angle_sums = np.zeros((len(base), len(angle_indices)))
-        for a_i, ridx in enumerate(angle_indices):
-            rotated = input_ops.apply(image, int(ridx))
-            acts = model.forward_with_activations(rotated[None])
-            for l_i, ((_, kind, a0), (_, _, ar)) in enumerate(zip(base, acts)):
-                a0s, ars = a0[0], ar[0]
-                ops = None
-                if kind != "vector":
-                    size = a0s.shape[-1]
-                    if size not in layer_ops:
-                        layer_ops[size] = RotationOperators(size, order, method)
-                    ops = layer_ops[size]
-                value = activation_pair_error(a0s, ars, 0, int(ridx), kind, order,
-                                              method, crop_fraction, ops)
+        stack = np.stack([image] + [input_ops.apply(image, int(r)) for r in angle_indices])
+        for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
+            ops = None
+            if kind != "vector":
+                size = acts.shape[-1]
+                if size not in layer_ops:
+                    layer_ops[size] = RotationOperators(size, order, method)
+                ops = layer_ops[size]
+            for a_i, ridx in enumerate(angle_indices):
+                value = activation_pair_error(acts[0], acts[1 + a_i], 0, int(ridx), kind,
+                                              order, method, crop_fraction, ops)
                 sums[l_i] += value
                 per_angle_sums[l_i, a_i] += value
     n = len(arr)
     n_angles = len(angle_indices)
     report = RobustnessReport()
-    for l_i, (name, kind) in enumerate(layer_names):
+    for l_i, name in enumerate(layer_names):
         report.rows.append({"variant": variant, "layer_index": l_i,
                             "layer_name": name,
                             "L_equivariance": sums[l_i] / (n * n_angles)})

@@ -209,16 +209,22 @@ def load_basis(path) -> Basis:
     version, order, n, k = struct.unpack("<IIII", blob[4:20])
     if version != _VERSION:
         raise BasisFormatError(f"unsupported version {version}")
-    kind = blob[20:36].rstrip(b"\x00").decode("ascii")
-    fingerprint = blob[36:68]
     n_bytes = order * n * k * k * 8
     if len(blob) != 68 + n_bytes + 32:
         raise BasisFormatError("truncated or oversized basis payload")
     digest = blob[-32:]
     if hashlib.sha256(blob[:-32]).digest() != digest:
         raise BasisFormatError("checksum mismatch")
+    try:
+        kind = blob[20:36].rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError:
+        raise BasisFormatError(f"kind tag {blob[20:36]!r} is not ASCII") from None
+    fingerprint = blob[36:68]
     elements = np.frombuffer(blob[68:68 + n_bytes], dtype="<f8").reshape(order, n, k, k)
-    return Basis(elements.copy(), kind, fingerprint)
+    try:
+        return Basis(elements.copy(), kind, fingerprint)
+    except ValueError as err:  # unknown kind, even filter size, broken quarter-turn tying
+        raise BasisFormatError(str(err)) from None
 
 
 def render_basis_pgm(basis: Basis, path, cell_scale: int = 8) -> None:

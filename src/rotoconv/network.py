@@ -363,17 +363,26 @@ class Model:
             x = layer.forward(x, training)
         return x
 
-    def forward_with_activations(self, x):
-        """Eval-mode forward returning [(layer_name, map_kind, array), ...]."""
+    def iter_activations(self, x):
+        """Graph-free eval forward yielding (layer_name, map_kind, array) per layer.
+
+        Only the current layer's output is held, so a caller that consumes
+        each record before asking for the next keeps one layer in memory.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         kind = "spatial"
-        records = []
         for layer in self.layers:
-            x = layer.forward(x, False)
+            # Entered per layer, not around the loop: the flag must not stay
+            # off in the caller while the generator is suspended.
+            with T.no_grad():
+                x = layer.forward(x, False)
             kind = layer.out_kind(kind)
-            records.append((layer.name, kind, x.data))
-        return records
+            yield layer.name, kind, x.data
+
+    def forward_with_activations(self, x):
+        """Eval-mode forward returning [(layer_name, map_kind, array), ...]."""
+        return list(self.iter_activations(x))
 
     def arch_description(self) -> dict:
         return {
@@ -525,6 +534,11 @@ def read_checkpoint_header(path) -> dict:
 
 def _layer_from_spec(spec: dict, basis: Basis | None, order: int, dtype, rng):
     kind = spec["type"]
+    if kind in ("gconv_input", "gconv") and basis is None:
+        raise CheckpointFormatError(f"layer type {kind!r} in a model without a basis")
+    sizes = [spec[key] for key in ("in", "out", "k", "channels") if key in spec]
+    if not all(isinstance(size, int) and size > 0 for size in sizes):
+        raise CheckpointFormatError(f"layer spec {spec!r} has a size that is not a positive int")
     if kind == "conv":
         return Conv2d(spec["in"], spec["out"], spec["k"], rng, dtype, spec["name"])
     if kind == "gconv_input":
@@ -557,18 +571,59 @@ def model_from_arch(arch: dict, basis: Basis | None) -> Model:
                  arch["classes"], arch["dtype"], arch["group_order"], fingerprint)
 
 
+_HEADER_KEYS = ("arch", "arch_hash", "basis_fingerprint", "arrays")
+_ARRAY_KEYS = ("name", "shape", "dtype")
+
+
+def _check_header(header: dict) -> None:
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointFormatError(f"checkpoint header lacks {missing}")
+    if not isinstance(header["arch"], dict) or not isinstance(header["arrays"], list):
+        raise CheckpointFormatError("checkpoint header has a malformed arch or arrays entry")
+    for meta in header["arrays"]:
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError(f"array entry {meta!r} is not an object")
+        missing = [key for key in _ARRAY_KEYS if key not in meta]
+        if missing:
+            raise CheckpointFormatError(f"array entry {meta!r} lacks {missing}")
+        if not isinstance(meta["name"], str):
+            raise CheckpointFormatError(f"array entry {meta!r} has a malformed name")
+
+
+def _read_array(meta: dict, blob: bytes, offset: int) -> np.ndarray:
+    """The array ``meta`` describes at ``offset``; the sha256 trailer is out of bounds."""
+    shape = meta["shape"]
+    if meta["dtype"] not in ("float32", "float64") or not isinstance(shape, list) \
+            or not all(isinstance(d, int) and d >= 0 for d in shape):
+        raise CheckpointFormatError(f"array entry {meta!r} has a malformed shape or dtype")
+    dtype = np.dtype(meta["dtype"])
+    count = int(np.prod(shape, dtype=np.int64))
+    if offset + count * dtype.itemsize > len(blob) - 32:
+        raise CheckpointFormatError(f"array {meta['name']!r} runs past the end of the file")
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+
+
 def load_checkpoint(path, basis: Basis | None = None) -> Model:
     """Rebuild a model from a checkpoint; group models re-check the basis fingerprint."""
     header = read_checkpoint_header(path)
+    _check_header(header)
     arch = header["arch"]
-    if arch["kind"] == "group":
+    if arch.get("kind") == "group":
         if basis is None:
             raise ValueError("group checkpoints need the basis to rebuild")
+        if not isinstance(header["basis_fingerprint"], str):
+            raise CheckpointFormatError("group checkpoint carries no basis fingerprint")
         if basis.fingerprint() != header["basis_fingerprint"]:
             raise FingerprintMismatch(
                 "checkpoint was trained against a different basis "
                 f"({header['basis_fingerprint'][:12]}... vs {basis.fingerprint()[:12]}...)")
-    model = model_from_arch(arch, basis)
+    try:
+        model = model_from_arch(arch, basis)
+    except CheckpointFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointFormatError(f"unusable architecture in checkpoint: {err!r}") from None
     if model.arch_hash() != header["arch_hash"]:
         raise CheckpointFormatError("architecture hash mismatch")
     blob = header["_blob"]
@@ -577,13 +632,13 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
     buffers = {name: b for name, b in model.named_buffers()}
     stats = {}
     for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
-        dtype = np.dtype(meta["dtype"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        raw = np.frombuffer(blob, dtype=dtype, count=max(int(np.prod(shape)), 1) if shape else 1,
-                            offset=offset).reshape(shape)
-        offset += nbytes
+        raw = _read_array(meta, blob, offset)
+        offset += raw.nbytes
         name = meta["name"]
+        target = slots[name].data if name in slots else buffers.get(name)
+        if target is not None and raw.shape != target.shape:
+            raise CheckpointFormatError(f"array {name!r} has shape {raw.shape}, "
+                                        f"the model expects {target.shape}")
         if name in slots:
             slots[name].data = raw.copy()
         elif name in buffers:
@@ -593,5 +648,7 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
         else:
             raise CheckpointFormatError(f"unexpected array {name!r}")
     if stats:
+        if len(stats) != 2:
+            raise CheckpointFormatError(f"checkpoint carries only {sorted(stats)}")
         model.input_stats = (stats["input_mean"], stats["input_std"])
     return model

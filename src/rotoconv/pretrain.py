@@ -210,8 +210,9 @@ def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
                  ops: RotationOperators, margin: int, n_probe: int = 200) -> float:
     """Sampled 45-degree equivariance loss (s = r = one group step)."""
     sample = Tensor(images[:n_probe])
-    slots = basis_slots(param, config.order, config.partial)
-    return equivariance_term(sample, slots, ops, 1, 1, margin).item()
+    with T.no_grad():
+        slots = basis_slots(param, config.order, config.partial)
+        return equivariance_term(sample, slots, ops, 1, 1, margin).item()
 
 
 def pretrain(corpus, config: PretrainConfig) -> PretrainResult:

@@ -8,6 +8,8 @@ runs use float64 (``dtype="float64"`` at the leaves propagates through).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -21,6 +23,23 @@ _DEBUG_FINITE = False
 def set_debug_finite(enabled: bool) -> None:
     global _DEBUG_FINITE
     _DEBUG_FINITE = bool(enabled)
+
+
+# Off inside ``no_grad()``: ops then record no parents and no adjoint closure,
+# so eval-only forwards build no graph and free each input once it is used.
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Block in which op results never require gradients (nests; restores on exit)."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class GraphError(ValueError):
@@ -84,13 +103,14 @@ class Tensor:
         """Wrap an op result, recording parents and the adjoint closure.
 
         ``backward_fn(grad)`` must accumulate into each requiring parent via
-        ``accumulate_grad``. The closure is dropped when no parent needs it.
+        ``accumulate_grad``. The closure is dropped when no parent needs it or
+        inside ``no_grad()``.
         """
         _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward_fn if out.requires_grad else None
         out._op = op

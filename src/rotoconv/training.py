@@ -194,12 +194,13 @@ def evaluate(model: Model, dataset: LabeledImageSet, batch_size: int = 200) -> E
         images = normalize(images, model.input_stats)
     k = dataset.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
-    for start in range(0, len(dataset), batch_size):
-        x = images[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
-        logits = model.forward(Tensor(x), training=False)
-        pred = logits.data.argmax(axis=1)
-        np.add.at(confusion, (y, pred), 1)
+    with T.no_grad():
+        for start in range(0, len(dataset), batch_size):
+            x = images[start:start + batch_size]
+            y = dataset.labels[start:start + batch_size]
+            logits = model.forward(Tensor(x), training=False)
+            pred = logits.data.argmax(axis=1)
+            np.add.at(confusion, (y, pred), 1)
     accuracy = float(np.trace(confusion)) / len(dataset)
     return EvalResult(accuracy, confusion, len(dataset))
 

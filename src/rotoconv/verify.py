@@ -208,13 +208,14 @@ def check_partial_model_equivariance(seed: int = 0) -> CheckResult:
     basis = populate_partial(rng.uniform(-1, 1, (2, 4, 3, 3)))
     model = small_group_model(basis, seed=seed)
     x = rng.standard_normal((1, 1, 8, 8))
-    logits = model.forward(x).data
-    worst = 0.0
-    for q in (1, 2, 3):
-        rotated = rotate_exact90(x, q)
-        logits_r = model.forward(rotated).data
-        denom = max(float(np.abs(logits).max()), 1e-12)
-        worst = max(worst, float(np.abs(logits_r - logits).max()) / denom)
+    with T.no_grad():
+        logits = model.forward(x).data
+        worst = 0.0
+        for q in (1, 2, 3):
+            rotated = rotate_exact90(x, q)
+            logits_r = model.forward(rotated).data
+            denom = max(float(np.abs(logits).max()), 1e-12)
+            worst = max(worst, float(np.abs(logits_r - logits).max()) / denom)
     return CheckResult("quarter-turn logit invariance (partial basis)", worst <= 1e-8,
                        f"worst relative logit change {worst:.2e}")
 

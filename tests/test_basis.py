@@ -196,6 +196,35 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="quarter-turn"):
             load_basis(path)
 
+    def test_non_ascii_kind_with_stale_trailer_fails_checksum(self, tmp_path, partial_basis):
+        path = tmp_path / "b.basis"
+        save_basis(partial_basis, path)
+        blob = bytearray(path.read_bytes())
+        blob[20] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BasisFormatError, match="checksum"):
+            load_basis(path)
+
+    def test_non_ascii_kind_with_valid_trailer_rejected(self, tmp_path, partial_basis):
+        path = tmp_path / "b.basis"
+        save_basis(partial_basis, path)
+        blob = bytearray(path.read_bytes())
+        blob[20] = 0xFF
+        payload = bytes(blob[:-32])
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(BasisFormatError, match="kind tag"):
+            load_basis(path)
+
+    def test_unknown_kind_with_valid_trailer_rejected(self, tmp_path, partial_basis):
+        path = tmp_path / "b.basis"
+        save_basis(partial_basis, path)
+        blob = bytearray(path.read_bytes())
+        blob[20:36] = b"spiral".ljust(16, b"\x00")
+        payload = bytes(blob[:-32])
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(BasisFormatError, match="unknown basis kind"):
+            load_basis(path)
+
     def test_fingerprint_tracks_contents(self, partial_basis, rng):
         other = populate_partial(rng.uniform(-1, 1, (2, 4, 3, 3)))
         assert partial_basis.fingerprint() != other.fingerprint()

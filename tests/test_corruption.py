@@ -1,0 +1,75 @@
+"""Damaged basis and checkpoint files raise only the documented exception types.
+
+Each file is truncated at several lengths and has single bits flipped across
+its whole length, first with the stale sha256 trailer and then, over the
+parsed header, with the trailer recomputed so that the parser itself sees the
+damage.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rotoconv.basis import BasisFormatError, load_basis, populate_partial, save_basis
+from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
+                              load_checkpoint, save_checkpoint)
+from rotoconv.verify import small_group_model
+
+DOCUMENTED = (BasisFormatError, CheckpointFormatError, FingerprintMismatch)
+BASIS_HEADER_BYTES = 68  # magic, four u32 fields, kind tag, config fingerprint
+
+
+def variants(blob: bytes, rehashed_span: range):
+    """Truncations, stale-trailer bit flips, then re-hashed flips inside the span."""
+    n = len(blob)
+    for length in sorted({0, 3, 4, 11, 12, 20, 36, 67, 68, n // 2, n - 33, n - 32, n - 1}):
+        yield f"truncated to {length}", blob[:length]
+    for offset in range(n):
+        damaged = bytearray(blob)
+        damaged[offset] ^= 1 << (offset % 8)
+        yield f"bit {offset % 8} of byte {offset}", bytes(damaged)
+    for offset in rehashed_span:
+        damaged = bytearray(blob[:-32])
+        damaged[offset] ^= 1 << (offset % 8)
+        yield f"re-hashed bit {offset % 8} of byte {offset}", \
+            bytes(damaged) + hashlib.sha256(bytes(damaged)).digest()
+
+
+def load_each(tmp_path, blob, rehashed_span, load):
+    path = tmp_path / "damaged"
+    seen = set()
+    for label, damaged in variants(blob, rehashed_span):
+        path.write_bytes(damaged)
+        try:
+            load(path)
+        except DOCUMENTED as err:
+            seen.add(type(err))
+        except Exception as err:  # noqa: BLE001 - the assertion is the point
+            pytest.fail(f"{label}: {type(err).__name__}: {err}")
+    return seen
+
+
+@pytest.fixture
+def tiny_basis():
+    return populate_partial(np.random.default_rng(3).uniform(-1, 1, (2, 2, 3, 3)))
+
+
+def test_basis_damage_raises_documented_types(tmp_path, tiny_basis):
+    path = tmp_path / "tiny.rcbs"
+    save_basis(tiny_basis, path)
+    blob = path.read_bytes()
+    seen = load_each(tmp_path, blob, range(BASIS_HEADER_BYTES + 8), load_basis)
+    assert seen == {BasisFormatError}
+
+
+def test_checkpoint_damage_raises_documented_types(tmp_path, tiny_basis):
+    model = small_group_model(tiny_basis, channels=(2, 2), classes=2, seed=1,
+                              dtype="float32")
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    seen = load_each(tmp_path, blob, range(0, header_end, 3),
+                     lambda p: load_checkpoint(p, tiny_basis))
+    assert CheckpointFormatError in seen

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -185,6 +186,27 @@ class TestBuildModel:
             assert np.abs(got - want).max() <= 1e-5, name
 
 
+class TestActivations:
+    def test_iter_matches_graph_forward_layer_by_layer(self, rng, partial_basis):
+        model = small_group_model(partial_basis, seed=2)
+        x = rng.standard_normal((3, 1, 8, 8))
+        records = model.forward_with_activations(x)
+        assert isinstance(records, list) and len(records) == len(model.layers)
+        out = Tensor(x)
+        for layer, (name, _, act) in zip(model.layers, records):
+            out = layer.forward(out, False)
+            assert out.requires_grad and name == layer.name
+            assert np.array_equal(act, out.data)
+
+    def test_grad_enabled_while_generator_is_suspended(self, rng, partial_basis):
+        model = small_group_model(partial_basis, seed=2)
+        records = model.iter_activations(rng.standard_normal((1, 1, 8, 8)))
+        next(records)
+        w = Tensor(np.ones(2), requires_grad=True)
+        assert (w * 2.0).requires_grad
+        assert len(list(records)) == len(model.layers) - 1
+
+
 class TestBatchNorm:
     def test_eval_mode_frozen_and_deterministic(self, rng, partial_basis):
         model = small_group_model(partial_basis, seed=0, dtype="float32")
@@ -252,6 +274,55 @@ class TestCheckpoints:
         path.write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(CheckpointFormatError):
             read_checkpoint_header(path)
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Apply ``edit`` to the parsed header and re-hash, so the trailer stays valid."""
+        blob = path.read_bytes()
+        _, hlen = struct.unpack("<II", blob[4:12])
+        header = edit(json.loads(blob[12:12 + hlen]))
+        hjson = json.dumps(header).encode("ascii")
+        payload = b"RCKP" + struct.pack("<II", 1, len(hjson)) + hjson + blob[12 + hlen:-32]
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+    def test_empty_header_rejected(self, tmp_path, partial_basis):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_group_model(partial_basis, seed=3), path)
+        self._rewrite_header(path, lambda header: {})
+        with pytest.raises(CheckpointFormatError, match=r"lacks \['arch', 'arch_hash'"):
+            load_checkpoint(path, partial_basis)
+
+    @pytest.mark.parametrize("key", ["arch", "arch_hash", "basis_fingerprint", "arrays"])
+    def test_missing_header_key_rejected(self, tmp_path, partial_basis, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_group_model(partial_basis, seed=3), path)
+        self._rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != key})
+        with pytest.raises(CheckpointFormatError, match=rf"lacks \['{key}'\]"):
+            load_checkpoint(path, partial_basis)
+
+    @pytest.mark.parametrize("key", ["name", "shape", "dtype"])
+    def test_missing_array_key_rejected(self, tmp_path, partial_basis, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_group_model(partial_basis, seed=3), path)
+
+        def drop(header):
+            del header["arrays"][1][key]
+            return header
+        self._rewrite_header(path, drop)
+        with pytest.raises(CheckpointFormatError, match=rf"lacks \['{key}'\]"):
+            load_checkpoint(path, partial_basis)
+
+    def test_array_shape_mismatch_rejected(self, tmp_path, partial_basis):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_group_model(partial_basis, seed=3), path)
+
+        def reshape(header):
+            shape = header["arrays"][0]["shape"]
+            header["arrays"][0]["shape"] = [int(np.prod(shape))]
+            return header
+        self._rewrite_header(path, reshape)
+        with pytest.raises(CheckpointFormatError, match="shape"):
+            load_checkpoint(path, partial_basis)
 
     def test_translational_round_trip(self, rng, tmp_path):
         model = build_model("translational", seed=5, dtype="float32")

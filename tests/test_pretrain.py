@@ -5,9 +5,11 @@ import pytest
 
 from rotoconv.basis import Basis, check_partial_tying, initialize_elements, populate_partial
 from rotoconv.datasets import synthetic_image_corpus
-from rotoconv.pretrain import (PretrainConfig, PretrainDivergence, crop_margin,
-                               equivariance_loss, pretrain, reconstruction_loss,
-                               total_loss, write_loss_csv)
+from rotoconv.pretrain import (PretrainConfig, PretrainDivergence, _ops_for,
+                               _probe_equiv, basis_slots, corpus_images, crop_margin,
+                               equivariance_loss, equivariance_term, pretrain,
+                               reconstruction_loss, total_loss, write_loss_csv)
+from rotoconv.tensor import Tensor
 
 from oracles import brute_correlate2d, rotation_dense_matrix
 
@@ -128,6 +130,21 @@ class TestPretrain:
         assert np.array_equal(a.basis.elements, b.basis.elements)
         assert a.epochs == b.epochs
         assert a.final_equiv_45 == b.final_equiv_45
+
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_probe_bitwise_equal_with_and_without_graph(self, small_corpus, partial):
+        cfg = PretrainConfig(n_elements=3, partial=partial, seed=6)
+        rng = np.random.default_rng(cfg.seed)
+        images = corpus_images(small_corpus, cfg.dtype, rng)
+        n_slots = 2 if partial else 8
+        param = Tensor(initialize_elements(3, 3, n_slots, rng).astype(cfg.dtype),
+                       requires_grad=True)
+        ops = _ops_for(images, cfg)
+        margin = crop_margin(images.shape[-1], cfg.crop_fraction)
+        slots = basis_slots(param, cfg.order, cfg.partial)
+        with_graph = equivariance_term(Tensor(images[:200]), slots, ops, 1, 1, margin)
+        assert with_graph.requires_grad
+        assert _probe_equiv(images, param, cfg, ops, margin) == with_graph.item()
 
     def test_partial_tying_holds_after_training(self, small_corpus):
         cfg = PretrainConfig(n_elements=3, epochs=3, batch_size=8, seed=2, partial=True)

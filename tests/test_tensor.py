@@ -313,3 +313,39 @@ class TestShapeOps:
     def test_default_dtype_is_float32(self):
         assert Tensor([1.0, 2.0]).dtype == np.float32
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
+
+
+class TestNoGrad:
+    def test_result_records_no_graph(self, rng):
+        w = t64(rng.random((2, 1, 3, 3)), grad=True)
+        x = t64(rng.random((1, 1, 5, 5)))
+        with T.no_grad():
+            out = T.relu(T.correlate2d(x, w))
+            assert out.requires_grad is False
+            assert out._parents == () and out._backward is None
+        assert np.array_equal(out.data, T.relu(T.correlate2d(x, w)).data)
+
+    def test_backward_on_result_raises(self, rng):
+        w = t64(rng.random(3), grad=True)
+        with T.no_grad():
+            loss = T.l1_norm(w * 2.0)
+        with pytest.raises(GraphError, match="detached"):
+            loss.backward()
+        assert w.grad is None
+
+    def test_nesting_restores_outer_state(self):
+        w = t64([1.0], grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert (w * 2.0).requires_grad is False
+        assert (w * 2.0).requires_grad is True
+
+    def test_state_restored_after_exception(self):
+        w = t64([1.0], grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside the block")
+        loss = T.l1_norm(w * 3.0)
+        loss.backward()
+        assert w.grad.tolist() == [3.0]
