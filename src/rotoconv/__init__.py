@@ -22,8 +22,7 @@ from .groups import (GroupElement, RotationOperators, act_on_group_feature_map,
                      compose, inverse, roll_orientations, rotate_exact90,
                      rotate_interp, unitarity_defect)
 from .network import (Model, build_model, count_parameters, gconv_input,
-                      gconv_intermediate, global_group_maxpool, load_checkpoint,
-                      save_checkpoint)
+                      gconv_intermediate, load_checkpoint, save_checkpoint)
 from .pretrain import (PretrainConfig, equivariance_loss, pretrain,
                        reconstruction_loss, total_loss)
 from .tensor import Tensor
@@ -33,7 +32,7 @@ __all__ = [
     "Basis", "GroupElement", "Model", "PretrainConfig", "RotationOperators",
     "Tensor", "TrainConfig", "act_on_group_feature_map", "build_model",
     "compose", "count_parameters", "equivariance_loss", "evaluate",
-    "gconv_input", "gconv_intermediate", "global_group_maxpool", "inverse",
+    "gconv_input", "gconv_intermediate", "inverse",
     "load_basis", "load_checkpoint", "make_baseline_basis",
     "orthogonality_defect", "populate_partial", "pretrain",
     "reconstruction_loss", "roll_orientations", "rotate_exact90",

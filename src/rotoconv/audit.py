@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledImageSet
+from .fileio import atomic_write
 from .groups import RotationOperators, act_on_group_feature_map
 from .network import Model
 from .training import evaluate, rotate_images
@@ -161,7 +162,7 @@ def emit_reports(report, path) -> None:
 
 
 def _write_csv(path, fields, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:

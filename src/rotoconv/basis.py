@@ -242,7 +242,7 @@ def render_basis_pgm(basis: Basis, path, cell_scale: int = 8) -> None:
             y = 1 + r * (cell + 1)
             x = 1 + i * (cell + 1)
             canvas[y:y + cell, x:x + cell] = tile
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii"))
         fh.write(canvas.tobytes())
 

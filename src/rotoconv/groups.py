@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .fileio import atomic_write
+
 
 def _rotation_2x2(rot: int, order: int) -> np.ndarray:
     """2x2 rotation matrix for index ``rot``; exact integers at quarter turns."""
@@ -272,7 +274,7 @@ def unitarity_defect(ops: RotationOperators, r: int, trials: int = 32,
 def export_triplets(matrix: sparse.spmatrix, path) -> None:
     """Write a sparse matrix as one ``row col value`` line per entry."""
     coo = matrix.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path, "w", encoding="ascii") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {float(v)!r}\n")
 

@@ -8,7 +8,9 @@ whole bank applied as one standard correlation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import struct
 
@@ -67,6 +69,20 @@ def gconv_input(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     return T.reshape(out, (b, out_ch, order, h, w))
 
 
+@functools.lru_cache(maxsize=None)
+def _roll_index(channels: int, order: int):
+    """Gather index of ``_rolled_bank`` over the flattened [C, m, order] axes, and its inverse.
+
+    Entry (r, c, s) is the position of f[., c, (s - r) % order, r]; each
+    position is hit exactly once, so the adjoint is the inverse gather.
+    """
+    r = np.arange(order)[:, None, None]
+    c = np.arange(channels)[None, :, None]
+    s = np.arange(order)[None, None, :]
+    index = ((c * order + (s - r) % order) * order + r).ravel()
+    return index, np.argsort(index)
+
+
 def _rolled_bank(f: Tensor) -> Tensor:
     """Weight-tying gather: [O,C,m,order,k,k] -> [O,order,C,s,k,k].
 
@@ -75,19 +91,15 @@ def _rolled_bank(f: Tensor) -> Tensor:
     at orientation r.
     """
     o, c, m, order, k, _ = f.data.shape
-    out_data = np.empty((o, order, c, order, k, k), dtype=f.data.dtype)
-    for r in range(order):
-        idx = (np.arange(order) - r) % order
-        out_data[:, r] = f.data[:, :, idx, r]
+    index, inverse = _roll_index(c, order)
+    out_data = np.take(f.data.reshape(o, c * m * order, k * k), index, axis=1)
 
     def backward(g):
-        gf = np.empty_like(f.data)
-        for r in range(order):
-            inv = (np.arange(order) + r) % order
-            gf[:, :, :, r] = g[:, r][:, :, inv]
-        T.accumulate_grad(f, gf)
+        gf = np.take(g.reshape(o, c * m * order, k * k), inverse, axis=1)
+        T.accumulate_grad(f, gf.reshape(f.data.shape))
 
-    return Tensor.from_op(out_data, (f,), backward, "rolled_bank")
+    return Tensor.from_op(out_data.reshape(o, order, c, order, k, k), (f,), backward,
+                          "rolled_bank")
 
 
 def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
@@ -119,15 +131,46 @@ def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     return T.reshape(out, (b, out_ch, order, h, w))
 
 
-def global_group_maxpool(x: Tensor) -> Tensor:
-    """Max over orientation and space: [B,C,order,H,W] -> [B,C]."""
-    return T.global_maxpool(x, keep_axes=2)
-
-
 # -- layers --------------------------------------------------------------------
 
 
-class Conv2d:
+class Layer:
+    """The protocol every layer follows; a subclass declares what sets it apart.
+
+    ``spec_type`` tags the layer in an architecture description. ``fields``
+    maps each further spec key to the attribute that holds its value; where
+    that attribute is also a constructor argument, ``_layer_from_spec`` passes
+    the spec value under its name. ``param_names`` and ``buffer_names`` list
+    the trainable tensors and the saved running arrays. ``output_kind`` is the
+    map kind the layer produces; None passes the input's kind through.
+    """
+
+    spec_type = ""
+    fields: dict = {}
+    param_names: tuple = ()
+    buffer_names: tuple = ()
+    output_kind = None
+
+    def params(self):
+        return [(pname, getattr(self, pname)) for pname in self.param_names]
+
+    def buffers(self):
+        return [(bname, getattr(self, bname)) for bname in self.buffer_names]
+
+    def out_kind(self, kind):
+        return self.output_kind or kind
+
+    def spec(self):
+        return {"type": self.spec_type, "name": self.name,
+                **{key: getattr(self, attr) for key, attr in self.fields.items()}}
+
+
+class Conv2d(Layer):
+    spec_type = "conv"
+    fields = {"in": "in_channels", "out": "out_channels", "k": "kernel_size"}
+    param_names = ("weight",)
+    output_kind = "spatial"
+
     def __init__(self, in_channels, out_channels, kernel_size, rng, dtype, name):
         self.name = name
         self.in_channels = in_channels
@@ -139,21 +182,16 @@ class Conv2d:
                                           kernel_size, kernel_size)).astype(dtype),
                              requires_grad=True)
 
-    def params(self):
-        return [("weight", self.weight)]
-
-    def out_kind(self, kind):
-        return "spatial"
-
-    def spec(self):
-        return {"type": "conv", "name": self.name, "in": self.in_channels,
-                "out": self.out_channels, "k": self.kernel_size}
-
     def forward(self, x, training):
         return T.correlate2d(x, self.weight, padding="same")
 
 
-class GConvInput:
+class GConvInput(Layer):
+    spec_type = "gconv_input"
+    fields = {"in": "in_channels", "out": "out_channels"}
+    param_names = ("coefficients",)
+    output_kind = "group"
+
     def __init__(self, in_channels, out_channels, elements, rng, dtype, name):
         self.name = name
         self.in_channels = in_channels
@@ -165,26 +203,22 @@ class GConvInput:
                                                (out_channels, in_channels, n)).astype(dtype),
                                    requires_grad=True)
 
-    def params(self):
-        return [("coefficients", self.coefficients)]
-
-    def out_kind(self, kind):
-        return "group"
-
-    def spec(self):
-        return {"type": "gconv_input", "name": self.name, "in": self.in_channels,
-                "out": self.out_channels}
-
     def forward(self, x, training):
         return gconv_input(x, self.coefficients, self.elements)
 
 
-class GConvIntermediate:
+class GConvIntermediate(Layer):
+    spec_type = "gconv"
+    fields = {"in": "in_channels", "out": "out_channels", "elements": "element_set"}
+    param_names = ("coefficients",)
+    output_kind = "group"
+
     def __init__(self, in_channels, out_channels, elements, rng, dtype, name):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.elements = elements.astype(dtype)
+        self.element_set = "ones" if elements.shape[1:3] == (1, 1) else "basis"
         order, n = elements.shape[0], elements.shape[1]
         bound = 1.0 / np.sqrt(in_channels * order * n)
         self.coefficients = Tensor(rng.uniform(-bound, bound,
@@ -192,46 +226,27 @@ class GConvIntermediate:
                                                 order, n)).astype(dtype),
                                    requires_grad=True)
 
-    def params(self):
-        return [("coefficients", self.coefficients)]
-
-    def out_kind(self, kind):
-        return "group"
-
-    def spec(self):
-        one_by_one = self.elements.shape[1] == 1 and self.elements.shape[2] == 1
-        return {"type": "gconv", "name": self.name, "in": self.in_channels,
-                "out": self.out_channels,
-                "elements": "ones" if one_by_one else "basis"}
-
     def forward(self, x, training):
         return gconv_intermediate(x, self.coefficients, self.elements)
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel normalization; group maps reduce over orientation too."""
+
+    spec_type = "batchnorm"
+    fields = {"channels": "channels", "kind": "map_kind"}
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels, map_kind, dtype, name, momentum: float = 0.1):
         self.name = name
+        self.channels = channels
         self.map_kind = map_kind
         self.momentum = momentum
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def out_kind(self, kind):
-        return kind
-
-    def spec(self):
-        return {"type": "batchnorm", "name": self.name,
-                "channels": int(self.gamma.data.shape[0]), "kind": self.map_kind}
 
     def _axes(self, x):
         return (0, 2, 3, 4) if x.data.ndim == 5 else (0, 2, 3)
@@ -247,60 +262,45 @@ class BatchNorm:
                                 self.running_mean, self.running_var)
 
 
-class ReLU:
+class ReLU(Layer):
+    spec_type = "relu"
+
     def __init__(self, name):
         self.name = name
-
-    def params(self):
-        return []
-
-    def out_kind(self, kind):
-        return kind
-
-    def spec(self):
-        return {"type": "relu", "name": self.name}
 
     def forward(self, x, training):
         return T.relu(x)
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
+    spec_type = "maxpool"
+
     def __init__(self, name):
         self.name = name
-
-    def params(self):
-        return []
-
-    def out_kind(self, kind):
-        return kind
-
-    def spec(self):
-        return {"type": "maxpool", "name": self.name}
 
     def forward(self, x, training):
         return T.maxpool2x2(x)
 
 
-class GlobalMaxPool:
+class GlobalMaxPool(Layer):
     """Collapses everything past (batch, channel); covers both map kinds."""
+
+    spec_type = "global_maxpool"
+    output_kind = "vector"
 
     def __init__(self, name):
         self.name = name
-
-    def params(self):
-        return []
-
-    def out_kind(self, kind):
-        return "vector"
-
-    def spec(self):
-        return {"type": "global_maxpool", "name": self.name}
 
     def forward(self, x, training):
         return T.global_maxpool(x, keep_axes=2)
 
 
-class Dense:
+class Dense(Layer):
+    spec_type = "dense"
+    fields = {"in": "in_features", "out": "out_features"}
+    param_names = ("weight", "bias")
+    output_kind = "vector"
+
     def __init__(self, in_features, out_features, rng, dtype, name):
         self.name = name
         self.in_features = in_features
@@ -311,18 +311,12 @@ class Dense:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def out_kind(self, kind):
-        return "vector"
-
-    def spec(self):
-        return {"type": "dense", "name": self.name, "in": self.in_features,
-                "out": self.out_features}
-
     def forward(self, x, training):
         return T.matmul(x, self.weight) + self.bias
+
+
+LAYER_TYPES = {cls.spec_type: cls for cls in (Conv2d, GConvInput, GConvIntermediate, BatchNorm,
+                                              ReLU, MaxPool2x2, GlobalMaxPool, Dense)}
 
 
 # -- the model ------------------------------------------------------------------
@@ -349,12 +343,8 @@ class Model:
                 for i, layer in enumerate(self.layers) for pname, p in layer.params()]
 
     def named_buffers(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            if hasattr(layer, "buffers"):
-                for bname, b in layer.buffers():
-                    out.append((f"{i:02d}.{layer.name}.{bname}", b))
-        return out
+        return [(f"{i:02d}.{layer.name}.{bname}", b)
+                for i, layer in enumerate(self.layers) for bname, b in layer.buffers()]
 
     def forward(self, x, training: bool = False) -> Tensor:
         if not isinstance(x, Tensor):
@@ -425,51 +415,66 @@ def build_model(kind: str, variant: str = "none", basis: Basis | None = None,
     ``kind="group"`` uses group convolutions at 33/67 channels over the given
     basis, which makes the two parameter counts land within a few percent.
     """
-    rng = np.random.default_rng(seed)
-    layers = []
-    if kind == "translational":
-        channels = TRANSLATIONAL_CHANNELS
-        prev = in_channels
-        for i, ch in enumerate(channels):
-            k = 1 if i in _ONE_BY_ONE else 3
-            layers.append(Conv2d(prev, ch, k, rng, dtype, f"conv{k}_{ch}_{i}"))
-            layers.append(BatchNorm(ch, "spatial", dtype, f"bn_{i}"))
-            layers.append(ReLU(f"relu_{i}"))
-            if i in _POOL_AFTER:
-                layers.append(MaxPool2x2(f"pool_{i}"))
-            prev = ch
-        layers.append(GlobalMaxPool("global_pool"))
-        layers.append(Dense(prev, classes, rng, dtype, "classifier"))
-        return Model(layers, kind, variant, in_channels, classes, dtype, 1)
-
-    if kind != "group":
+    if kind not in ("translational", "group"):
         raise ValueError(f"unknown model kind {kind!r}")
-    if basis is None:
+    group = kind == "group"
+    if group and basis is None:
         raise ValueError("group models need a basis")
-    if variant in GROUP_VARIANTS and basis.kind != variant:
+    if group and variant in GROUP_VARIANTS and basis.kind != variant:
         raise ValueError(f"variant {variant!r} does not match basis kind {basis.kind!r}")
-    order = basis.order
-    channels = GROUP_CHANNELS
+    layers = []
     prev = in_channels
-    for i, ch in enumerate(channels):
-        if i == 0:
-            layers.append(GConvInput(prev, ch, basis.elements, rng, dtype,
-                                     f"gconv{basis.kernel_size}_{ch}_{i}"))
-        elif i in _ONE_BY_ONE:
-            layers.append(GConvIntermediate(prev, ch, _ones_elements(order, np.float64),
-                                            rng, dtype, f"gconv1_{ch}_{i}"))
+    for i, ch in enumerate(GROUP_CHANNELS if group else TRANSLATIONAL_CHANNELS):
+        k = 1 if i in _ONE_BY_ONE else basis.kernel_size if group else 3
+        if not group:
+            conv = {"type": "conv", "name": f"conv{k}_{ch}_{i}", "in": prev, "out": ch, "k": k}
+        elif i == 0:
+            conv = {"type": "gconv_input", "name": f"gconv{k}_{ch}_{i}", "in": prev, "out": ch}
         else:
-            layers.append(GConvIntermediate(prev, ch, basis.elements, rng, dtype,
-                                            f"gconv{basis.kernel_size}_{ch}_{i}"))
-        layers.append(BatchNorm(ch, "group", dtype, f"bn_{i}"))
-        layers.append(ReLU(f"relu_{i}"))
+            conv = {"type": "gconv", "name": f"gconv{k}_{ch}_{i}", "in": prev, "out": ch,
+                    "elements": "ones" if i in _ONE_BY_ONE else "basis"}
+        layers += [conv, {"type": "batchnorm", "name": f"bn_{i}", "channels": ch,
+                          "kind": "group" if group else "spatial"},
+                   {"type": "relu", "name": f"relu_{i}"}]
         if i in _POOL_AFTER:
-            layers.append(MaxPool2x2(f"pool_{i}"))
+            layers.append({"type": "maxpool", "name": f"pool_{i}"})
         prev = ch
-    layers.append(GlobalMaxPool("global_pool"))
-    layers.append(Dense(prev, classes, rng, dtype, "classifier"))
-    return Model(layers, kind, variant, in_channels, classes, dtype, order,
-                 basis.fingerprint())
+    layers += [{"type": "global_maxpool", "name": "global_pool"},
+               {"type": "dense", "name": "classifier", "in": prev, "out": classes}]
+    arch = {"kind": kind, "variant": variant, "in_channels": in_channels, "classes": classes,
+            "dtype": np.dtype(dtype).name, "group_order": basis.order if group else 1,
+            "layers": layers}
+    return model_from_arch(arch, basis, seed)
+
+
+def _layer_from_spec(spec: dict, basis: Basis | None, order: int, dtype, rng):
+    cls = LAYER_TYPES.get(spec["type"])
+    if cls is None:
+        raise CheckpointFormatError(f"unknown layer type {spec['type']!r}")
+    sizes = [spec[key] for key in ("in", "out", "k", "channels") if key in spec]
+    if not all(isinstance(size, int) and size > 0 for size in sizes):
+        raise CheckpointFormatError(f"layer spec {spec!r} has a size that is not a positive int")
+    accepted = inspect.signature(cls).parameters
+    if "elements" in accepted and basis is None:
+        raise CheckpointFormatError(f"layer type {spec['type']!r} in a model without a basis")
+    given = {attr: spec[key] for key, attr in cls.fields.items()}
+    given.update(name=spec["name"], rng=rng, dtype=dtype)
+    if basis is not None:
+        given["elements"] = _ones_elements(order, np.float64) if spec.get("elements") == "ones" \
+            else basis.elements
+    return cls(**{arg: value for arg, value in given.items() if arg in accepted})
+
+
+def model_from_arch(arch: dict, basis: Basis | None, seed: int = 0) -> Model:
+    """Build a model from its architecture description, drawing parameters from ``seed``."""
+    rng = np.random.default_rng(seed)
+    layers = [_layer_from_spec(s, basis, arch["group_order"], arch["dtype"], rng)
+              for s in arch["layers"]]
+    fingerprint = basis.fingerprint() if (basis is not None and arch["kind"] == "group") \
+        else None
+    return Model(layers, arch["kind"], arch["variant"], arch["in_channels"],
+                 arch["classes"], arch["dtype"], arch["group_order"], fingerprint)
+
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -530,45 +535,6 @@ def read_checkpoint_header(path) -> dict:
     header["_blob"] = blob
     header["_offset"] = 12 + hlen
     return header
-
-
-def _layer_from_spec(spec: dict, basis: Basis | None, order: int, dtype, rng):
-    kind = spec["type"]
-    if kind in ("gconv_input", "gconv") and basis is None:
-        raise CheckpointFormatError(f"layer type {kind!r} in a model without a basis")
-    sizes = [spec[key] for key in ("in", "out", "k", "channels") if key in spec]
-    if not all(isinstance(size, int) and size > 0 for size in sizes):
-        raise CheckpointFormatError(f"layer spec {spec!r} has a size that is not a positive int")
-    if kind == "conv":
-        return Conv2d(spec["in"], spec["out"], spec["k"], rng, dtype, spec["name"])
-    if kind == "gconv_input":
-        return GConvInput(spec["in"], spec["out"], basis.elements, rng, dtype, spec["name"])
-    if kind == "gconv":
-        elements = _ones_elements(order, np.float64) if spec["elements"] == "ones" \
-            else basis.elements
-        return GConvIntermediate(spec["in"], spec["out"], elements, rng, dtype, spec["name"])
-    if kind == "batchnorm":
-        return BatchNorm(spec["channels"], spec["kind"], dtype, spec["name"])
-    if kind == "relu":
-        return ReLU(spec["name"])
-    if kind == "maxpool":
-        return MaxPool2x2(spec["name"])
-    if kind == "global_maxpool":
-        return GlobalMaxPool(spec["name"])
-    if kind == "dense":
-        return Dense(spec["in"], spec["out"], rng, dtype, spec["name"])
-    raise CheckpointFormatError(f"unknown layer type {kind!r}")
-
-
-def model_from_arch(arch: dict, basis: Basis | None) -> Model:
-    """Reconstruct a model (fresh parameters) from its architecture description."""
-    rng = np.random.default_rng(0)
-    layers = [_layer_from_spec(s, basis, arch["group_order"], arch["dtype"], rng)
-              for s in arch["layers"]]
-    fingerprint = basis.fingerprint() if (basis is not None and arch["kind"] == "group") \
-        else None
-    return Model(layers, arch["kind"], arch["variant"], arch["in_channels"],
-                 arch["classes"], arch["dtype"], arch["group_order"], fingerprint)
 
 
 _HEADER_KEYS = ("arch", "arch_hash", "basis_fingerprint", "arrays")

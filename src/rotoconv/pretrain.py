@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .basis import Basis, initialize_elements, populate_partial, quarter_stride
+from .fileio import atomic_write
 from .groups import RotationOperators
 from .optim import AMSGrad
 from .tensor import Tensor
@@ -163,45 +164,39 @@ def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
                              config.sigma, config.interp_kernel_size)
 
 
+def _loss_inputs(images, basis: Basis, config: PretrainConfig | None, dtype: str):
+    """The config, image batch, slots, rotation operators and crop margin the loss reports use."""
+    config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
+                                      kernel_size=basis.kernel_size)
+    arr = corpus_images(images, dtype)
+    return (config, Tensor(arr), _slots_from_basis(basis, dtype), _ops_for(arr, config),
+            crop_margin(arr.shape[-1], config.crop_fraction))
+
+
 def equivariance_loss(images, basis: Basis, s: int, r: int,
                       config: PretrainConfig | None = None,
                       dtype: str = "float64") -> float:
     """Evaluate the equivariance loss of a stored basis on an image batch."""
-    config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
-                                      kernel_size=basis.kernel_size)
-    arr = corpus_images(images, dtype)
-    ops = _ops_for(arr, config)
-    margin = crop_margin(arr.shape[-1], config.crop_fraction)
-    slots = _slots_from_basis(basis, dtype)
-    return equivariance_term(Tensor(arr), slots, ops, s, r, margin).item()
+    _, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
+    return equivariance_term(x, slots, ops, s, r, margin).item()
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
                         config: PretrainConfig | None = None,
                         dtype: str = "float64") -> float:
-    config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
-                                      kernel_size=basis.kernel_size)
-    arr = corpus_images(images, dtype)
-    ops = _ops_for(arr, config)
-    margin = crop_margin(arr.shape[-1], config.crop_fraction)
-    slots = _slots_from_basis(basis, dtype)
-    return reconstruction_term(Tensor(arr), slots, ops, s, r, margin).item()
+    _, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
+    return reconstruction_term(x, slots, ops, s, r, margin).item()
 
 
 def total_loss(images, basis: Basis, s: int, r: int,
                config: PretrainConfig | None = None,
                dtype: str = "float64") -> dict:
     """All three terms plus their weighted sum, as floats."""
-    config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
-                                      kernel_size=basis.kernel_size)
-    arr = corpus_images(images, dtype)
-    ops = _ops_for(arr, config)
-    margin = crop_margin(arr.shape[-1], config.crop_fraction)
-    slots = _slots_from_basis(basis, dtype)
+    config, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
     we, wo, wr = config.loss_weights
-    le = equivariance_term(Tensor(arr), slots, ops, s, r, margin).item()
+    le = equivariance_term(x, slots, ops, s, r, margin).item()
     lo = orthogonality_term(slots).item()
-    lr = reconstruction_term(Tensor(arr), slots, ops, s, r, margin).item()
+    lr = reconstruction_term(x, slots, ops, s, r, margin).item()
     return {"equiv": le, "orth": lo, "rec": lr,
             "total": we * le + wo * lo + wr * lr}
 
@@ -300,7 +295,7 @@ def _config_fingerprint(config: PretrainConfig) -> bytes:
 
 
 def write_loss_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["epoch", "L_equiv", "L_orth",
                                                 "L_rec", "L_total"])
         writer.writeheader()

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledImageSet
+from .fileio import atomic_write
 from .groups import RotationOperators, rotate_exact90, rotation_matrix
 from .network import Model
 from .optim import AMSGrad
@@ -209,7 +210,7 @@ def write_training_csv(rows, path) -> None:
     fields = ["epoch", "train_loss", "train_acc"]
     if rows and "val_acc" in rows[0]:
         fields.append("val_acc")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:

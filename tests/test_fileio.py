@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from rotoconv import fileio
-from rotoconv.basis import populate_partial, save_basis
+from rotoconv.audit import SweepReport, emit_reports
+from rotoconv.basis import populate_partial, render_basis_pgm, save_basis
 from rotoconv.cli import _write_manifest
 from rotoconv.datasets import _cache_put
 from rotoconv.fileio import atomic_write
+from rotoconv.groups import export_triplets
 from rotoconv.network import save_checkpoint
+from rotoconv.pretrain import write_loss_csv
+from rotoconv.training import write_training_csv
 from rotoconv.verify import small_group_model
 
 
@@ -96,8 +102,42 @@ def _write_manifest_file(tmp_path, value):
     return tmp_path / "run.out.manifest.json"
 
 
+def _write_audit_csv(tmp_path, value):
+    path = tmp_path / "sweep.csv"
+    emit_reports(SweepReport([{"variant": "partial", "angle_deg": 45.0, "error": value}]), path)
+    return path
+
+
+def _write_loss_csv(tmp_path, value):
+    path = tmp_path / "loss.csv"
+    write_loss_csv([{"epoch": value, "L_equiv": 0.5, "L_orth": 0.25, "L_rec": 0.125,
+                     "L_total": 0.875}], path)
+    return path
+
+
+def _write_training_csv(tmp_path, value):
+    path = tmp_path / "train.csv"
+    write_training_csv([{"epoch": value, "train_loss": 0.5, "train_acc": 0.75}], path)
+    return path
+
+
+def _write_triplets(tmp_path, value):
+    path = tmp_path / "m.txt"
+    export_triplets(sparse.csr_matrix(np.array([[float(value), 0.0], [0.0, 2.0]])), path)
+    return path
+
+
+def _write_pgm(tmp_path, value):
+    path = tmp_path / "basis.pgm"
+    elements = np.random.default_rng(value).uniform(-1, 1, (2, 4, 3, 3))
+    render_basis_pgm(populate_partial(elements), path)
+    return path
+
+
 @pytest.mark.parametrize("writer", [_write_cache, _write_basis, _write_checkpoint,
-                                    _write_manifest_file])
+                                    _write_manifest_file, _write_audit_csv,
+                                    _write_loss_csv, _write_training_csv,
+                                    _write_triplets, _write_pgm])
 def test_interrupted_write_leaves_previous_file(tmp_path, monkeypatch, writer):
     path = writer(tmp_path, 1)
     before = path.read_bytes()

@@ -8,11 +8,10 @@ import pytest
 from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
-from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, Model,
-                              build_model, count_parameters, gconv_input,
-                              gconv_intermediate, global_group_maxpool,
-                              load_checkpoint, read_checkpoint_header,
-                              save_checkpoint)
+from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
+                              GlobalMaxPool, Model, _rolled_bank, build_model,
+                              count_parameters, gconv_input, gconv_intermediate,
+                              load_checkpoint, read_checkpoint_header, save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
@@ -104,22 +103,51 @@ class TestGConvIntermediate:
 
 
 class TestGlobalGroupMaxPool:
+    pool = GlobalMaxPool("g")
+
     def test_constant_map(self):
         x = np.full((2, 3, 8, 4, 4), 1.25)
-        assert np.all(global_group_maxpool(t64(x)).data == 1.25)
+        assert np.all(self.pool.forward(t64(x), False).data == 1.25)
 
     def test_invariant_under_induced_action(self, rng):
         ops = RotationOperators(6, 8)
         x = rng.standard_normal((1, 3, 8, 6, 6))
-        base = global_group_maxpool(t64(x)).data
+        base = self.pool.forward(t64(x), False).data
         for r in (1, 2, 5):
             acted = act_on_group_feature_map(x, 2 * (r % 4), ops)
-            assert np.array_equal(global_group_maxpool(t64(acted)).data, base)
+            assert np.array_equal(self.pool.forward(t64(acted), False).data, base)
 
     def test_matches_exhaustive_scan(self, rng):
         x = rng.standard_normal((2, 3, 4, 5, 5))
-        got = global_group_maxpool(t64(x)).data
+        got = self.pool.forward(t64(x), False).data
         assert np.array_equal(got, x.reshape(2, 3, -1).max(axis=-1))
+
+
+class TestRolledBank:
+    @staticmethod
+    def two_loop_forward(f):
+        o, c, m, order, k, _ = f.shape
+        out = np.empty((o, order, c, order, k, k))
+        for r in range(order):
+            out[:, r] = f[:, :, (np.arange(order) - r) % order, r]
+        return out
+
+    @staticmethod
+    def two_loop_backward(g, shape):
+        gf = np.empty(shape)
+        for r in range(shape[3]):
+            gf[:, :, :, r] = g[:, r][:, :, (np.arange(shape[3]) + r) % shape[3]]
+        return gf
+
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 8, 3, 3), (2, 5, 4, 4, 1, 1)])
+    def test_gather_matches_two_loop_version(self, rng, shape):
+        f = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = _rolled_bank(f)
+        assert np.array_equal(out.data, self.two_loop_forward(f.data))
+        g = rng.standard_normal(out.data.shape)
+        loss = T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1)))
+        loss.backward()
+        assert np.array_equal(f.grad, self.two_loop_backward(g, shape))
 
 
 class TestBuildModel:
