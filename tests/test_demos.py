@@ -20,6 +20,7 @@ def run_demo(name, cwd):
 
 
 @pytest.mark.parametrize("name,outputs", [
+    ("02_rotation_operators.py", ("rotation_45deg.triplets",)),
     ("05_group_network.py", ()),
     ("06_equivariance_audit.py", ("sweep_group.csv", "sweep_plain.csv",
                                   "robustness_group.csv")),

@@ -152,6 +152,32 @@ class TestInterpolatedRotation:
             rotate_interp(rng.random((3, 5)), 1)
 
 
+class TestRotationMatrixOracle:
+    """The sparse operators against the dense definition in ``oracles.py``."""
+
+    @pytest.mark.parametrize("method", ["gaussian", "bilinear"])
+    @pytest.mark.parametrize("size", [5, 6, 8, 9])
+    def test_matrix_matches_oracle(self, size, method):
+        for angle in (0.3, math.radians(100.0), 3 * math.pi / 4, 5.5):
+            got = rotation_matrix(size, angle, method).toarray()
+            expect = rotation_dense_matrix(size, angle, method)
+            assert np.abs(got - expect).max() <= 1e-12, angle
+
+    @pytest.mark.parametrize("method", ["gaussian", "bilinear"])
+    def test_operator_family_apply_matches_oracle(self, rng, method):
+        ops = RotationOperators(9, 8, method)
+        x = rng.random((2, 3, 9, 9))
+        for r in range(8):
+            oracle = rotation_dense_matrix(9, 2 * math.pi * r / 8, method)
+            expect = (x.reshape(-1, 81) @ oracle.T).reshape(x.shape)
+            assert np.abs(ops.apply(x, r) - expect).max() <= 1e-12, r
+            x32 = x.astype(np.float32)
+            expect32 = (x32.astype(np.float64).reshape(-1, 81) @ oracle.T).reshape(x.shape)
+            got32 = ops.apply(x32, r)
+            assert got32.dtype == np.float32
+            assert np.abs(got32 - expect32).max() <= 1e-6, r
+
+
 class TestRoll:
     def test_zero_identity(self, rng):
         x = rng.random((4, 3, 3))

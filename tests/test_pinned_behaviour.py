@@ -17,6 +17,7 @@ import pytest
 
 from rotoconv.basis import populate_partial
 from rotoconv.network import build_model, load_checkpoint
+from rotoconv.verify import small_group_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,5 +57,19 @@ def test_build_model_arch_hash_and_parameters(kind, dtype, arch_hash, digest):
         model = build_model("group", "partial", basis, seed=0, dtype=dtype)
     else:
         model = build_model("translational", seed=0, dtype=dtype)
+    assert model.arch_hash() == arch_hash
+    assert parameter_digest(model) == digest
+
+
+@pytest.mark.parametrize("dtype, arch_hash, digest", [
+    ("float64",
+     "7466af8f16ae9a9a98aef50e63a124eed3e12c8c7adb89849f960e17e173eb43",
+     "ce8aec91978c22afebb3554bb77035af66cfd6d21e79fd6e624e540c6e54e652"),
+    ("float32",
+     "796eb0227c640728f13e9d8589e4789c601c61ce05d05a8fba08d18fcb5e9905",
+     "99e3f6b33f9e56b663ef9e9ab3a2a9d42f698047817a5b2695634ec92392490a"),
+])
+def test_small_group_model_arch_hash_and_parameters(partial_basis, dtype, arch_hash, digest):
+    model = small_group_model(partial_basis, seed=3, dtype=dtype)
     assert model.arch_hash() == arch_hash
     assert parameter_digest(model) == digest

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from rotoconv.groups import rotate_exact90
 from rotoconv.training import (TrainConfig, TrainingDivergence, augment,
                                channel_stats, evaluate, train)
 from rotoconv.verify import small_group_model
+
+from oracles import rotation_dense_matrix
 
 
 class TestAugment:
@@ -62,6 +66,21 @@ class TestAugment:
         cfg = TrainConfig(rotation_augment="full")
         out = augment(batch, cfg, np.random.default_rng(2))
         assert out.shape == batch.shape
+
+    @pytest.mark.parametrize("mode", ["eighth", "full"])
+    def test_rotation_matches_oracle(self, rng, mode):
+        batch = rng.random((5, 2, 9, 9)).astype(np.float32)
+        out = augment(batch, TrainConfig(rotation_augment=mode), np.random.default_rng(4))
+        draw = np.random.default_rng(4)
+        if mode == "eighth":
+            angles = 2 * math.pi * draw.integers(0, 8, size=5) / 8
+        else:
+            angles = draw.uniform(0.0, 2 * math.pi, size=5)
+        assert out.dtype == np.float32
+        for img, got, angle in zip(batch, out, angles):
+            oracle = rotation_dense_matrix(9, float(angle), "gaussian")
+            expect = (img.astype(np.float64).reshape(-1, 81) @ oracle.T).reshape(img.shape)
+            assert np.abs(got - expect).max() <= 1e-6, angle
 
     def test_deterministic_given_generator_seed(self, rng):
         batch = rng.random((4, 1, 8, 8)).astype(np.float32)
