@@ -20,7 +20,7 @@ from .basis import (Basis, load_basis, make_baseline_basis, orthogonality_defect
                     populate_partial, save_basis, synthesize)
 from .groups import (GroupElement, RotationOperators, act_on_group_feature_map,
                      compose, inverse, roll_orientations, rotate_exact90,
-                     rotate_interp, unitarity_defect)
+                     unitarity_defect)
 from .network import (Model, build_model, count_parameters, gconv_input,
                       gconv_intermediate, load_checkpoint, save_checkpoint)
 from .pretrain import (PretrainConfig, equivariance_loss, pretrain,
@@ -36,6 +36,6 @@ __all__ = [
     "load_basis", "load_checkpoint", "make_baseline_basis",
     "orthogonality_defect", "populate_partial", "pretrain",
     "reconstruction_loss", "roll_orientations", "rotate_exact90",
-    "rotate_interp", "save_basis", "save_checkpoint", "synthesize", "total_loss",
+    "save_basis", "save_checkpoint", "synthesize", "total_loss",
     "train", "unitarity_defect",
 ]

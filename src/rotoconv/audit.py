@@ -112,20 +112,21 @@ def robustness_suite(model: Model, images, n_images: int,
     arr = arr[:n_images]
     if angle_indices is None:
         angle_indices = list(range(order))
-    input_ops = RotationOperators(arr.shape[-1], order, method)
-    layer_ops: dict = {}
+    ops_by_size: dict = {}
+
+    def ops_for(size: int) -> RotationOperators:
+        if size not in ops_by_size:
+            ops_by_size[size] = RotationOperators(size, order, method)
+        return ops_by_size[size]
+
+    input_ops = ops_for(arr.shape[-1])
     layer_names = [layer.name for layer in model.layers]
     sums = np.zeros(len(layer_names))
     per_angle_sums = np.zeros((len(layer_names), len(angle_indices)))
     for image in arr:
         stack = np.stack([image] + [input_ops.apply(image, int(r)) for r in angle_indices])
         for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
-            ops = None
-            if kind != "vector":
-                size = acts.shape[-1]
-                if size not in layer_ops:
-                    layer_ops[size] = RotationOperators(size, order, method)
-                ops = layer_ops[size]
+            ops = None if kind == "vector" else ops_for(acts.shape[-1])
             for a_i, ridx in enumerate(angle_indices):
                 value = activation_pair_error(acts[0], acts[1 + a_i], 0, int(ridx), kind,
                                               order, method, crop_fraction, ops)

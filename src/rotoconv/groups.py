@@ -116,48 +116,48 @@ def _permutation_matrix(size: int, quarter_turns: int) -> sparse.csr_matrix:
                              shape=(size * size, size * size))
 
 
+_METHODS = ("gaussian", "bilinear")
+
+
 def rotation_matrix(size: int, angle: float, method: str = "gaussian",
                     sigma: float = 0.5, kernel_size: int = 3) -> sparse.csr_matrix:
     """Sparse matrix rotating a flattened ``size x size`` image by ``angle`` CCW.
 
     ``gaussian``: weights exp(-d^2 / 2 sigma^2) over the ``kernel_size`` square
-    integer neighborhood of the inverse-rotated source point. ``bilinear``:
-    the four surrounding pixels. Out-of-grid neighbors are dropped and the
-    remaining weights renormalized to sum 1; angles that are exact multiples
-    of 90 degrees short-circuit to the grid permutation.
+    integer neighborhood of the rounded inverse-rotated source point.
+    ``bilinear``: weights (1-|dy|)(1-|dx|) over the 2x2 neighborhood of the
+    floored source point. Out-of-grid neighbors are dropped and the remaining
+    weights renormalized to sum 1 (a row with no weight stays empty); angles
+    that are exact multiples of 90 degrees short-circuit to the grid
+    permutation.
     """
-    if method not in ("gaussian", "bilinear", "exact90"):
+    if method not in _METHODS:
         raise ValueError(f"unknown rotation method {method!r}")
     quarter = angle / (math.pi / 2)
     if abs(quarter - round(quarter)) < 1e-12:
         return _permutation_matrix(size, int(round(quarter)))
-    if method == "exact90":
-        raise ValueError("exact90 method only supports multiples of 90 degrees")
-    src = _source_coords(size, angle)
-    rows, cols, vals = [], [], []
-    half = kernel_size // 2
-    for target, (sy, sx) in enumerate(src):
-        if method == "gaussian":
-            cy, cx = int(round(sy)), int(round(sx))
-            offs = range(-half, half + 1)
-            neighbors = [(cy + dy, cx + dx) for dy in offs for dx in offs]
-            weights = [math.exp(-((gy - sy) ** 2 + (gx - sx) ** 2) / (2 * sigma * sigma))
-                       for gy, gx in neighbors]
-        else:
-            fy, fx = math.floor(sy), math.floor(sx)
-            ay, ax = sy - fy, sx - fx
-            neighbors = [(fy, fx), (fy, fx + 1), (fy + 1, fx), (fy + 1, fx + 1)]
-            weights = [(1 - ay) * (1 - ax), (1 - ay) * ax, ay * (1 - ax), ay * ax]
-        keep = [(w, gy, gx) for w, (gy, gx) in zip(weights, neighbors)
-                if 0 <= gy < size and 0 <= gx < size and w > 0.0]
-        total = sum(w for w, _, _ in keep)
-        if total <= 0.0:
-            continue
-        for w, gy, gx in keep:
-            rows.append(target)
-            cols.append(gy * size + gx)
-            vals.append(w / total)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(size * size, size * size))
+    sy, sx = _source_coords(size, angle).T[:, :, None, None]
+    if method == "gaussian":
+        half = kernel_size // 2
+        snap, offs = np.round, np.arange(-half, half + 1)
+    else:
+        snap, offs = np.floor, np.arange(2)
+    # [target, a, b] is window row a, column b; flattened row-major, each row's columns ascend
+    gy = snap(sy) + offs[:, None]
+    gx = snap(sx) + offs[None, :]
+    dy, dx = gy - sy, gx - sx
+    if method == "gaussian":
+        weights = np.exp(-(dy ** 2 + dx ** 2) / (2 * sigma * sigma))
+    else:
+        weights = (1 - np.abs(dy)) * (1 - np.abs(dx))
+    inside = (gy >= 0) & (gy < size) & (gx >= 0) & (gx < size)
+    weights = np.where(inside, weights, 0.0).reshape(size * size, -1)
+    keep = weights > 0.0
+    rows = np.nonzero(keep)[0]
+    cols = (gy * size + gx).astype(np.intp).reshape(size * size, -1)[keep]
+    vals = weights[keep] / weights.sum(axis=1)[rows]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((vals, cols, indptr), shape=(size * size, size * size))
 
 
 @dataclass
@@ -165,7 +165,7 @@ class RotationOperators:
     """The family of rotation maps for one grid size, indexed by rotation index.
 
     ``method`` tags how non-quarter-turn angles are interpolated; quarter
-    turns are always the exact permutation.
+    turns are always the exact permutation. Each matrix is built on first use.
     """
 
     size: int
@@ -173,30 +173,25 @@ class RotationOperators:
     method: str = "gaussian"
     sigma: float = 0.5
     kernel_size: int = 3
-    _matrices: list = field(default_factory=list, repr=False)
-    _transposes: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._matrices:
-            self._matrices = [
-                rotation_matrix(self.size, 2.0 * math.pi * r / self.order,
-                                self.method, self.sigma, self.kernel_size)
-                for r in range(self.order)
-            ]
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown rotation method {self.method!r}")
 
     def matrix(self, r: int) -> sparse.csr_matrix:
-        return self._matrices[r % self.order]
+        key = (r % self.order, "<f8", False)
+        if key not in self._cache:
+            self._cache[key] = rotation_matrix(self.size, 2.0 * math.pi * key[0] / self.order,
+                                               self.method, self.sigma, self.kernel_size)
+        return self._cache[key]
 
     def _cast(self, r: int, dtype, transposed: bool) -> sparse.csr_matrix:
-        r = r % self.order
-        key = (r, np.dtype(dtype).str, transposed)
-        if key not in self._transposes:
-            m = self._matrices[r].T.tocsr() if transposed else self._matrices[r]
-            self._transposes[key] = m.astype(dtype, copy=False)
-        return self._transposes[key]
-
-    def matrix_t(self, r: int) -> sparse.csr_matrix:
-        return self._cast(r, np.float64, True)
+        key = (r % self.order, np.dtype(dtype).str, transposed)
+        if key not in self._cache:
+            m = self.matrix(r)
+            self._cache[key] = (m.T.tocsr() if transposed else m).astype(dtype, copy=False)
+        return self._cache[key]
 
     def is_exact(self, r: int) -> bool:
         return (4 * (r % self.order)) % self.order == 0
@@ -205,7 +200,7 @@ class RotationOperators:
         """Rotate the last two axes of ``x`` by index ``r``."""
         r = r % self.order
         if x.shape[-1] != self.size or x.shape[-2] != self.size:
-            raise ValueError(f"operator built for {self.size}x{self.size}, "
+            raise ValueError(f"operator built for square {self.size}x{self.size} images, "
                              f"got {x.shape[-2]}x{x.shape[-1]}")
         if self.is_exact(r):
             return rotate_exact90(x, (4 * r) // self.order)
@@ -217,15 +212,6 @@ class RotationOperators:
 
     def apply_flat_t(self, columns: np.ndarray, r: int) -> np.ndarray:
         return self._cast(r, columns.dtype, True) @ columns
-
-
-def rotate_interp(x: np.ndarray, r: int, method: str = "gaussian", order: int = 8,
-                  sigma: float = 0.5, kernel_size: int = 3) -> np.ndarray:
-    """One-shot interpolated rotation by index ``r`` (builds the operator)."""
-    if x.shape[-1] != x.shape[-2]:
-        raise ValueError(f"square spatial extent required, got {x.shape[-2]}x{x.shape[-1]}")
-    ops = RotationOperators(x.shape[-1], order, method, sigma, kernel_size)
-    return ops.apply(x, r)
 
 
 # -- orientation axis ------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import LabeledImageSet
 from .fileio import atomic_write
-from .groups import RotationOperators, rotate_exact90, rotation_matrix
+from .groups import rotation_matrix
 from .network import Model
 from .optim import AMSGrad
 from .tensor import Tensor
@@ -36,7 +36,6 @@ class TrainConfig:
     color_normalize: bool = False
     max_translate: int = 0  # up to 4 pixels each way
     rotation_augment: str = "none"  # none | quarter | eighth | full
-    rotation_interp: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ def _translate(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
-            stats=None, ops_cache: dict | None = None) -> np.ndarray:
+            stats=None) -> np.ndarray:
     """Random flips/translations/rotations, then optional normalization.
 
     With every flag off this is the identity. Quarter-turn rotation mode only
@@ -102,41 +101,37 @@ def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
         out = np.stack([_translate(img, int(dy), int(dx))
                         for img, (dy, dx) in zip(out, offsets)])
     if config.rotation_augment != "none":
-        out = _rotate_batch(out, config, rng, ops_cache)
+        out = _rotate_batch(out, config.rotation_augment, rng)
     if config.color_normalize and stats is not None:
         out = normalize(out, stats)
     return out
 
 
-def _rotate_batch(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
-                  ops_cache: dict | None) -> np.ndarray:
+def _rotate_batch(images: np.ndarray, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """Rotate each image by its own random angle; the modes differ only in the draw."""
     b = images.shape[0]
-    size = images.shape[-1]
-    if config.rotation_augment == "quarter":
-        turns = rng.integers(0, 4, size=b)
-        return np.stack([rotate_exact90(img, int(q)) for img, q in zip(images, turns)])
-    if config.rotation_augment == "eighth":
-        if ops_cache is None:
-            ops_cache = {}
-        key = (size, config.rotation_interp)
-        if key not in ops_cache:
-            ops_cache[key] = RotationOperators(size, 8, config.rotation_interp)
-        ops = ops_cache[key]
-        indices = rng.integers(0, 8, size=b)
-        return np.stack([ops.apply(img, int(r)) for img, r in zip(images, indices)])
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=b)
-    rotated = []
-    for img, angle in zip(images, angles):
-        m = rotation_matrix(size, float(angle), config.rotation_interp)
-        flat = img.reshape(-1, size * size).T
-        rotated.append((m.astype(img.dtype) @ flat).T.reshape(img.shape))
-    return np.stack(rotated)
+    if mode == "quarter":
+        angles = 90.0 * rng.integers(0, 4, size=b)
+    elif mode == "eighth":
+        angles = 45.0 * rng.integers(0, 8, size=b)
+    else:
+        angles = np.degrees(rng.uniform(0.0, 2.0 * math.pi, size=b))
+    out = np.empty_like(images)
+    for angle in np.unique(angles):
+        pick = angles == angle
+        out[pick] = rotate_images(images[pick], float(angle))
+    return out
 
 
 def rotate_images(images: np.ndarray, angle_deg: float,
                   method: str = "gaussian") -> np.ndarray:
-    """Rotate a whole [M,C,H,W] stack by one angle (exact at quarter turns)."""
+    """Rotate a whole [..., H, W] stack of square images by one angle.
+
+    Quarter turns are exact grid permutations.
+    """
     size = images.shape[-1]
+    if images.shape[-2] != size:
+        raise ValueError(f"rotation needs square images, got {images.shape[-2]}x{size}")
     m = rotation_matrix(size, math.radians(angle_deg), method)
     flat = images.reshape(-1, size * size).T
     return np.ascontiguousarray((m.astype(images.dtype) @ flat).T).reshape(images.shape)
@@ -154,7 +149,6 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
     labels = train_set.labels
     m = len(train_set)
     batch = min(config.batch_size, m)
-    ops_cache: dict = {}
     rows = []
     for epoch in range(config.epochs):
         perm = rng.permutation(m)
@@ -163,7 +157,7 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
         seen = 0
         for start in range(0, m, batch):
             take = perm[start:start + batch]
-            x = augment(images[take], config, rng, stats, ops_cache)
+            x = augment(images[take], config, rng, stats)
             y = labels[take]
             logits = model.forward(Tensor(x), training=True)
             loss = T.softmax_cross_entropy(logits, y)

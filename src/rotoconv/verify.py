@@ -16,8 +16,7 @@ from . import tensor as T
 from .basis import Basis, populate_partial
 from .groups import (GroupElement, RotationOperators, compose, inverse,
                      rotate_exact90, unitarity_defect)
-from .network import (BatchNorm, Dense, GConvInput, GConvIntermediate,
-                      GlobalMaxPool, MaxPool2x2, Model, ReLU)
+from .network import Model, model_from_arch
 from .tensor import check_gradient
 
 
@@ -25,21 +24,22 @@ def small_group_model(basis: Basis, channels=(4, 6), classes: int = 5,
                       seed: int = 0, dtype: str = "float64",
                       in_channels: int = 1) -> Model:
     """Two group-conv blocks plus pooling and a classifier; handy for audits."""
-    rng = np.random.default_rng(seed)
     c1, c2 = channels
     layers = [
-        GConvInput(in_channels, c1, basis.elements, rng, dtype, "gconv_in"),
-        BatchNorm(c1, "group", dtype, "bn0"),
-        ReLU("relu0"),
-        GConvIntermediate(c1, c2, basis.elements, rng, dtype, "gconv_mid"),
-        BatchNorm(c2, "group", dtype, "bn1"),
-        ReLU("relu1"),
-        MaxPool2x2("pool"),
-        GlobalMaxPool("global_pool"),
-        Dense(c2, classes, rng, dtype, "classifier"),
+        {"type": "gconv_input", "name": "gconv_in", "in": in_channels, "out": c1},
+        {"type": "batchnorm", "name": "bn0", "channels": c1, "kind": "group"},
+        {"type": "relu", "name": "relu0"},
+        {"type": "gconv", "name": "gconv_mid", "in": c1, "out": c2, "elements": "basis"},
+        {"type": "batchnorm", "name": "bn1", "channels": c2, "kind": "group"},
+        {"type": "relu", "name": "relu1"},
+        {"type": "maxpool", "name": "pool"},
+        {"type": "global_maxpool", "name": "global_pool"},
+        {"type": "dense", "name": "classifier", "in": c2, "out": classes},
     ]
-    return Model(layers, "group", basis.kind, in_channels, classes, dtype,
-                 basis.order, basis.fingerprint())
+    arch = {"kind": "group", "variant": basis.kind, "in_channels": in_channels,
+            "classes": classes, "dtype": np.dtype(dtype).name, "group_order": basis.order,
+            "layers": layers}
+    return model_from_arch(arch, basis, seed)
 
 
 @dataclass
@@ -163,10 +163,10 @@ def check_p4_equivariance(n: int = 8, seed: int = 0, tol: float = 1e-12,
 
 
 def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
-    exact = RotationOperators(size, 8, "gaussian")
-    worst_exact = max(unitarity_defect(exact, r, trials=16, seed=seed)
+    gaussian = RotationOperators(size, 8, "gaussian")
+    worst_exact = max(unitarity_defect(gaussian, r, trials=16, seed=seed)
                       for r in (0, 2, 4, 6))
-    gauss = unitarity_defect(RotationOperators(size, 8, "gaussian"), 1, 64, seed)
+    gauss = unitarity_defect(gaussian, 1, 64, seed)
     bilin = unitarity_defect(RotationOperators(size, 8, "bilinear"), 1, 64, seed)
     ok = worst_exact <= 1e-12 and gauss > 1e-3 and bilin > 1e-3
     return CheckResult(

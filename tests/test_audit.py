@@ -5,7 +5,7 @@ from rotoconv.audit import (SweepReport, _crop_interior, activation_pair_error,
                             emit_reports, read_csv_rows, robustness_suite,
                             rotation_sweep)
 from rotoconv.basis import populate_partial
-from rotoconv.datasets import synthetic_labeled_set
+from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
 from rotoconv.groups import RotationOperators, act_on_group_feature_map
 from rotoconv.network import GConvInput, Model
 from rotoconv.training import evaluate
@@ -82,6 +82,13 @@ class TestRotationSweep:
         assert [r["angle_deg"] for r in report.rows] == [0.0, 45.0]
         assert all(r["variant"] == "check" for r in report.rows)
         assert all(0.0 <= r["error"] <= 1.0 for r in report.rows)
+
+    def test_non_square_images_rejected(self, partial_basis, rng):
+        ds = LabeledImageSet(rng.random((4, 1, 8, 10)), np.arange(4) % 5, "test", 5)
+        model = small_group_model(partial_basis, classes=5, seed=2)
+        for angle in (0.0, 45.0, 90.0):
+            with pytest.raises(ValueError, match="square"):
+                rotation_sweep(model, ds, [angle])
 
 
 class TestActivationPairError:

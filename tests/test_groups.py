@@ -5,8 +5,8 @@ import pytest
 
 from rotoconv.groups import (GroupElement, RotationOperators, act_on_group_feature_map,
                              compose, export_triplets, import_triplets, inverse,
-                             roll_orientations, rotate_exact90, rotate_interp,
-                             rotation_matrix, unitarity_defect)
+                             roll_orientations, rotate_exact90, rotation_matrix,
+                             unitarity_defect)
 
 from oracles import rotation_dense_matrix
 
@@ -104,12 +104,12 @@ class TestExactRotation:
 class TestInterpolatedRotation:
     def test_zero_is_exact_identity(self, rng):
         x = rng.random((2, 7, 7))
-        assert np.array_equal(rotate_interp(x, 0), x)
+        assert np.array_equal(RotationOperators(7, 8).apply(x, 0), x)
 
     def test_quarter_turn_short_circuits(self, rng):
         x = rng.random((9, 9))
-        assert np.array_equal(rotate_interp(x, 2), rotate_exact90(x, 1))
-        assert np.array_equal(rotate_interp(x, 2, method="bilinear"),
+        assert np.array_equal(RotationOperators(9, 8).apply(x, 2), rotate_exact90(x, 1))
+        assert np.array_equal(RotationOperators(9, 8, "bilinear").apply(x, 2),
                               rotate_exact90(x, 1))
 
     @pytest.mark.parametrize("method", ["gaussian", "bilinear"])
@@ -117,12 +117,13 @@ class TestInterpolatedRotation:
         size = 7
         impulse = np.zeros((size, size))
         impulse[size // 2, size // 2] = 1.0
-        got = rotate_interp(impulse, 1, method=method)
+        ops = RotationOperators(size, 8, method)
+        got = ops.apply(impulse, 1)
         oracle = rotation_dense_matrix(size, math.pi / 4, method)
         expect = (oracle @ impulse.reshape(-1)).reshape(size, size)
         assert np.abs(got - expect).max() <= 1e-12
         x = rng.standard_normal((size, size))
-        got = rotate_interp(x, 3, method=method)
+        got = ops.apply(x, 3)
         oracle = rotation_dense_matrix(size, 3 * math.pi / 4, method)
         assert np.abs(got - (oracle @ x.reshape(-1)).reshape(size, size)).max() <= 1e-12
 
@@ -130,8 +131,9 @@ class TestInterpolatedRotation:
         f = rng.standard_normal((8, 8))
         g = rng.standard_normal((8, 8))
         a, b = 1.7, -0.4
-        combined = rotate_interp(a * f + b * g, 1)
-        assert np.abs(combined - (a * rotate_interp(f, 1) + b * rotate_interp(g, 1))).max() <= 1e-6
+        ops = RotationOperators(8, 8)
+        combined = ops.apply(a * f + b * g, 1)
+        assert np.abs(combined - (a * ops.apply(f, 1) + b * ops.apply(g, 1))).max() <= 1e-6
 
     def test_rows_renormalized_in_grid(self):
         m = rotation_matrix(9, math.pi / 4, "gaussian")
@@ -149,7 +151,7 @@ class TestInterpolatedRotation:
 
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError, match="square"):
-            rotate_interp(rng.random((3, 5)), 1)
+            RotationOperators(5, 8).apply(rng.random((3, 5)), 1)
 
 
 class TestRotationMatrixOracle:
@@ -176,6 +178,35 @@ class TestRotationMatrixOracle:
             got32 = ops.apply(x32, r)
             assert got32.dtype == np.float32
             assert np.abs(got32 - expect32).max() <= 1e-6, r
+
+
+class TestOperatorFamily:
+    def test_unknown_method_rejected_at_construction(self):
+        for method in ("nearest", "exact90"):
+            with pytest.raises(ValueError, match="method"):
+                RotationOperators(9, 8, method)
+            with pytest.raises(ValueError, match="method"):
+                rotation_matrix(9, 0.3, method)
+
+    def test_matrices_built_once_on_first_use(self, rng, monkeypatch):
+        from rotoconv import groups
+        built = []
+
+        def counting(size, angle, *args):
+            built.append(angle)
+            return rotation_matrix(size, angle, *args)
+
+        monkeypatch.setattr(groups, "rotation_matrix", counting)
+        ops = RotationOperators(9, 8)
+        assert built == []
+        x = rng.random((2, 9, 9))
+        ops.apply(x, 1)
+        ops.apply(x.astype(np.float32), 1)
+        ops.apply_flat_t(x.reshape(2, 81).T, 9)
+        ops.apply(x, 2)
+        assert built == [2 * math.pi / 8]
+        ops.matrix(3)
+        assert built == [2 * math.pi / 8, 3 * 2 * math.pi / 8]
 
 
 class TestRoll:

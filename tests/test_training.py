@@ -6,7 +6,7 @@ import pytest
 from rotoconv.datasets import synthetic_labeled_set
 from rotoconv.groups import rotate_exact90
 from rotoconv.training import (TrainConfig, TrainingDivergence, augment,
-                               channel_stats, evaluate, train)
+                               channel_stats, evaluate, rotate_images, train)
 from rotoconv.verify import small_group_model
 
 from oracles import rotation_dense_matrix
@@ -82,12 +82,30 @@ class TestAugment:
             expect = (img.astype(np.float64).reshape(-1, 81) @ oracle.T).reshape(img.shape)
             assert np.abs(got - expect).max() <= 1e-6, angle
 
+    @pytest.mark.parametrize("mode", ["quarter", "eighth", "full"])
+    def test_non_square_rejected(self, rng, mode):
+        batch = rng.random((3, 1, 8, 10)).astype(np.float32)
+        with pytest.raises(ValueError, match="square"):
+            augment(batch, TrainConfig(rotation_augment=mode), np.random.default_rng(0))
+
     def test_deterministic_given_generator_seed(self, rng):
         batch = rng.random((4, 1, 8, 8)).astype(np.float32)
         cfg = TrainConfig(flip=True, max_translate=2, rotation_augment="eighth")
         a = augment(batch, cfg, np.random.default_rng(7))
         b = augment(batch, cfg, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+
+class TestRotateImages:
+    @pytest.mark.parametrize("angle", [0.0, 45.0, 90.0, 137.0])
+    def test_non_square_rejected(self, rng, angle):
+        with pytest.raises(ValueError, match="square"):
+            rotate_images(rng.random((8, 1, 28, 32)), angle)
+
+    def test_quarter_turns_are_exact(self, rng):
+        stack = rng.random((3, 2, 7, 7)).astype(np.float32)
+        for q in range(4):
+            assert np.array_equal(rotate_images(stack, 90.0 * q), rotate_exact90(stack, q))
 
 
 class TestTrain:
