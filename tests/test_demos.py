@@ -20,10 +20,10 @@ def run_demo(name, cwd):
 
 
 @pytest.mark.parametrize("name,outputs", [
-    ("02_rotation_operators.py", ("rotation_45deg.triplets",)),
     ("05_group_network.py", ()),
     ("06_equivariance_audit.py", ("sweep_group.csv", "sweep_plain.csv",
                                   "robustness_group.csv")),
+    ("02_rotation_operators.py", ("rotation_45deg.triplets",)),
 ])
 def test_demo_runs(tmp_path, name, outputs):
     proc = run_demo(name, tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotoconv import groups
 from rotoconv.groups import (GroupElement, RotationOperators, act_on_group_feature_map,
                              compose, export_triplets, import_triplets, inverse,
                              roll_orientations, rotate_exact90, rotation_matrix,
@@ -189,7 +190,6 @@ class TestOperatorFamily:
                 rotation_matrix(9, 0.3, method)
 
     def test_matrices_built_once_on_first_use(self, rng, monkeypatch):
-        from rotoconv import groups
         built = []
 
         def counting(size, angle, *args):
