@@ -20,6 +20,7 @@ lhs = float((T.correlate2d(Tensor(f), kernel).data * g).sum())
 rhs = float((f * T.transpose_correlate2d(Tensor(g), kernel).data).sum())
 print(f"<conv(f,e), g> = {lhs:.6f}")
 print(f"<f, conv^T(g,e)> = {rhs:.6f}")
+assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0), "adjoint identity violated"
 
 # gradients flow through compositions and match finite differences
 x = Tensor(rng.standard_normal((1, 1, 5, 5)), requires_grad=True)

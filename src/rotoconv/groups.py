@@ -119,6 +119,16 @@ def _permutation_matrix(size: int, quarter_turns: int) -> sparse.csr_matrix:
 _METHODS = ("gaussian", "bilinear")
 
 
+def _check_interpolation(method: str, sigma: float, kernel_size: int) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown rotation method {method!r}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    if (isinstance(kernel_size, bool) or not isinstance(kernel_size, (int, np.integer))
+            or kernel_size < 1 or kernel_size % 2 == 0):
+        raise ValueError(f"kernel_size must be a positive odd int, got {kernel_size!r}")
+
+
 def rotation_matrix(size: int, angle: float, method: str = "gaussian",
                     sigma: float = 0.5, kernel_size: int = 3) -> sparse.csr_matrix:
     """Sparse matrix rotating a flattened ``size x size`` image by ``angle`` CCW.
@@ -129,10 +139,10 @@ def rotation_matrix(size: int, angle: float, method: str = "gaussian",
     floored source point. Out-of-grid neighbors are dropped and the remaining
     weights renormalized to sum 1 (a row with no weight stays empty); angles
     that are exact multiples of 90 degrees short-circuit to the grid
-    permutation.
+    permutation. Raises ValueError for an unknown method, ``sigma <= 0`` or a
+    ``kernel_size`` that is not a positive odd int.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown rotation method {method!r}")
+    _check_interpolation(method, sigma, kernel_size)
     quarter = angle / (math.pi / 2)
     if abs(quarter - round(quarter)) < 1e-12:
         return _permutation_matrix(size, int(round(quarter)))
@@ -176,8 +186,7 @@ class RotationOperators:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown rotation method {self.method!r}")
+        _check_interpolation(self.method, self.sigma, self.kernel_size)
 
     def matrix(self, r: int) -> sparse.csr_matrix:
         key = (r % self.order, "<f8", False)

@@ -64,7 +64,7 @@ def gconv_input(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     bank = T.matmul(T.reshape(coefficients, (out_ch * in_ch, n)), emat)
     bank = T.reshape(bank, (out_ch, in_ch, order, k, k))
     bank = T.reshape(T.transpose(bank, (0, 2, 1, 3, 4)), (out_ch * order, in_ch, k, k))
-    out = T.correlate2d(x, bank, padding="same")
+    out = T.correlate2d(x, bank)
     b, _, h, w = out.data.shape
     return T.reshape(out, (b, out_ch, order, h, w))
 
@@ -127,7 +127,7 @@ def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     bank = T.reshape(_rolled_bank(bank), (out_ch * order, in_ch * order, k, k))
     b, _, _, h, w = x.data.shape
     flat = T.reshape(x, (b, in_ch * order, h, w))
-    out = T.correlate2d(flat, bank, padding="same")
+    out = T.correlate2d(flat, bank)
     return T.reshape(out, (b, out_ch, order, h, w))
 
 
@@ -183,7 +183,7 @@ class Conv2d(Layer):
                              requires_grad=True)
 
     def forward(self, x, training):
-        return T.correlate2d(x, self.weight, padding="same")
+        return T.correlate2d(x, self.weight)
 
 
 class GConvInput(Layer):
@@ -292,7 +292,7 @@ class GlobalMaxPool(Layer):
         self.name = name
 
     def forward(self, x, training):
-        return T.global_maxpool(x, keep_axes=2)
+        return T.global_maxpool(x)
 
 
 class Dense(Layer):

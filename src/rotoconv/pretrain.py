@@ -122,7 +122,7 @@ def equivariance_term(images: Tensor, slots, ops: RotationOperators,
     branch_a = T.correlate2d(_rotate(images, ops, s), _as_kernel(slots[r % order]))
     inner = T.correlate2d(images, _as_kernel(slots[(r - s) % order]))
     branch_b = _rotate(inner, ops, s)
-    diff = T.crop2d(branch_a - branch_b, margin, margin)
+    diff = T.crop2d(branch_a - branch_b, margin)
     batch = images.data.shape[0]
     retained = diff.data.shape[-1] * diff.data.shape[-2]
     return T.scale(T.l1_norm(diff), 1.0 / (batch * retained))
@@ -132,10 +132,10 @@ def reconstruction_term(images: Tensor, slots, ops: RotationOperators,
                         s: int, r: int, margin: int) -> Tensor:
     """L1 gap between the rotated image and its filter/transposed-filter round trip."""
     order = len(slots)
-    target = T.crop2d(_rotate(images, ops, s), margin, margin)
+    target = T.crop2d(_rotate(images, ops, s), margin)
     resp = T.correlate2d(images, _as_kernel(slots[(r - s) % order]))
     recon = T.transpose_correlate2d(_rotate(resp, ops, s), _as_kernel(slots[r % order]))
-    diff = target - T.crop2d(recon, margin, margin)
+    diff = target - T.crop2d(recon, margin)
     batch = images.data.shape[0]
     retained = diff.data.shape[-1] * diff.data.shape[-2]
     return T.scale(T.l1_norm(diff), 1.0 / (batch * retained))

@@ -313,29 +313,26 @@ def roll_axis(a: Tensor, shift: int, axis: int) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, "roll")
 
 
-def take_slot(a: Tensor, index: int, axis: int = 0) -> Tensor:
-    """Index one slot along ``axis`` (gradient scatters back into that slot)."""
+def take_slot(a: Tensor, index: int) -> Tensor:
+    """Index one slot of the first axis (gradient scatters back into that slot)."""
     index = int(index)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = index
-    sl = tuple(sl)
-    out_data = np.ascontiguousarray(a.data[sl])
+    out_data = np.ascontiguousarray(a.data[index])
 
     def backward(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[sl] += g
+            a.grad[index] += g
 
     return Tensor.from_op(out_data, (a,), backward, "take_slot")
 
 
-def crop2d(a: Tensor, margin_h: int, margin_w: int) -> Tensor:
-    """Cut ``margin`` rows/cols from every side of the last two axes."""
+def crop2d(a: Tensor, margin: int) -> Tensor:
+    """Cut ``margin`` rows and cols from every side of the last two axes."""
     h, w = a.data.shape[-2:]
-    if h - 2 * margin_h < 1 or w - 2 * margin_w < 1:
-        raise ValueError(f"crop margins ({margin_h},{margin_w}) leave no pixels of {h}x{w}")
-    sl = (Ellipsis, slice(margin_h, h - margin_h), slice(margin_w, w - margin_w))
+    if h - 2 * margin < 1 or w - 2 * margin < 1:
+        raise ValueError(f"crop margin {margin} leaves no pixels of {h}x{w}")
+    sl = (Ellipsis, slice(margin, h - margin), slice(margin, w - margin))
     out_data = a.data[sl].copy()
 
     def backward(g):
@@ -410,40 +407,44 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 _COLUMN_BYTES = 32 << 20
 
 
-def _padded(x: np.ndarray, k: int, padding: str) -> np.ndarray:
-    if padding == "valid":
-        return x
-    p = k // 2
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
-def _columns(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """im2col: padded [n,C,Hp,Wp] -> [C*k*k, n*Ho*Wo].
-
-    Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
-    (sample, output row, output col).
-    """
-    c = xp.shape[1]
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
-
-
-def _col2im_add(cols: np.ndarray, gxp: np.ndarray, k: int, stride: int, ho: int, wo: int):
-    """Adjoint of ``_columns``: scatter-add [C*k*k, n*Ho*Wo] onto padded [n,C,Hp,Wp]."""
-    n, c = gxp.shape[:2]
-    cols = cols.reshape(c, k, k, n, ho, wo)
-    for u in range(k):
-        for v in range(k):
-            gxp[:, :, u:u + (ho - 1) * stride + 1:stride,
-                v:v + (wo - 1) * stride + 1:stride] += cols[:, u, v].transpose(1, 0, 2, 3)
-
-
 def _sample_chunks(n: int, sample_bytes: int) -> list:
     step = max(1, _COLUMN_BYTES // max(sample_bytes, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _check_conv_args(x: Tensor, kernel: Tensor, padding: str, stride: int):
+def _padded_chunks(x: np.ndarray, k: int):
+    """Yield (sample slice, same-padded samples) in chunks whose columns fit ``_COLUMN_BYTES``."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
+        yield sl, xp[sl]
+
+
+def _columns(xp: np.ndarray, k: int) -> np.ndarray:
+    """im2col: padded [n,C,H+k-1,W+k-1] -> [C*k*k, n*H*W].
+
+    Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
+    (sample, row, col). Callers use the result in one expression, so only one
+    column buffer is alive at a time.
+    """
+    c = xp.shape[1]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k]."""
+    o, _, k, _ = w.shape
+    n, _, h, wd = x.shape
+    w2 = w.reshape(o, -1)
+    out = np.empty((n, o, h, wd), dtype=x.dtype)
+    for sl, xp in _padded_chunks(x, k):
+        out[sl] = (w2 @ _columns(xp, k)).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+    return out
+
+
+def _check_conv_args(x: Tensor, kernel: Tensor):
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError("correlate2d expects input [B,C,H,W] and kernel [O,C,k,k]")
     k = kernel.data.shape[2]
@@ -452,58 +453,36 @@ def _check_conv_args(x: Tensor, kernel: Tensor, padding: str, stride: int):
     if x.data.shape[1] != kernel.data.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.data.shape[1]}, "
                          f"kernel expects {kernel.data.shape[1]}")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"unknown padding {padding!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
 
 
-def correlate2d(x: Tensor, kernel: Tensor, padding: str = "same", stride: int = 1) -> Tensor:
-    """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k] (zero padded).
+def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k], zero padded to [B,O,H,W].
 
     im2col + GEMM: each chunk of samples becomes a column matrix
-    [C*k*k, n*Ho*Wo]; the forward pass is ``W @ cols``, grad-w is
-    ``g @ cols.T`` and grad-x is ``W.T @ g`` scattered back by col2im. The
-    columns are rebuilt in backward rather than kept on the graph.
+    [C*k*k, n*H*W]; the forward pass is ``W @ cols`` and grad-w is
+    ``g @ cols.T``, with the columns rebuilt in backward rather than kept on
+    the graph. grad-x is the same kernel run on ``g`` with the adjoint filter
+    (spatially flipped, channel axes swapped).
     """
-    _check_conv_args(x, kernel, padding, stride)
-    o, c, k, _ = kernel.data.shape
-    xp = _padded(x.data, k, padding)
-    n, _, hp, wp = xp.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    w2 = kernel.data.reshape(o, c * k * k)
-    chunks = _sample_chunks(n, c * k * k * ho * wo * xp.itemsize)
-    out_data = np.empty((n, o, ho, wo), dtype=x.data.dtype)
-    for sl in chunks:
-        y = w2 @ _columns(xp[sl], k, stride)
-        out_data[sl] = y.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
+    _check_conv_args(x, kernel)
+    o, _, k, _ = kernel.data.shape
+    out_data = _correlate(x.data, kernel.data)
 
     def backward(g):
-        xp = _padded(x.data, k, padding)
-        gw = np.zeros_like(w2) if kernel.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for sl in chunks:
-            g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
-            if gw is not None:
-                gw += g2 @ _columns(xp[sl], k, stride).T
-            if gxp is not None:
-                # np.dot, not @: numpy's matmul is ~4x slower here when O == 1
-                # (the single-output-channel adjoint in basis pretraining).
-                _col2im_add(np.dot(w2.T, g2), gxp[sl], k, stride, ho, wo)
-        if gw is not None:
+        if kernel.requires_grad:
+            gw = np.zeros_like(kernel.data.reshape(o, -1))
+            for sl, xp in _padded_chunks(x.data, k):
+                g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
+                gw += g2 @ _columns(xp, k).T
             accumulate_grad(kernel, gw.reshape(kernel.data.shape))
-        if gxp is not None:
-            if padding == "same":
-                p = k // 2
-                gxp = gxp[:, :, p:p + x.data.shape[2], p:p + x.data.shape[3]]
-            accumulate_grad(x, gxp)
+        if x.requires_grad:
+            accumulate_grad(x, _correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     return Tensor.from_op(out_data, (x, kernel), backward, "correlate2d")
 
 
 def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Adjoint of ``f -> correlate2d(f, kernel)`` under same padding.
+    """Adjoint of ``f -> correlate2d(f, kernel)``.
 
     Equals correlate2d with the kernel flipped in both spatial axes and its
     channel axes swapped, so x[B,O,H,W] with kernel[O,C,k,k] maps to [B,C,H,W].
@@ -511,7 +490,7 @@ def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
     if kernel.data.ndim != 4:
         raise ValueError("transpose_correlate2d expects kernel [O,C,k,k]")
     flipped = flip_spatial(transpose(kernel, (1, 0, 2, 3)))
-    return correlate2d(x, flipped, padding="same", stride=1)
+    return correlate2d(x, flipped)
 
 
 # -- pooling -----------------------------------------------------------------
@@ -539,9 +518,9 @@ def maxpool2x2(a: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, "maxpool2x2")
 
 
-def global_maxpool(a: Tensor, keep_axes: int = 2) -> Tensor:
-    """Max over all axes past the first ``keep_axes`` (gradient to first max)."""
-    lead = a.data.shape[:keep_axes]
+def global_maxpool(a: Tensor) -> Tensor:
+    """Max over all axes past the first two (gradient to first max)."""
+    lead = a.data.shape[:2]
     flat = a.data.reshape(lead + (-1,))
     idx = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]

@@ -196,21 +196,18 @@ def gradcheck_catalog(seed=0):
         ("rot90_spatial", lambda a: T.l1_norm(T.rot90_spatial(a, 3)), [r((2, 4, 4))]),
         ("roll_axis", lambda a: T.l1_norm(T.roll_axis(a, 2, -3)), [r((5, 3, 3))]),
         ("take_slot", lambda a: T.l1_norm(T.take_slot(a, 1)), [r((3, 2, 2))]),
-        ("crop2d", lambda a: T.l1_norm(T.crop2d(a, 1, 1)), [r((2, 5, 5))]),
+        ("crop2d", lambda a: T.l1_norm(T.crop2d(a, 1)), [r((2, 5, 5))]),
         ("relu", lambda a: T.l1_norm(T.relu(a)), [r((3, 4)) + 0.2]),
         ("l1_norm", lambda a: T.l1_norm(a), [r((3, 3)) + 0.1]),
         ("softmax_cross_entropy",
          lambda a: T.softmax_cross_entropy(a, labels), [r((3, 4))]),
         ("correlate2d_same", lambda a, b: T.l1_norm(T.correlate2d(a, b)),
          [r((2, 2, 5, 5)), r((3, 2, 3, 3))]),
-        ("correlate2d_valid_stride2",
-         lambda a, b: T.l1_norm(T.correlate2d(a, b, "valid", 2)),
-         [r((1, 2, 7, 7)), r((2, 2, 3, 3))]),
         ("transpose_correlate2d",
          lambda a, b: T.l1_norm(T.transpose_correlate2d(a, b)),
          [r((2, 3, 5, 5)), r((3, 2, 3, 3))]),
         ("maxpool2x2", lambda a: T.l1_norm(T.maxpool2x2(a)), [r((2, 2, 4, 4))]),
-        ("global_maxpool", lambda a: T.l1_norm(T.global_maxpool(a, 2)),
+        ("global_maxpool", lambda a: T.l1_norm(T.global_maxpool(a)),
          [r((2, 3, 4, 4))]),
         ("batchnorm_train",
          lambda a, g, b: T.l1_norm(T.batchnorm_train(a, g, b, (0, 2, 3))[0]),

@@ -57,6 +57,16 @@ class TestPretrainBasis:
         manifest = json.loads((tmp_path / "c.rcbs.manifest.json").read_text())
         assert manifest["options"]["n_elements"] == 2
 
+    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
+    def test_non_positive_sigma_is_clean_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "basis.rcbs"
+        code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
+                   "--epochs", "1", "--batch-size", "8", "--n-elements", "2",
+                   "--sigma", sigma, "--out", str(out))
+        assert code == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--config"], "expected one argument"),
         (["verify", "--config", "no-such.cfg"], "cannot read"),

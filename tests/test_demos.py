@@ -24,6 +24,7 @@ def run_demo(name, cwd):
     ("06_equivariance_audit.py", ("sweep_group.csv", "sweep_plain.csv",
                                   "robustness_group.csv")),
     ("02_rotation_operators.py", ("rotation_45deg.triplets",)),
+    ("03_autodiff.py", ()),
 ])
 def test_demo_runs(tmp_path, name, outputs):
     proc = run_demo(name, tmp_path)

@@ -17,6 +17,23 @@ def test_op_gradient_matches_finite_differences(case):
     check_gradient(builder, arrays, rel_tol=1e-5, step=1e-5)
 
 
+@pytest.mark.parametrize("case", CATALOG, ids=[c[0] for c in CATALOG])
+def test_backward_builds_no_graph_nodes(case, monkeypatch):
+    """Adjoint closures work on arrays: replaying them records no new op."""
+    _, builder, arrays = case
+    loss = builder(*[Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays])
+    recorded = []
+    from_op = Tensor.from_op
+
+    def counting_from_op(data, parents, backward_fn, op="op"):
+        recorded.append(op)
+        return from_op(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "from_op", staticmethod(counting_from_op))
+    loss.backward()
+    assert recorded == []
+
+
 def test_correlate2d_kernel_gradient_against_central_differences(rng):
     x = rng.standard_normal((1, 1, 5, 5))
     k = rng.standard_normal((1, 1, 3, 3))

@@ -189,6 +189,19 @@ class TestOperatorFamily:
             with pytest.raises(ValueError, match="method"):
                 rotation_matrix(9, 0.3, method)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kernel_size": 2}, "kernel_size"), ({"kernel_size": 4}, "kernel_size"),
+        ({"kernel_size": -3}, "kernel_size"), ({"kernel_size": 0}, "kernel_size"),
+        ({"kernel_size": 3.0}, "kernel_size"), ({"sigma": 0.0}, "sigma"),
+        ({"sigma": -0.5}, "sigma"), ({"sigma": float("nan")}, "sigma"),
+    ])
+    def test_bad_interpolation_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RotationOperators(9, 8, **kwargs)
+        for angle in (0.7, math.pi / 2):
+            with pytest.raises(ValueError, match=message):
+                rotation_matrix(9, angle, **kwargs)
+
     def test_matrices_built_once_on_first_use(self, rng, monkeypatch):
         built = []
 

@@ -181,7 +181,7 @@ class TestBuildModel:
             elif name == "MaxPool2x2":
                 h = T.maxpool2x2(h)
             elif name == "GlobalMaxPool":
-                h = T.global_maxpool(h, 2)
+                h = T.global_maxpool(h)
             else:
                 h = T.matmul(h, layer.weight) + layer.bias
         assert np.array_equal(got, h.data)

@@ -19,13 +19,6 @@ class TestCorrelate2d:
         out = T.correlate2d(x, t64(k))
         assert np.array_equal(out.data, x.data)
 
-    def test_ones_valid_single_value(self):
-        x = t64(np.ones((1, 1, 3, 3)))
-        k = t64(np.ones((1, 1, 3, 3)))
-        out = T.correlate2d(x, k, padding="valid")
-        assert out.data.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 9.0
-
     def test_matches_brute_force(self, rng):
         x = rng.standard_normal((1, 1, 5, 5))
         k = rng.standard_normal((1, 1, 3, 3))
@@ -33,16 +26,14 @@ class TestCorrelate2d:
         expect = brute_correlate2d(x, k)
         assert np.abs(out - expect).max() <= 1e-6
 
-    @pytest.mark.parametrize("padding,stride,shape", [
-        ("same", 1, (2, 8, 8)), ("valid", 1, (1, 6, 6)),
-        ("same", 2, (2, 8, 8)), ("valid", 2, (3, 7, 7)),
-    ])
-    def test_matches_dense_matrix(self, rng, padding, stride, shape):
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 7, 7)],
+                             ids=["same-1-shape0", "same-1-shape1"])
+    def test_matches_dense_matrix(self, rng, shape):
         c = shape[0]
         x = rng.standard_normal((1,) + shape)
         k = rng.standard_normal((2, c, 3, 3))
-        out = T.correlate2d(t64(x), t64(k), padding, stride).data
-        m = conv_dense_matrix(shape, k, padding, stride)
+        out = T.correlate2d(t64(x), t64(k)).data
+        m = conv_dense_matrix(shape, k)
         expect = (m @ x.reshape(-1)).reshape(out.shape)
         assert np.abs(out - expect).max() <= 1e-10
 
@@ -63,24 +54,19 @@ class TestCorrelate2d:
         with pytest.raises(ValueError, match="channel"):
             T.correlate2d(t64(rng.random((1, 2, 4, 4))), t64(rng.random((1, 3, 3, 3))))
 
-    def test_bad_stride_rejected(self, rng):
-        with pytest.raises(ValueError, match="stride"):
-            T.correlate2d(t64(rng.random((1, 1, 4, 4))),
-                          t64(rng.random((1, 1, 3, 3))), stride=0)
 
-
-def _conv_and_grads(x, w, padding, stride, g):
+def _conv_and_grads(x, w, g):
     """Forward output plus grad-x and grad-w for the upstream gradient ``g``."""
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    out = T.correlate2d(xt, wt, padding, stride)
+    out = T.correlate2d(xt, wt)
     T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1))).backward()
     return out.data, xt.grad, wt.grad
 
 
-def _oracle_conv_and_grads(x, w, padding, stride, g):
+def _oracle_conv_and_grads(x, w, g):
     """The same three arrays from the brute-force and dense-matrix oracles alone."""
-    out = brute_correlate2d(x, w, padding, stride)
-    m = conv_dense_matrix(x.shape[1:], w, padding, stride)
+    out = brute_correlate2d(x, w)
+    m = conv_dense_matrix(x.shape[1:], w)
     dense_out = np.stack([m @ xi.reshape(-1) for xi in x]).reshape(out.shape)
     gx = np.stack([m.T @ gi.reshape(-1) for gi in g]).reshape(x.shape)
     # The output is linear in the kernel: grad-w[o, c, u, v] is <g[:, o], x * e_cuv>.
@@ -88,27 +74,31 @@ def _oracle_conv_and_grads(x, w, padding, stride, g):
     for c, u, v in np.ndindex(w.shape[1:]):
         one_hot = np.zeros((1,) + w.shape[1:])
         one_hot[0, c, u, v] = 1.0
-        resp = brute_correlate2d(x, one_hot, padding, stride)
+        resp = brute_correlate2d(x, one_hot)
         gw[:, c, u, v] = np.einsum("bohw,bhw->o", g, resp[:, 0])
     return out, dense_out, gx, gw
+
+
+ORACLE_CASES = [
+    (1, 2, 3, 2, 5),
+    (3, 2, 2, 3, 6),
+    (5, 2, 2, 2, 6),
+    (3, 2, 2, 3, 7),  # odd extent
+    (3, 2, 1, 9, 7),  # the pretrain shape: one channel in, nine out
+]
 
 
 class TestCorrelate2dAgainstOracles:
     """Forward, grad-x and grad-w of the im2col kernel against tests/oracles.py."""
 
-    @pytest.mark.parametrize("k,padding,stride,batch,c,o,hw", [
-        (1, "same", 1, 2, 3, 2, 5),
-        (3, "same", 1, 2, 2, 3, 6),
-        (5, "same", 1, 2, 2, 2, 6),
-        (3, "valid", 2, 2, 2, 3, 7),
-        (3, "same", 1, 2, 1, 9, 7),  # the pretrain shape: one channel in, nine out
-    ])
-    def test_forward_and_gradients(self, rng, k, padding, stride, batch, c, o, hw):
+    @pytest.mark.parametrize("k,batch,c,o,hw", ORACLE_CASES,
+                             ids=["{}-same-1-{}-{}-{}-{}".format(*case) for case in ORACLE_CASES])
+    def test_forward_and_gradients(self, rng, k, batch, c, o, hw):
         x = rng.standard_normal((batch, c, hw, hw))
         w = rng.standard_normal((o, c, k, k))
-        g = rng.standard_normal(brute_correlate2d(x, w, padding, stride).shape)
-        got = _conv_and_grads(x, w, padding, stride, g)
-        want_out, dense_out, want_gx, want_gw = _oracle_conv_and_grads(x, w, padding, stride, g)
+        g = rng.standard_normal((batch, o, hw, hw))
+        got = _conv_and_grads(x, w, g)
+        want_out, dense_out, want_gx, want_gw = _oracle_conv_and_grads(x, w, g)
         assert np.abs(got[0] - want_out).max() <= 1e-10
         assert np.abs(got[0] - dense_out).max() <= 1e-10
         assert np.abs(got[1] - want_gx).max() <= 1e-10
@@ -121,8 +111,8 @@ class TestCorrelate2dAgainstOracles:
         sample_bytes = 2 * 3 * 3 * 6 * 6 * x.itemsize
         monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * sample_bytes)
         assert len(T._sample_chunks(5, sample_bytes)) == 3  # 2 + 2 + 1 samples
-        got = _conv_and_grads(x, w, "same", 1, g)
-        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, "same", 1, g)
+        got = _conv_and_grads(x, w, g)
+        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, g)
         assert np.abs(got[0] - want_out).max() <= 1e-10
         assert np.abs(got[1] - want_gx).max() <= 1e-10
         assert np.abs(got[2] - want_gw).max() <= 1e-10
@@ -134,9 +124,8 @@ class TestCorrelate2dAgainstOracles:
         x = rng.standard_normal((2, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
         g = rng.standard_normal((2, 3, 6, 6))
-        got = _conv_and_grads(x.astype(np.float32), w.astype(np.float32), "same", 1,
-                              g.astype(np.float32))
-        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, "same", 1, g)
+        got = _conv_and_grads(x.astype(np.float32), w.astype(np.float32), g.astype(np.float32))
+        want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, g)
         for arr, want in zip(got, (want_out, want_gx, want_gw)):
             assert arr.dtype == np.float32
             assert np.abs(arr - want).max() <= 1e-5 * np.abs(want).max()
@@ -232,19 +221,19 @@ class TestMaxPool:
 
 class TestGlobalMaxPool:
     def test_constant(self):
-        out = T.global_maxpool(t64(np.full((1, 2, 3, 3), 7.0)), 2)
+        out = T.global_maxpool(t64(np.full((1, 2, 3, 3), 7.0)))
         assert np.all(out.data == 7.0)
 
     def test_permutation_invariance_exact(self, rng):
         x = rng.standard_normal((1, 2, 4, 6, 6))
         rolled = np.roll(np.rot90(x, 1, axes=(-2, -1)), 2, axis=2)
-        a = T.global_maxpool(t64(x), 2).data
-        b = T.global_maxpool(t64(rolled), 2).data
+        a = T.global_maxpool(t64(x)).data
+        b = T.global_maxpool(t64(rolled)).data
         assert np.array_equal(a, b)
 
     def test_matches_scan(self, rng):
         x = rng.standard_normal((2, 3, 4, 5))
-        out = T.global_maxpool(t64(x), 2).data
+        out = T.global_maxpool(t64(x)).data
         assert np.array_equal(out, x.reshape(2, 3, -1).max(axis=-1))
 
 
@@ -299,12 +288,12 @@ class TestShapeOps:
 
     def test_crop_margins(self, rng):
         x = rng.random((2, 8, 8))
-        out = T.crop2d(t64(x), 2, 2)
+        out = T.crop2d(t64(x), 2)
         assert np.array_equal(out.data, x[:, 2:6, 2:6])
 
     def test_crop_too_deep_rejected(self, rng):
         with pytest.raises(ValueError, match="crop"):
-            T.crop2d(t64(rng.random((4, 4))), 2, 2)
+            T.crop2d(t64(rng.random((4, 4))), 2)
 
     def test_take_slot(self, rng):
         x = rng.random((3, 2, 2))
