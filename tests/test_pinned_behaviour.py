@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotoconv.basis import populate_partial
+from rotoconv.basis import Basis, populate_partial
+from rotoconv.datasets import synthetic_image_corpus
 from rotoconv.network import build_model, load_checkpoint
+from rotoconv.pretrain import PretrainConfig, pretrain, total_loss
 from rotoconv.verify import small_group_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,3 +75,71 @@ def test_small_group_model_arch_hash_and_parameters(partial_basis, dtype, arch_h
     model = small_group_model(partial_basis, seed=3, dtype=dtype)
     assert model.arch_hash() == arch_hash
     assert parameter_digest(model) == digest
+
+
+# -- basis pretraining ---------------------------------------------------------
+# Loss terms of ``total_loss`` for one fixed full basis and image batch, and
+# sampled elements plus the last epoch's L_total of 3-epoch float64 runs, all
+# taken from the per-orientation slot-list implementation. The equivariance and
+# reconstruction terms are the same operations on the same arrays in any slot
+# layout, so they must match bitwise; the orthogonality term may sum in another
+# order, and training differs by gradient rounding, hence the tolerances.
+
+PINNED_TERMS = {  # (dtype, s, r): (equiv, rec)
+    ("float64", 0, 3): ("0x0.0p+0", "0x1.dbee09167472ep+1"),
+    ("float64", 1, 1): ("0x1.0907c362cefcfp+1", "0x1.d4bd26ec639aap-1"),
+    ("float64", 2, 5): ("0x1.8c5046df75377p+1", "0x1.6f3911a5987b6p+0"),
+    ("float64", 3, 6): ("0x1.f7bd7a136c15cp+1", "0x1.aab71a89a8853p+1"),
+    ("float64", 7, 2): ("0x1.dbd859d6d7b35p+1", "0x1.824c722711267p+1"),
+    ("float32", 0, 3): ("0x0.0p+0", "0x1.dbee0a0000000p+1"),
+    ("float32", 1, 1): ("0x1.0907c40000000p+1", "0x1.d4bd280000000p-1"),
+    ("float32", 2, 5): ("0x1.8c50480000000p+1", "0x1.6f39120000000p+0"),
+    ("float32", 3, 6): ("0x1.f7bd7a0000000p+1", "0x1.aab71a0000000p+1"),
+    ("float32", 7, 2): ("0x1.dbd85c0000000p+1", "0x1.824c720000000p+1"),
+}
+PINNED_ORTH = {"float64": "0x1.4b58f86eaa213p+6", "float32": "0x1.4b58fa0000000p+6"}
+ORTH_RTOL = {"float64": 1e-14, "float32": 1e-6}
+
+
+@pytest.mark.parametrize("dtype, s, r", sorted(PINNED_TERMS))
+def test_total_loss_terms_pinned(dtype, s, r):
+    basis = Basis(np.random.default_rng(21).uniform(-1.0, 1.0, (8, 3, 3, 3)), "full")
+    terms = total_loss(synthetic_image_corpus(4, 12, seed=8), basis, s, r, dtype=dtype)
+    equiv, rec = PINNED_TERMS[dtype, s, r]
+    assert terms["equiv"].hex() == equiv
+    assert terms["rec"].hex() == rec
+    orth = float.fromhex(PINNED_ORTH[dtype])
+    assert abs(terms["orth"] - orth) <= ORTH_RTOL[dtype] * orth
+    total = float.fromhex(equiv) + orth + float.fromhex(rec)
+    assert abs(terms["total"] - total) <= ORTH_RTOL[dtype] * total
+
+
+PINNED_PRETRAIN = {  # (partial, sum_all_pairs): (8 spread elements, last L_total)
+    (True, False): (["0x1.177124149f876p-3", "-0x1.1bad4b728a44ap-2", "-0x1.926108ffa3e4fp-3",
+                     "-0x1.4be23c148509fp-2", "0x1.0365b0b01ef3fp-2", "-0x1.a69320fb36d68p-2",
+                     "-0x1.c4f72c20db7cep-3", "0x1.e95eca82ec626p-5"], "0x1.2a35cfd8db65ep+3"),
+    (True, True): (["0x1.4c974292b2020p-4", "-0x1.c4bd219c3119ep-3", "-0x1.956c2fbec94c9p-3",
+                    "-0x1.1308d451320b4p-2", "0x1.e6ca9c24a4ba0p-3", "-0x1.8beec92267129p-2",
+                    "-0x1.c0e1f938e04d5p-3", "0x1.aec09f80d028dp-5"], "0x1.bceca74735cbbp+5"),
+    (False, False): (["0x1.08ca43e587c09p-3", "-0x1.1cfaebe24f7cdp-2", "-0x1.5beabc9d3c503p-3",
+                      "0x1.49eef02b5aa9dp-3", "0x1.857391b8c189dp-2", "-0x1.680d72526e206p-4",
+                      "0x1.198d00b574653p-2", "0x1.3043351c49835p-2"], "0x1.2c1eac131c0c2p+3"),
+    (False, True): (["0x1.46415acce9161p-4", "-0x1.c00098bd674fcp-3", "-0x1.5aea9a112dbfep-3",
+                     "0x1.a8afa52880aabp-4", "0x1.546ea30d2f479p-2", "-0x1.8906c1a7dcce6p-4",
+                     "0x1.20a269c7fdd37p-2", "0x1.2d66763f16828p-2"], "0x1.1fa1d2a96990cp+6"),
+}
+
+
+@pytest.mark.parametrize("partial, sum_all_pairs", sorted(PINNED_PRETRAIN))
+def test_pretrain_three_epochs_pinned(partial, sum_all_pairs):
+    cfg = PretrainConfig(n_elements=2, epochs=3, batch_size=4, partial=partial,
+                         sum_all_pairs=sum_all_pairs, learning_rate=5e-3, seed=7,
+                         dtype="float64")
+    result = pretrain(synthetic_image_corpus(8, 12, seed=3), cfg)
+    flat = result.basis.elements.reshape(-1)
+    got = flat[np.linspace(0, flat.size - 1, 8).astype(int)]
+    elements, last_total = PINNED_PRETRAIN[partial, sum_all_pairs]
+    want = np.array([float.fromhex(v) for v in elements])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    want_total = float.fromhex(last_total)
+    assert abs(result.epochs[-1]["L_total"] - want_total) <= 1e-12 * want_total
