@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import LabeledImageSet
-from .fileio import atomic_write
-from .groups import RotationOperators, act_on_group_feature_map
+from .fileio import write_csv
+from .groups import RotationOperators, act_on_group_feature_map, crop_margin
 from .network import Model
 from .training import evaluate, rotate_images
 
@@ -46,14 +46,6 @@ def rotation_sweep(model: Model, testset: LabeledImageSet, angles_deg,
     return report
 
 
-def _crop_interior(arr: np.ndarray, fraction: float) -> np.ndarray:
-    h, w = arr.shape[-2:]
-    my, mx = int(h * fraction), int(w * fraction)
-    if h - 2 * my < 1 or w - 2 * mx < 1:
-        return arr
-    return arr[..., my:h - my, mx:w - mx]
-
-
 def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
                           kind: str = "group", order: int = 8,
                           method: str = "gaussian", crop_fraction: float = 0.25,
@@ -81,8 +73,10 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
         else:
             raise ValueError(f"unknown activation kind {kind!r}")
     if kind != "vector":
-        ref = _crop_interior(a_r, crop_fraction)
-        rect = _crop_interior(rect, crop_fraction)
+        size = a_r.shape[-1]
+        m = crop_margin(size, crop_fraction)
+        ref = a_r[..., m:size - m, m:size - m]
+        rect = rect[..., m:size - m, m:size - m]
     else:
         ref = a_r
     channels = ref.shape[0]
@@ -155,19 +149,11 @@ _ROBUST_FIELDS = ["variant", "layer_index", "layer_name", "L_equivariance"]
 def emit_reports(report, path) -> None:
     """Write a report as CSV with a stable column order."""
     if isinstance(report, SweepReport):
-        _write_csv(path, _SWEEP_FIELDS, report.rows)
+        write_csv(path, _SWEEP_FIELDS, report.rows)
     elif isinstance(report, RobustnessReport):
-        _write_csv(path, _ROBUST_FIELDS, report.rows)
+        write_csv(path, _ROBUST_FIELDS, report.rows)
     else:
         raise TypeError(f"cannot emit {type(report).__name__}")
-
-
-def _write_csv(path, fields, rows) -> None:
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})
 
 
 def read_csv_rows(path) -> list:

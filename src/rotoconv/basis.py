@@ -113,24 +113,23 @@ def populate_partial(learned: np.ndarray, order: int = 8,
     if learned.shape[0] != stride:
         raise ValueError(f"expected {stride} learned orientations for order {order}, "
                          f"got {learned.shape[0]}")
-    elements = np.empty((order,) + learned.shape[1:], dtype=np.float64)
-    for rho in range(stride):
-        for q in range(4):
-            elements[rho + q * stride] = rotate_exact90(learned[rho], q)
-    return Basis(elements, "partial", config_fingerprint)
+    return Basis(_quarter_turn_stack(learned), "partial", config_fingerprint)
+
+
+def _quarter_turn_stack(learned: np.ndarray) -> np.ndarray:
+    """``learned`` followed by its three quarter turns, stacked on the first axis."""
+    return np.concatenate([rotate_exact90(learned, q) for q in range(4)])
 
 
 def check_partial_tying(elements: np.ndarray) -> None:
     """Verify (bitwise) that quarter-turn slots are exact rotations of the base range."""
-    order = elements.shape[0]
-    stride = quarter_stride(order)
-    for rho in range(stride):
-        for q in range(1, 4):
-            expect = rotate_exact90(elements[rho], q)
-            got = elements[rho + q * stride]
-            if not np.array_equal(expect, got):
-                raise ValueError(f"partial basis slot {rho + q * stride} is not the exact "
-                                 f"quarter-turn of slot {rho}")
+    stride = quarter_stride(elements.shape[0])
+    tied = _quarter_turn_stack(elements[:stride]) == elements
+    broken = np.flatnonzero(~tied.reshape(len(elements), -1).all(axis=1))
+    if broken.size:
+        slot = int(broken[0])
+        raise ValueError(f"partial basis slot {slot} is not the exact "
+                         f"quarter-turn of slot {slot % stride}")
 
 
 def initialize_elements(n_elements: int, kernel_size: int, n_orientations: int,

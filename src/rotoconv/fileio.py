@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import uuid
 from contextlib import contextmanager
@@ -29,3 +30,11 @@ def atomic_write(path, mode: str = "wb", **open_args):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, fields, rows) -> None:
+    """Write dict ``rows`` as CSV with header ``fields``, atomically; other keys are left out."""
+    with atomic_write(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)

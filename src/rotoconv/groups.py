@@ -93,6 +93,13 @@ def rotate_exact90(x: np.ndarray, quarter_turns: int) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(x, int(quarter_turns) % 4, axes=(-2, -1)))
 
 
+def crop_margin(size: int, fraction: float) -> int:
+    """Rows and columns cut from each side of a ``size`` square; [0, 1/2) keeps >= 1 pixel."""
+    if not 0.0 <= fraction < 0.5:
+        raise ValueError(f"crop fraction must lie in [0, 1/2), got {fraction}")
+    return int(size * fraction)
+
+
 # -- interpolated rotation operators ----------------------------------------------
 
 
@@ -124,9 +131,14 @@ def _check_interpolation(method: str, sigma: float, kernel_size: int) -> None:
         raise ValueError(f"unknown rotation method {method!r}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    if (isinstance(kernel_size, bool) or not isinstance(kernel_size, (int, np.integer))
-            or kernel_size < 1 or kernel_size % 2 == 0):
-        raise ValueError(f"kernel_size must be a positive odd int, got {kernel_size!r}")
+    check_odd_size("kernel_size", kernel_size)
+
+
+def check_odd_size(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive odd int (a window with a center)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1 or value % 2 == 0):
+        raise ValueError(f"{name} must be a positive odd int, got {value!r}")
 
 
 def rotation_matrix(size: int, angle: float, method: str = "gaussian",

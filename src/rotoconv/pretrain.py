@@ -2,6 +2,7 @@
 
 Each minibatch draws one (image-rotation, filter-rotation) index pair, builds
 the three losses on the live basis parameters, and takes one AMSGrad step.
+The basis at every orientation is one stacked ``[order, n, k, k]`` tensor.
 With ``partial=True`` only the orientations below a quarter turn are free
 parameters; the rest are exact 90 degree copies inside the same graph, so the
 quarter-turn tying holds bitwise after every step.
@@ -9,15 +10,14 @@ quarter-turn tying holds bitwise after every step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .basis import Basis, initialize_elements, populate_partial, quarter_stride
-from .fileio import atomic_write
-from .groups import RotationOperators
+from .fileio import write_csv
+from .groups import RotationOperators, check_odd_size, crop_margin
 from .optim import AMSGrad
 from .tensor import Tensor
 
@@ -45,6 +45,10 @@ class PretrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_odd_size("kernel_size", self.kernel_size)
+        for name in ("n_elements", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.crop_fraction < 0.5:
             raise ValueError("crop_fraction must lie in (0, 1/2)")
         if self.order % 4:
@@ -83,20 +87,15 @@ def corpus_images(corpus, dtype, rng: np.random.Generator | None = None) -> np.n
     return np.ascontiguousarray(images, dtype=dtype)
 
 
-def crop_margin(size: int, fraction: float) -> int:
-    m = int(size * fraction)
-    if size - 2 * m < 1:
-        m = (size - 1) // 2
-    return m
+def basis_slots(param: Tensor, partial: bool) -> Tensor:
+    """The [order, n, k, k] basis at every orientation, tied by exact rotation when partial.
 
-
-def basis_slots(param: Tensor, order: int, partial: bool) -> list:
-    """Per-orientation element tensors, tied by exact rotation when partial."""
+    A partial ``param`` holds the orientations below a quarter turn; slot
+    ``rho + q * order // 4`` of the result is its slot ``rho`` turned ``q`` times.
+    """
     if not partial:
-        return [T.take_slot(param, r) for r in range(order)]
-    stride = quarter_stride(order)
-    base = [T.take_slot(param, rho) for rho in range(stride)]
-    return [T.rot90_spatial(base[r % stride], r // stride) for r in range(order)]
+        return param
+    return T.concat([param] + [T.rot90_spatial(param, q) for q in (1, 2, 3)])
 
 
 def _rotate(x: Tensor, ops: RotationOperators, r: int) -> Tensor:
@@ -110,53 +109,44 @@ def _rotate(x: Tensor, ops: RotationOperators, r: int) -> Tensor:
                                 lambda m: ops.apply_flat_t(m, r), (size, size))
 
 
-def _as_kernel(slot: Tensor) -> Tensor:
-    n, k, _ = slot.data.shape
-    return T.reshape(slot, (n, 1, k, k))
+def pair_maps(images: Tensor, slots: Tensor, ops: RotationOperators,
+              s: int, r: int) -> tuple:
+    """(rot_s(x), rot_s(correlate(x, E_{r-s})), slot-r kernel [n, 1, k, k]) for one draw.
+
+    Both image terms compare these three, so one draw builds them once.
+    """
+    order, n, k, _ = slots.data.shape
+    kernels = T.reshape(slots, (order, n, 1, k, k))
+    rotated = _rotate(images, ops, s)
+    response = T.correlate2d(images, T.take_slot(kernels, (r - s) % order))
+    return rotated, _rotate(response, ops, s), T.take_slot(kernels, r % order)
 
 
-def equivariance_term(images: Tensor, slots, ops: RotationOperators,
-                      s: int, r: int, margin: int) -> Tensor:
+def _mean_abs(diff: Tensor, margin: int) -> Tensor:
+    """Sum of |diff| over the cropped interior, per image and retained pixel."""
+    diff = T.crop2d(diff, margin)
+    batch, _, h, w = diff.data.shape
+    return T.scale(T.l1_norm(diff), 1.0 / (batch * h * w))
+
+
+def equivariance_term(rotated: Tensor, response: Tensor, kernel: Tensor,
+                      margin: int) -> Tensor:
     """L1 gap between convolve-then-rotate and rotate-then-convolve, cropped."""
-    order = len(slots)
-    branch_a = T.correlate2d(_rotate(images, ops, s), _as_kernel(slots[r % order]))
-    inner = T.correlate2d(images, _as_kernel(slots[(r - s) % order]))
-    branch_b = _rotate(inner, ops, s)
-    diff = T.crop2d(branch_a - branch_b, margin)
-    batch = images.data.shape[0]
-    retained = diff.data.shape[-1] * diff.data.shape[-2]
-    return T.scale(T.l1_norm(diff), 1.0 / (batch * retained))
+    return _mean_abs(T.correlate2d(rotated, kernel) - response, margin)
 
 
-def reconstruction_term(images: Tensor, slots, ops: RotationOperators,
-                        s: int, r: int, margin: int) -> Tensor:
+def reconstruction_term(rotated: Tensor, response: Tensor, kernel: Tensor,
+                        margin: int) -> Tensor:
     """L1 gap between the rotated image and its filter/transposed-filter round trip."""
-    order = len(slots)
-    target = T.crop2d(_rotate(images, ops, s), margin)
-    resp = T.correlate2d(images, _as_kernel(slots[(r - s) % order]))
-    recon = T.transpose_correlate2d(_rotate(resp, ops, s), _as_kernel(slots[r % order]))
-    diff = target - T.crop2d(recon, margin)
-    batch = images.data.shape[0]
-    retained = diff.data.shape[-1] * diff.data.shape[-2]
-    return T.scale(T.l1_norm(diff), 1.0 / (batch * retained))
+    return _mean_abs(rotated - T.transpose_correlate2d(response, kernel), margin)
 
 
-def orthogonality_term(slots) -> Tensor:
-    """Sum over orientations of || E_r E_r^T - I ||_1."""
-    total = None
-    for slot in slots:
-        n = slot.data.shape[0]
-        taps = slot.data.shape[1] * slot.data.shape[2]
-        flat = T.reshape(slot, (n, taps))
-        gram = T.matmul(flat, T.transpose(flat, (1, 0)))
-        term = T.l1_norm(gram - Tensor(np.eye(n, dtype=slot.data.dtype)))
-        total = term if total is None else total + term
-    return total
-
-
-def _slots_from_basis(basis: Basis, dtype) -> list:
-    param = Tensor(basis.elements.astype(dtype), requires_grad=False)
-    return [T.take_slot(param, r) for r in range(basis.order)]
+def orthogonality_term(slots: Tensor) -> Tensor:
+    """Sum over orientations of || E_r E_r^T - I ||_1, as one batched Gram."""
+    order, n, k, _ = slots.data.shape
+    flat = T.reshape(slots, (order, n, k * k))
+    gram = T.matmul(flat, T.transpose(flat, (0, 2, 1)))
+    return T.l1_norm(gram - Tensor(np.eye(n, dtype=slots.data.dtype)))
 
 
 def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
@@ -164,50 +154,45 @@ def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
                              config.sigma, config.interp_kernel_size)
 
 
-def _loss_inputs(images, basis: Basis, config: PretrainConfig | None, dtype: str):
-    """The config, image batch, slots, rotation operators and crop margin the loss reports use."""
+def total_loss(images, basis: Basis, s: int, r: int,
+               config: PretrainConfig | None = None,
+               dtype: str = "float64") -> dict:
+    """All three terms of a stored basis on an image batch plus their weighted sum, as floats."""
     config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
                                       kernel_size=basis.kernel_size)
     arr = corpus_images(images, dtype)
-    return (config, Tensor(arr), _slots_from_basis(basis, dtype), _ops_for(arr, config),
-            crop_margin(arr.shape[-1], config.crop_fraction))
+    slots = Tensor(basis.elements.astype(dtype))
+    maps = pair_maps(Tensor(arr), slots, _ops_for(arr, config), s, r)
+    margin = crop_margin(arr.shape[-1], config.crop_fraction)
+    we, wo, wr = config.loss_weights
+    le = equivariance_term(*maps, margin).item()
+    lo = orthogonality_term(slots).item()
+    lr = reconstruction_term(*maps, margin).item()
+    return {"equiv": le, "orth": lo, "rec": lr,
+            "total": we * le + wo * lo + wr * lr}
 
 
 def equivariance_loss(images, basis: Basis, s: int, r: int,
                       config: PretrainConfig | None = None,
                       dtype: str = "float64") -> float:
-    """Evaluate the equivariance loss of a stored basis on an image batch."""
-    _, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
-    return equivariance_term(x, slots, ops, s, r, margin).item()
+    """The equivariance term of ``total_loss``."""
+    return total_loss(images, basis, s, r, config, dtype)["equiv"]
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
                         config: PretrainConfig | None = None,
                         dtype: str = "float64") -> float:
-    _, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
-    return reconstruction_term(x, slots, ops, s, r, margin).item()
-
-
-def total_loss(images, basis: Basis, s: int, r: int,
-               config: PretrainConfig | None = None,
-               dtype: str = "float64") -> dict:
-    """All three terms plus their weighted sum, as floats."""
-    config, x, slots, ops, margin = _loss_inputs(images, basis, config, dtype)
-    we, wo, wr = config.loss_weights
-    le = equivariance_term(x, slots, ops, s, r, margin).item()
-    lo = orthogonality_term(slots).item()
-    lr = reconstruction_term(x, slots, ops, s, r, margin).item()
-    return {"equiv": le, "orth": lo, "rec": lr,
-            "total": we * le + wo * lo + wr * lr}
+    """The reconstruction term of ``total_loss``."""
+    return total_loss(images, basis, s, r, config, dtype)["rec"]
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
                  ops: RotationOperators, margin: int, n_probe: int = 200) -> float:
     """Sampled 45-degree equivariance loss (s = r = one group step)."""
-    sample = Tensor(images[:n_probe])
     with T.no_grad():
-        slots = basis_slots(param, config.order, config.partial)
-        return equivariance_term(sample, slots, ops, 1, 1, margin).item()
+        maps = pair_maps(Tensor(images[:n_probe]), basis_slots(param, config.partial),
+                         ops, 1, 1)
+        return equivariance_term(*maps, margin).item()
 
 
 def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
@@ -242,12 +227,13 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
             chunk = Tensor(images[perm[start:start + batch]])
             draws = pairs_all if config.sum_all_pairs else \
                 [(int(rng.integers(config.order)), int(rng.integers(config.order)))]
-            slots = basis_slots(param, config.order, config.partial)
+            slots = basis_slots(param, config.partial)
             le = None
             lr = None
             for s, r in draws:
-                e_term = equivariance_term(chunk, slots, ops, s, r, margin)
-                r_term = reconstruction_term(chunk, slots, ops, s, r, margin)
+                maps = pair_maps(chunk, slots, ops, s, r)
+                e_term = equivariance_term(*maps, margin)
+                r_term = reconstruction_term(*maps, margin)
                 le = e_term if le is None else le + e_term
                 lr = r_term if lr is None else lr + r_term
             lo = orthogonality_term(slots)
@@ -295,9 +281,4 @@ def _config_fingerprint(config: PretrainConfig) -> bytes:
 
 
 def write_loss_csv(rows, path) -> None:
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "L_equiv", "L_orth",
-                                                "L_rec", "L_total"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, ["epoch", "L_equiv", "L_orth", "L_rec", "L_total"], rows)

@@ -327,6 +327,19 @@ def take_slot(a: Tensor, index: int) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, "take_slot")
 
 
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Join tensors along an existing axis; each takes back its own slice of the gradient."""
+    tensors = tuple(tensors)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+            accumulate_grad(t, part)
+
+    return Tensor.from_op(out_data, tensors, backward, "concat")
+
+
 def crop2d(a: Tensor, margin: int) -> Tensor:
     """Cut ``margin`` rows and cols from every side of the last two axes."""
     h, w = a.data.shape[-2:]
@@ -347,16 +360,15 @@ def crop2d(a: Tensor, margin: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a[..., n] @ b[n, m]; b must be 2-D."""
-    if b.data.ndim != 2:
-        raise ValueError("matmul expects a 2-D right operand")
+    """a[..., n, p] @ b[..., p, m], the batch axes broadcast as in numpy."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul expects operands with at least 2 dimensions")
     out_data = a.data @ b.data
 
     def backward(g):
-        accumulate_grad(a, g @ b.data.T)
+        accumulate_grad(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            ga = a.data.reshape(-1, a.data.shape[-1])
-            accumulate_grad(b, ga.T @ g.reshape(-1, g.shape[-1]))
+            accumulate_grad(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor.from_op(out_data, (a, b), backward, "matmul")
 

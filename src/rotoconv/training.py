@@ -7,7 +7,6 @@ given (config, seed, data).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import LabeledImageSet
-from .fileio import atomic_write
+from .fileio import write_csv
 from .groups import rotation_matrix
 from .network import Model
 from .optim import AMSGrad
@@ -43,6 +42,9 @@ class TrainConfig:
             raise ValueError(f"unknown rotation_augment {self.rotation_augment!r}")
         if not 0 <= self.max_translate <= 4:
             raise ValueError("max_translate must be within [0, 4]")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -138,7 +140,7 @@ def rotate_images(images: np.ndarray, angle_deg: float,
 
 
 def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
-          val_set: LabeledImageSet | None = None, log_path=None) -> list:
+          val_set: LabeledImageSet | None = None) -> list:
     """AMSGrad task training; returns per-epoch rows of loss/accuracy."""
     rng = np.random.default_rng(config.seed)
     if config.color_normalize and model.input_stats is None:
@@ -175,8 +177,6 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
         if val_set is not None:
             row["val_acc"] = evaluate(model, val_set).accuracy
         rows.append(row)
-    if log_path is not None:
-        write_training_csv(rows, log_path)
     return rows
 
 
@@ -204,8 +204,4 @@ def write_training_csv(rows, path) -> None:
     fields = ["epoch", "train_loss", "train_acc"]
     if rows and "val_acc" in rows[0]:
         fields.append("val_acc")
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, fields, rows)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotoconv.audit import (SweepReport, _crop_interior, activation_pair_error,
+from rotoconv.audit import (SweepReport, activation_pair_error,
                             emit_reports, read_csv_rows, robustness_suite,
                             rotation_sweep)
 from rotoconv.basis import populate_partial
@@ -27,7 +27,9 @@ def loop_pair_error(a_r, a_s, ridx, kind, ops, order=8, crop_fraction=0.25):
     else:
         rect = act_on_group_feature_map(a_s, delta, ops) if kind == "group" \
             else ops.apply(a_s, delta)
-        ref, rect = _crop_interior(a_r, crop_fraction), _crop_interior(rect, crop_fraction)
+        h = a_r.shape[-1]
+        m = int(h * crop_fraction)
+        ref, rect = a_r[..., m:h - m, m:h - m], rect[..., m:h - m, m:h - m]
     total = 0.0
     for k in range(ref.shape[0]):
         diff = ref[k] - rect[k]
@@ -138,6 +140,12 @@ class TestActivationPairError:
         want = loop_pair_error(a_r, a_s, 3, kind, ops)
         assert got > 0.0
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("fraction", [-0.25, 0.6])
+    def test_crop_fraction_outside_range_rejected(self, rng, fraction):
+        a = rng.standard_normal((2, 28, 28))
+        with pytest.raises(ValueError, match="crop fraction"):
+            activation_pair_error(a, a[:, ::-1], 0, 0, kind="spatial", crop_fraction=fraction)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shapes"):

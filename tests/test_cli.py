@@ -67,6 +67,21 @@ class TestPretrainBasis:
         assert "sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--kernel-size", "0", "kernel_size"), ("--kernel-size", "2", "kernel_size"),
+        ("--n-elements", "0", "n_elements"), ("--batch-size", "0", "batch_size"),
+        ("--epochs", "-1", "epochs")])
+    def test_out_of_range_option_is_clean_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "basis.rcbs"
+        log = tmp_path / "loss.csv"
+        code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
+                   "--epochs", "1", "--batch-size", "8", "--n-elements", "2",
+                   flag, value, "--out", str(out), "--log-csv", str(log))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists() and not log.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--config"], "expected one argument"),
         (["verify", "--config", "no-such.cfg"], "cannot read"),
@@ -106,6 +121,19 @@ class TestTrain:
         assert code == 0
         assert out.exists()
         assert (tmp_path / "model.ckpt.manifest.json").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [("--epochs", "-1", "epochs"),
+                                                    ("--batch-size", "0", "batch_size")])
+    def test_out_of_range_option_is_clean_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "model.ckpt"
+        code = run("train", "--dataset", "synthetic", "--n-train", "10",
+                   "--model", "translational", "--epochs", "1", "--batch-size", "10",
+                   flag, value, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+        assert not (tmp_path / "model.ckpt.manifest.json").exists()
 
     def test_fingerprint_mismatch_fails_without_checkpoint(self, tmp_path, pretrained):
         first = tmp_path / "first.ckpt"

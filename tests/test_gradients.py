@@ -58,16 +58,16 @@ def test_two_layer_composite_gradient(rng):
 def test_loss_graph_gradients(rng, partial_basis):
     """The pretraining losses are differentiable in the basis parameters."""
     from rotoconv.groups import RotationOperators
-    from rotoconv.pretrain import (basis_slots, equivariance_term,
-                                   orthogonality_term, reconstruction_term)
+    from rotoconv.pretrain import (basis_slots, equivariance_term, orthogonality_term,
+                                   pair_maps, reconstruction_term)
 
     images = rng.random((2, 1, 8, 8))
     ops = RotationOperators(8, 8)
 
     def total(param):
-        slots = basis_slots(param, 8, True)
-        return (equivariance_term(Tensor(images), slots, ops, 1, 3, 2)
-                + orthogonality_term(slots)
-                + reconstruction_term(Tensor(images), slots, ops, 1, 3, 2))
+        slots = basis_slots(param, True)
+        maps = pair_maps(Tensor(images), slots, ops, 1, 3)
+        return (equivariance_term(*maps, 2) + orthogonality_term(slots)
+                + reconstruction_term(*maps, 2))
 
     check_gradient(total, [rng.uniform(-0.7, 0.7, (2, 3, 3, 3))], rel_tol=1e-4)

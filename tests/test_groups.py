@@ -5,7 +5,7 @@ import pytest
 
 from rotoconv import groups
 from rotoconv.groups import (GroupElement, RotationOperators, act_on_group_feature_map,
-                             compose, export_triplets, import_triplets, inverse,
+                             compose, crop_margin, export_triplets, import_triplets, inverse,
                              roll_orientations, rotate_exact90, rotation_matrix,
                              unitarity_defect)
 
@@ -100,6 +100,19 @@ class TestExactRotation:
     def test_non_square_rejected(self, rng):
         with pytest.raises(ValueError, match="square"):
             rotate_exact90(rng.random((3, 4)), 1)
+
+
+class TestCropMargin:
+    @pytest.mark.parametrize("size, fraction, margin", [(28, 0.25, 7), (28, 0.0, 0),
+                                                        (3, 0.49, 1), (1, 0.4999, 0)])
+    def test_margin_leaves_interior(self, size, fraction, margin):
+        assert crop_margin(size, fraction) == margin
+        assert size - 2 * margin >= 1
+
+    @pytest.mark.parametrize("fraction", [-0.25, 0.5, 0.6])
+    def test_fraction_outside_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match="crop fraction"):
+            crop_margin(28, fraction)
 
 
 class TestInterpolatedRotation:

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from rotoconv import tensor as T
 from rotoconv.basis import Basis, check_partial_tying, initialize_elements, populate_partial
 from rotoconv.datasets import synthetic_image_corpus
+from rotoconv.groups import RotationOperators, crop_margin
 from rotoconv.pretrain import (PretrainConfig, PretrainDivergence, _ops_for,
-                               _probe_equiv, basis_slots, corpus_images, crop_margin,
-                               equivariance_loss, equivariance_term, pretrain,
-                               reconstruction_loss, total_loss, write_loss_csv)
+                               _probe_equiv, basis_slots, corpus_images,
+                               equivariance_loss, equivariance_term, orthogonality_term,
+                               pair_maps, pretrain, reconstruction_loss,
+                               reconstruction_term, total_loss, write_loss_csv)
 from rotoconv.tensor import Tensor
 
 from oracles import brute_correlate2d, rotation_dense_matrix
@@ -114,6 +117,102 @@ class TestTotalLoss:
         assert abs(terms["total"] - terms["equiv"]) <= 1e-12
 
 
+def slot_list_loss(param, partial, images, ops, draws, margin, weights):
+    """The pretraining objective built one orientation at a time, each term on its own."""
+    order, stride = 8, 2
+    if partial:
+        base = [T.take_slot(param, rho) for rho in range(stride)]
+        slots = [T.rot90_spatial(base[r % stride], r // stride) for r in range(order)]
+    else:
+        slots = [T.take_slot(param, r) for r in range(order)]
+    n, k = param.data.shape[1], param.data.shape[-1]
+    size = images.data.shape[-1]
+
+    def kernel(r):
+        return T.reshape(slots[r % order], (n, 1, k, k))
+
+    def rotate(x, s):
+        if s % order == 0:
+            return x
+        return T.spatial_linear_map(x, lambda m: ops.apply_flat(m, s),
+                                    lambda m: ops.apply_flat_t(m, s), (size, size))
+
+    def mean_abs(diff):
+        return T.scale(T.l1_norm(diff), 1.0 / (diff.data.shape[0] * diff.data.shape[-1] ** 2))
+
+    total = None
+    we, wo, wr = weights
+    for s, r in draws:
+        branch_a = T.correlate2d(rotate(images, s), kernel(r))
+        branch_b = rotate(T.correlate2d(images, kernel(r - s)), s)
+        equiv = mean_abs(T.crop2d(branch_a - branch_b, margin))
+        target = T.crop2d(rotate(images, s), margin)
+        inner = rotate(T.correlate2d(images, kernel(r - s)), s)
+        recon = T.crop2d(T.transpose_correlate2d(inner, kernel(r)), margin)
+        rec = mean_abs(target - recon)
+        term = T.scale(equiv, we) + T.scale(rec, wr)
+        total = term if total is None else total + term
+    for slot in slots:
+        flat = T.reshape(slot, (n, k * k))
+        gram = T.matmul(flat, T.transpose(flat, (1, 0)))
+        total = total + T.scale(T.l1_norm(gram - Tensor(np.eye(n))), wo)
+    return total
+
+
+@pytest.mark.parametrize("partial", [True, False])
+def test_stacked_loss_and_gradient_match_slot_list_reference(rng, partial):
+    images = Tensor(rng.random((3, 1, 12, 12)))
+    ops = RotationOperators(12, 8)
+    draws = [(1, 3), (2, 6), (5, 0), (0, 7)]
+    weights = (10.0, 1.0, 0.5)
+    init = rng.uniform(-0.7, 0.7, (2 if partial else 8, 3, 3, 3))
+
+    stacked = Tensor(init.copy(), requires_grad=True)
+    slots = basis_slots(stacked, partial)
+    loss = T.scale(orthogonality_term(slots), weights[1])
+    for s, r in draws:
+        maps = pair_maps(images, slots, ops, s, r)
+        loss = (loss + T.scale(equivariance_term(*maps, 3), weights[0])
+                + T.scale(reconstruction_term(*maps, 3), weights[2]))
+    loss.backward()
+
+    reference = Tensor(init.copy(), requires_grad=True)
+    want = slot_list_loss(reference, partial, images, ops, draws, 3, weights)
+    want.backward()
+    assert abs(loss.item() - want.item()) <= 1e-12 * abs(want.item())
+    scale = np.abs(reference.grad).max()
+    assert np.abs(stacked.grad - reference.grad).max() <= 1e-12 * scale
+
+
+def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
+    """One partial single-draw step at batch 16, 28x28: the stacked basis keeps the graph small."""
+    corpus = synthetic_image_corpus(16, 28, seed=0)
+    original = Tensor.from_op
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+
+    def nodes(epochs):
+        calls[0] = 0
+        pretrain(corpus, PretrainConfig(partial=True, epochs=epochs, batch_size=16, seed=3))
+        return calls[0]
+
+    # The second run repeats the first and adds exactly one step.
+    assert nodes(2) - nodes(1) <= 40
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel_size", 0), ("kernel_size", 2), ("kernel_size", -3), ("kernel_size", 3.0),
+    ("n_elements", 0), ("batch_size", 0), ("epochs", 0), ("epochs", -1)])
+def test_config_range_checked(field, value):
+    with pytest.raises(ValueError, match=field):
+        PretrainConfig(**{field: value})
+
+
 class TestPretrain:
     def test_zero_learning_rate_keeps_basis(self, small_corpus):
         cfg = PretrainConfig(n_elements=3, epochs=1, batch_size=8,
@@ -141,8 +240,9 @@ class TestPretrain:
                        requires_grad=True)
         ops = _ops_for(images, cfg)
         margin = crop_margin(images.shape[-1], cfg.crop_fraction)
-        slots = basis_slots(param, cfg.order, cfg.partial)
-        with_graph = equivariance_term(Tensor(images[:200]), slots, ops, 1, 1, margin)
+        slots = basis_slots(param, cfg.partial)
+        with_graph = equivariance_term(*pair_maps(Tensor(images[:200]), slots, ops, 1, 1),
+                                       margin)
         assert with_graph.requires_grad
         assert _probe_equiv(images, param, cfg, ops, margin) == with_graph.item()
 

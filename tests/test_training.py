@@ -6,7 +6,8 @@ import pytest
 from rotoconv.datasets import synthetic_labeled_set
 from rotoconv.groups import rotate_exact90
 from rotoconv.training import (TrainConfig, TrainingDivergence, augment,
-                               channel_stats, evaluate, rotate_images, train)
+                               channel_stats, evaluate, rotate_images, train,
+                               write_training_csv)
 from rotoconv.verify import small_group_model
 
 from oracles import rotation_dense_matrix
@@ -109,6 +110,12 @@ class TestRotateImages:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
+                                              ("batch_size", 0)])
+    def test_config_range_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_zero_learning_rate_keeps_parameters(self, partial_basis):
         ds = synthetic_labeled_set(20, 8, 4, seed=0)
         model = small_group_model(partial_basis, classes=4, seed=1, dtype="float32")
@@ -154,8 +161,8 @@ class TestTrain:
         ds = synthetic_labeled_set(20, 8, 4, seed=0)
         model = small_group_model(partial_basis, classes=4, seed=1, dtype="float32")
         path = tmp_path / "log.csv"
-        train(model, ds, TrainConfig(epochs=2, batch_size=10, seed=0),
-              val_set=ds, log_path=path)
+        rows = train(model, ds, TrainConfig(epochs=2, batch_size=10, seed=0), val_set=ds)
+        write_training_csv(rows, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,val_acc"
         assert len(lines) == 3
