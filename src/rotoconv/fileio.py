@@ -33,8 +33,8 @@ def atomic_write(path, mode: str = "wb", **open_args):
 
 
 def write_csv(path, fields, rows) -> None:
-    """Write dict ``rows`` as CSV with header ``fields``, atomically; other keys are left out."""
+    """Write dict ``rows`` as CSV with header ``fields``, atomically."""
     with atomic_write(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

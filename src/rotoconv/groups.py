@@ -93,10 +93,15 @@ def rotate_exact90(x: np.ndarray, quarter_turns: int) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(x, int(quarter_turns) % 4, axes=(-2, -1)))
 
 
-def crop_margin(size: int, fraction: float) -> int:
-    """Rows and columns cut from each side of a ``size`` square; [0, 1/2) keeps >= 1 pixel."""
+def check_crop_fraction(fraction: float) -> None:
+    """Reject a crop fraction outside [0, 1/2), the range that keeps >= 1 pixel."""
     if not 0.0 <= fraction < 0.5:
         raise ValueError(f"crop fraction must lie in [0, 1/2), got {fraction}")
+
+
+def crop_margin(size: int, fraction: float) -> int:
+    """Rows and columns cut from each side of a ``size`` square."""
+    check_crop_fraction(fraction)
     return int(size * fraction)
 
 

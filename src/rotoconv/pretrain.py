@@ -17,9 +17,12 @@ import numpy as np
 from . import tensor as T
 from .basis import Basis, initialize_elements, populate_partial, quarter_stride
 from .fileio import write_csv
-from .groups import RotationOperators, check_odd_size, crop_margin
+from .groups import RotationOperators, check_crop_fraction, check_odd_size, crop_margin
 from .optim import AMSGrad
 from .tensor import Tensor
+
+
+_LOSS_FIELDS = ("L_equiv", "L_orth", "L_rec", "L_total")
 
 
 class PretrainDivergence(RuntimeError):
@@ -49,8 +52,7 @@ class PretrainConfig:
         for name in ("n_elements", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.crop_fraction < 0.5:
-            raise ValueError("crop_fraction must lie in (0, 1/2)")
+        check_crop_fraction(self.crop_fraction)
         if self.order % 4:
             raise ValueError("group order must be divisible by 4")
 
@@ -154,16 +156,22 @@ def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
                              config.sigma, config.interp_kernel_size)
 
 
-def total_loss(images, basis: Basis, s: int, r: int,
-               config: PretrainConfig | None = None,
-               dtype: str = "float64") -> dict:
-    """All three terms of a stored basis on an image batch plus their weighted sum, as floats."""
+def _stored_pair(images, basis: Basis, s: int, r: int,
+                 config: PretrainConfig | None, dtype: str) -> tuple:
+    """(config, slots, pair maps, crop margin) of a stored basis on an image batch."""
     config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
                                       kernel_size=basis.kernel_size)
     arr = corpus_images(images, dtype)
     slots = Tensor(basis.elements.astype(dtype))
     maps = pair_maps(Tensor(arr), slots, _ops_for(arr, config), s, r)
-    margin = crop_margin(arr.shape[-1], config.crop_fraction)
+    return config, slots, maps, crop_margin(arr.shape[-1], config.crop_fraction)
+
+
+def total_loss(images, basis: Basis, s: int, r: int,
+               config: PretrainConfig | None = None,
+               dtype: str = "float64") -> dict:
+    """All three terms of a stored basis on an image batch plus their weighted sum, as floats."""
+    config, slots, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
     we, wo, wr = config.loss_weights
     le = equivariance_term(*maps, margin).item()
     lo = orthogonality_term(slots).item()
@@ -175,15 +183,17 @@ def total_loss(images, basis: Basis, s: int, r: int,
 def equivariance_loss(images, basis: Basis, s: int, r: int,
                       config: PretrainConfig | None = None,
                       dtype: str = "float64") -> float:
-    """The equivariance term of ``total_loss``."""
-    return total_loss(images, basis, s, r, config, dtype)["equiv"]
+    """The equivariance term of ``total_loss``, without the other two."""
+    _, _, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
+    return equivariance_term(*maps, margin).item()
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
                         config: PretrainConfig | None = None,
                         dtype: str = "float64") -> float:
-    """The reconstruction term of ``total_loss``."""
-    return total_loss(images, basis, s, r, config, dtype)["rec"]
+    """The reconstruction term of ``total_loss``, without the other two."""
+    _, _, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
+    return reconstruction_term(*maps, margin).item()
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
@@ -221,21 +231,17 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
     pairs_all = [(s, r) for s in range(config.order) for r in range(config.order)]
     for epoch in range(config.epochs):
         perm = rng.permutation(n_images)
-        sums = {"equiv": 0.0, "orth": 0.0, "rec": 0.0, "total": 0.0}
+        sums = np.zeros(len(_LOSS_FIELDS))
         n_batches = 0
         for start in range(0, n_images - batch + 1, batch):
             chunk = Tensor(images[perm[start:start + batch]])
             draws = pairs_all if config.sum_all_pairs else \
                 [(int(rng.integers(config.order)), int(rng.integers(config.order)))]
             slots = basis_slots(param, config.partial)
-            le = None
-            lr = None
-            for s, r in draws:
-                maps = pair_maps(chunk, slots, ops, s, r)
-                e_term = equivariance_term(*maps, margin)
-                r_term = reconstruction_term(*maps, margin)
-                le = e_term if le is None else le + e_term
-                lr = r_term if lr is None else lr + r_term
+            maps = [pair_maps(chunk, slots, ops, s, r) for s, r in draws]
+            e_terms = [equivariance_term(*m, margin) for m in maps]
+            r_terms = [reconstruction_term(*m, margin) for m in maps]
+            le, lr = sum(e_terms[1:], e_terms[0]), sum(r_terms[1:], r_terms[0])
             lo = orthogonality_term(slots)
             loss = T.scale(le, we) + T.scale(lo, wo) + T.scale(lr, wr)
             if not np.isfinite(loss.item()):
@@ -245,18 +251,10 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            sums["equiv"] += le.item()
-            sums["orth"] += lo.item()
-            sums["rec"] += lr.item()
-            sums["total"] += loss.item()
+            sums += [le.item(), lo.item(), lr.item(), loss.item()]
             n_batches += 1
-        result.epochs.append({
-            "epoch": epoch,
-            "L_equiv": sums["equiv"] / max(n_batches, 1),
-            "L_orth": sums["orth"] / max(n_batches, 1),
-            "L_rec": sums["rec"] / max(n_batches, 1),
-            "L_total": sums["total"] / max(n_batches, 1),
-        })
+        means = (sums / max(n_batches, 1)).tolist()
+        result.epochs.append({"epoch": epoch, **dict(zip(_LOSS_FIELDS, means))})
 
     result.final_equiv_45 = _probe_equiv(images, param, config, ops, margin)
     fingerprint = _config_fingerprint(config)
@@ -281,4 +279,4 @@ def _config_fingerprint(config: PretrainConfig) -> bytes:
 
 
 def write_loss_csv(rows, path) -> None:
-    write_csv(path, ["epoch", "L_equiv", "L_orth", "L_rec", "L_total"], rows)
+    write_csv(path, ["epoch", *_LOSS_FIELDS], rows)

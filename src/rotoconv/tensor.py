@@ -327,14 +327,14 @@ def take_slot(a: Tensor, index: int) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward, "take_slot")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Join tensors along an existing axis; each takes back its own slice of the gradient."""
+def concat(tensors) -> Tensor:
+    """Join tensors along the first axis; each takes back its own slice of the gradient."""
     tensors = tuple(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    out_data = np.concatenate([t.data for t in tensors])
+    splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
 
     def backward(g):
-        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+        for t, part in zip(tensors, np.split(g, splits)):
             accumulate_grad(t, part)
 
     return Tensor.from_op(out_data, tensors, backward, "concat")

@@ -227,8 +227,8 @@ def gradcheck_catalog(seed=0):
         ("composite_conv_relu_l1",
          lambda a, b: T.l1_norm(T.relu(T.correlate2d(a, b))),
          [r((1, 1, 5, 5)), r((2, 1, 3, 3))]),
-        ("concat", lambda a, b: T.l1_norm(T.concat([a, b, T.rot90_spatial(a, 1)], axis=1)),
-         [r((2, 1, 3, 3)), r((2, 3, 3, 3))]),
+        ("concat", lambda a, b: T.l1_norm(T.concat([a, b, T.rot90_spatial(a, 1)])),
+         [r((1, 3, 3, 3)), r((2, 3, 3, 3))]),
         ("matmul_batched_both", lambda a, b: T.l1_norm(T.matmul(a, b)),
          [r((2, 1, 3, 4)), r((3, 4, 2))]),
     ]

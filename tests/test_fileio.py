@@ -74,6 +74,19 @@ class TestAtomicWrite:
         assert target.read_text() == "hello"
 
 
+class TestWriteCsv:
+    def test_header_and_rows(self, tmp_path):
+        target = tmp_path / "t.csv"
+        fileio.write_csv(target, ["a", "b"], [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}])
+        assert target.read_bytes() == b"a,b\r\n1,0.5\r\n2,1.5\r\n"
+
+    def test_row_outside_header_raises_and_writes_nothing(self, tmp_path):
+        target = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="c"):
+            fileio.write_csv(target, ["a", "b"], [{"a": 1, "b": 2, "c": 3}])
+        assert list(tmp_path.iterdir()) == []
+
+
 def _write_cache(tmp_path, value):
     source = tmp_path / "source.bin"
     if not source.exists():

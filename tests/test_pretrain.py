@@ -213,6 +213,13 @@ def test_config_range_checked(field, value):
         PretrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 0.5])
+def test_config_crop_fraction_uses_crop_rule(fraction):
+    with pytest.raises(ValueError, match="crop fraction"):
+        PretrainConfig(crop_fraction=fraction)
+    assert PretrainConfig(crop_fraction=0.0).crop_fraction == 0.0
+
+
 class TestPretrain:
     def test_zero_learning_rate_keeps_basis(self, small_corpus):
         cfg = PretrainConfig(n_elements=3, epochs=1, batch_size=8,
