@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from rotoconv.basis import Basis, populate_partial
-from rotoconv.datasets import synthetic_image_corpus
+from rotoconv.datasets import synthetic_image_corpus, synthetic_labeled_set
 from rotoconv.network import build_model, load_checkpoint
 from rotoconv.pretrain import PretrainConfig, pretrain, total_loss
+from rotoconv.training import TrainConfig, train
 from rotoconv.verify import small_group_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,6 +30,16 @@ def parameter_digest(model) -> str:
     for name, p in model.named_parameters():
         h.update(name.encode("ascii"))
         h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()
+
+
+def state_digest(model) -> str:
+    """sha256 over every parameter, then every buffer, each under its name."""
+    h = hashlib.sha256()
+    arrays = [(name, p.data) for name, p in model.named_parameters()] + model.named_buffers()
+    for name, a in arrays:
+        h.update(name.encode("ascii"))
+        h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
@@ -143,3 +154,58 @@ def test_pretrain_three_epochs_pinned(partial, sum_all_pairs):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     want_total = float.fromhex(last_total)
     assert abs(result.epochs[-1]["L_total"] - want_total) <= 1e-12 * want_total
+
+
+# -- the run loop ----------------------------------------------------------------
+# Two epochs of 10 images at batch 4: ``train`` keeps the short last batch of 2
+# and ``pretrain`` drops it. Taken before the two loops became one; every
+# value must hold bitwise. The training images are 4x4 because at 8x8 some
+# float64 GEMMs round differently with the number of OpenBLAS threads.
+
+PINNED_TRAIN_ROWS = [  # (train_loss, train_acc, val_acc) per epoch
+    ("0x1.8c77f15808e3dp+0", "0x1.3333333333333p-2", "0x1.5555555555555p-2"),
+    ("0x1.60726868ebde2p+0", "0x1.3333333333333p-2", "0x1.5555555555555p-2"),
+]
+PINNED_TRAIN_STATE = "1104ba5ea0ceb8b20fa9cf0a9c2d5ea9d1a613f50bee4149aeb509b30c5ca1c1"
+
+
+def test_train_two_epochs_pinned(partial_basis):
+    train_set = synthetic_labeled_set(10, 4, 3, seed=4, channels=2)
+    val_set = synthetic_labeled_set(6, 4, 3, seed=9, channels=2)
+    model = small_group_model(partial_basis, classes=3, seed=2, in_channels=2)
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2, flip=True,
+                      max_translate=2, color_normalize=True, rotation_augment="quarter",
+                      seed=5)
+    rows = train(model, train_set, cfg, val_set)
+    got = [(r["train_loss"].hex(), r["train_acc"].hex(), r["val_acc"].hex()) for r in rows]
+    assert [r["epoch"] for r in rows] == [0, 1]
+    assert got == PINNED_TRAIN_ROWS
+    assert state_digest(model) == PINNED_TRAIN_STATE
+
+
+PINNED_PRETRAIN_ROWS = {  # sum_all_pairs: ((L_equiv, L_orth, L_rec, L_total) per epoch, basis)
+    False: ([("0x1.c0581884b30bap-2", "0x1.379cfc3c489bbp+3", "0x1.7a03c22c482c8p-2",
+              "0x1.516fdb11d0758p+3"),
+             ("0x1.fa2db439472edp-2", "0x1.2105408f382d6p+3", "0x1.f96dcd6ee7849p-2",
+              "0x1.40a21c9c79a30p+3")],
+            "f09cc7f7138387d085fd1bba8fe8e33856f511ec17ba71a1b6c5b4dab8ced1d9"),
+    True: ([("0x1.a059ed0e66143p+4", "0x1.3ce550a028a2bp+3", "0x1.852e29b4e9799p+4",
+             "0x1.e1fd5f89b1ef8p+5"),
+            ("0x1.85c96f13f5dabp+4", "0x1.3a8f984820e4ap+3", "0x1.941652ec8256dp+4",
+             "0x1.db93c7124451ep+5")],
+           "5e008eaf8732b833fcc4fed69ad4e9f8cb3c392abc3edd6424fd10ea9d8d7bd2"),
+}
+
+
+@pytest.mark.parametrize("sum_all_pairs", [False, True])
+def test_pretrain_two_epochs_short_batch_pinned(sum_all_pairs):
+    cfg = PretrainConfig(n_elements=2, epochs=2, batch_size=4, partial=True,
+                         sum_all_pairs=sum_all_pairs, learning_rate=5e-3, seed=7,
+                         dtype="float64")
+    result = pretrain(synthetic_image_corpus(10, 12, seed=3), cfg)
+    fields = ("L_equiv", "L_orth", "L_rec", "L_total")
+    got = [tuple(row[f].hex() for f in fields) for row in result.epochs]
+    rows, digest = PINNED_PRETRAIN_ROWS[sum_all_pairs]
+    assert [row["epoch"] for row in result.epochs] == [0, 1]
+    assert got == rows
+    assert hashlib.sha256(result.basis.elements.tobytes()).hexdigest() == digest
