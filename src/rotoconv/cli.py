@@ -21,8 +21,8 @@ from .datasets import (LabeledImageSet, load_cifar10, load_mnist, subset,
                        synthetic_image_corpus, synthetic_labeled_set)
 from .fileio import atomic_write
 from .network import FingerprintMismatch, build_model, load_checkpoint, save_checkpoint
-from .pretrain import PretrainConfig, pretrain, write_loss_csv
-from .training import TrainConfig, train, write_training_csv
+from .pretrain import PretrainConfig, PretrainDivergence, pretrain, write_loss_csv
+from .training import TrainConfig, TrainingDivergence, train, write_training_csv
 from .verify import format_table, run_all
 
 
@@ -88,7 +88,7 @@ def _load_dataset(name: str, data_dir, split: str, seed: int,
     elif name == "cifar10":
         ds = load_cifar10(data_dir, split, cache_dir)
     elif name == "synthetic":
-        count = n_images or 500
+        count = 500 if n_images is None else n_images
         return synthetic_labeled_set(count, size=16, seed=seed + (0 if split == "train" else 7),
                                      split=split)
     else:
@@ -96,6 +96,14 @@ def _load_dataset(name: str, data_dir, split: str, seed: int,
     if n_images is not None and n_images < len(ds):
         ds = subset(ds, n_images, seed)
     return ds
+
+
+def _count(text: str) -> int:
+    """argparse type of an image count: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(p):
@@ -115,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
     p.add_argument("--split", default="train")
-    p.add_argument("--n-images", type=int, default=None)
+    p.add_argument("--n-images", type=_count, default=None)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1e-3)
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis flavor tag; defaults to the basis kind")
     p.add_argument("--basis", default=None)
     p.add_argument("--init-from", default=None, help="checkpoint to resume from")
-    p.add_argument("--n-train", type=int, default=None)
+    p.add_argument("--n-train", type=_count, default=None)
     p.add_argument("--n-val", type=int, default=None)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=100)
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None)
     p.add_argument("--dataset", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
     p.add_argument("--split", default="test")
-    p.add_argument("--n-images", type=int, default=None)
+    p.add_argument("--n-images", type=_count, default=None)
     p.add_argument("--angles", default="0,45,90,135,180,225,270,315")
     p.add_argument("--variant", default="model")
     p.add_argument("--out", required=True)
@@ -172,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None)
     p.add_argument("--dataset", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
     p.add_argument("--split", default="test")
-    p.add_argument("--n-images", type=int, default=8)
+    p.add_argument("--n-images", type=_count, default=8)
     p.add_argument("--variant", default="model")
     p.add_argument("--out", required=True)
 
@@ -197,20 +205,18 @@ def _cmd_pretrain(args) -> int:
         loss_weights=weights, sum_all_pairs=args.sum_all_pairs,
         seed=args.seed, dtype=args.dtype)
     if args.corpus == "synthetic":
-        corpus = synthetic_image_corpus(args.n_images or 256, size=20, seed=args.seed)
-        inputs = []
+        n_images = 256 if args.n_images is None else args.n_images
+        corpus = synthetic_image_corpus(n_images, size=20, seed=args.seed)
     else:
-        ds = _load_dataset(args.corpus, args.data_dir, args.split, args.seed,
-                           args.n_images, args.cache_dir)
-        corpus = ds.images
-        inputs = []
+        corpus = _load_dataset(args.corpus, args.data_dir, args.split, args.seed,
+                               args.n_images, args.cache_dir).images
     result = pretrain(corpus, config)
     save_basis(result.basis, args.out)
     outputs = [args.out]
     if args.log_csv:
         write_loss_csv(result.epochs, args.log_csv)
         outputs.append(args.log_csv)
-    _write_manifest(args.out, "pretrain-basis", vars(args), inputs, outputs)
+    _write_manifest(args.out, "pretrain-basis", vars(args), [], outputs)
     print(f"basis {result.basis.kind} saved to {args.out} "
           f"(45deg equiv loss {result.initial_equiv_45:.4f} -> {result.final_equiv_45:.4f})")
     return 0
@@ -274,7 +280,7 @@ def _cmd_eval_rotations(args) -> int:
 def _cmd_eval_activations(args) -> int:
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
-                            max(args.n_images, 1), args.cache_dir)
+                            args.n_images, args.cache_dir)
     report = robustness_suite(model, testset, args.n_images,
                               order=max(model.group_order, 8), variant=args.variant)
     emit_reports(report, args.out)
@@ -319,6 +325,9 @@ def main(argv=None) -> int:
     except (FingerprintMismatch, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (TrainingDivergence, PretrainDivergence) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""AMSGrad optimizer (Adam with a running maximum of the second moment)."""
+"""AMSGrad optimizer (Adam with a running maximum of the second moment) and the
+one epoch loop that drives it for task training and basis pretraining."""
 
 from __future__ import annotations
 
@@ -42,3 +43,31 @@ class AMSGrad:
             np.maximum(self.v_max[i], self.v[i] / bc2, out=self.v_max[i])
             step = self.learning_rate * (self.m[i] / bc1) / (np.sqrt(self.v_max[i]) + self.eps)
             p.data -= step.astype(p.data.dtype)
+
+
+def _run_epochs(params, config, n: int, rng: np.random.Generator, batch_loss,
+                fields: tuple, diverged: type, drop_last: bool = False):
+    """Run ``config.epochs`` AMSGrad epochs over ``n`` shuffled items; yield each epoch's row.
+
+    ``batch_loss(indices)`` returns (loss tensor, terms summed over the batch,
+    batch weight); the row maps each field to its summed terms over the summed
+    weights. ``drop_last`` skips a short last batch. A non-finite loss raises ``diverged``.
+    """
+    optimizer = AMSGrad(params, config.learning_rate, config.weight_decay)
+    batch = min(config.batch_size, n)
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        sums = np.zeros(len(fields))
+        weight = 0
+        for start in range(0, n - batch + 1 if drop_last else n, batch):
+            loss, terms, w = batch_loss(perm[start:start + batch])
+            if not np.isfinite(loss.item()):
+                detail = " ".join(f"{f}={t / w}" for f, t in zip(fields, terms))
+                raise diverged(f"non-finite loss at epoch {epoch}: {detail}")
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            del loss  # the graph lives for its own step only, not through the next forward
+            sums += terms
+            weight += w
+        yield {"epoch": epoch, **dict(zip(fields, (sums / weight).tolist()))}

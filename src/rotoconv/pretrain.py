@@ -10,7 +10,7 @@ quarter-turn tying holds bitwise after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import tensor as T
 from .basis import Basis, initialize_elements, populate_partial, quarter_stride
 from .fileio import write_csv
 from .groups import RotationOperators, check_crop_fraction, check_odd_size, crop_margin
-from .optim import AMSGrad
+from .optim import _run_epochs
 from .tensor import Tensor
 
 
@@ -60,9 +60,9 @@ class PretrainConfig:
 @dataclass
 class PretrainResult:
     basis: Basis
-    epochs: list = field(default_factory=list)
-    initial_equiv_45: float = 0.0
-    final_equiv_45: float = 0.0
+    epochs: list
+    initial_equiv_45: float
+    final_equiv_45: float
 
 
 def corpus_images(corpus, dtype, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -213,8 +213,6 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
     """
     rng = np.random.default_rng(config.seed)
     images = corpus_images(corpus, config.dtype, rng)
-    n_images = images.shape[0]
-    batch = min(config.batch_size, n_images)
     ops = _ops_for(images, config)
     margin = crop_margin(images.shape[-1], config.crop_fraction)
 
@@ -222,53 +220,38 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
     param = Tensor(initialize_elements(config.n_elements, config.kernel_size,
                                        n_slots, rng).astype(config.dtype),
                    requires_grad=True)
-    optimizer = AMSGrad([param], config.learning_rate, config.weight_decay)
     we, wo, wr = config.loss_weights
-
-    result = PretrainResult(basis=None)
-    result.initial_equiv_45 = _probe_equiv(images, param, config, ops, margin)
+    initial_equiv_45 = _probe_equiv(images, param, config, ops, margin)
 
     pairs_all = [(s, r) for s in range(config.order) for r in range(config.order)]
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n_images)
-        sums = np.zeros(len(_LOSS_FIELDS))
-        n_batches = 0
-        for start in range(0, n_images - batch + 1, batch):
-            chunk = Tensor(images[perm[start:start + batch]])
-            draws = pairs_all if config.sum_all_pairs else \
-                [(int(rng.integers(config.order)), int(rng.integers(config.order)))]
-            slots = basis_slots(param, config.partial)
-            maps = [pair_maps(chunk, slots, ops, s, r) for s, r in draws]
-            e_terms = [equivariance_term(*m, margin) for m in maps]
-            r_terms = [reconstruction_term(*m, margin) for m in maps]
-            le, lr = sum(e_terms[1:], e_terms[0]), sum(r_terms[1:], r_terms[0])
-            lo = orthogonality_term(slots)
-            loss = T.scale(le, we) + T.scale(lo, wo) + T.scale(lr, wr)
-            if not np.isfinite(loss.item()):
-                raise PretrainDivergence(
-                    f"non-finite loss at epoch {epoch}: equiv={le.item()} "
-                    f"orth={lo.item()} rec={lr.item()}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            sums += [le.item(), lo.item(), lr.item(), loss.item()]
-            n_batches += 1
-        means = (sums / max(n_batches, 1)).tolist()
-        result.epochs.append({"epoch": epoch, **dict(zip(_LOSS_FIELDS, means))})
 
-    result.final_equiv_45 = _probe_equiv(images, param, config, ops, margin)
+    def batch_loss(take):
+        chunk = Tensor(images[take])
+        draws = pairs_all if config.sum_all_pairs else \
+            [(int(rng.integers(config.order)), int(rng.integers(config.order)))]
+        slots = basis_slots(param, config.partial)
+        maps = [pair_maps(chunk, slots, ops, s, r) for s, r in draws]
+        e_terms = [equivariance_term(*m, margin) for m in maps]
+        r_terms = [reconstruction_term(*m, margin) for m in maps]
+        le, lr = sum(e_terms[1:], e_terms[0]), sum(r_terms[1:], r_terms[0])
+        lo = orthogonality_term(slots)
+        loss = T.scale(le, we) + T.scale(lo, wo) + T.scale(lr, wr)
+        return loss, [le.item(), lo.item(), lr.item(), loss.item()], 1
+
+    epochs = list(_run_epochs([param], config, len(images), rng, batch_loss,
+                              _LOSS_FIELDS, PretrainDivergence, drop_last=True))
     fingerprint = _config_fingerprint(config)
     if config.partial:
-        result.basis = populate_partial(param.data.astype(np.float64), config.order,
-                                        fingerprint)
+        basis = populate_partial(param.data.astype(np.float64), config.order, fingerprint)
     else:
         kind = "overcomplete" if config.n_elements > config.kernel_size ** 2 else "full"
-        result.basis = Basis(param.data.astype(np.float64), kind, fingerprint)
-    dead = result.basis.degenerate_elements()
+        basis = Basis(param.data.astype(np.float64), kind, fingerprint)
+    dead = basis.degenerate_elements()
     if dead:
         raise PretrainDivergence(f"training produced all-zero basis elements at "
                                  f"(orientation, element) {dead[:4]}")
-    return result
+    return PretrainResult(basis, epochs, initial_equiv_45,
+                          _probe_equiv(images, param, config, ops, margin))
 
 
 def _config_fingerprint(config: PretrainConfig) -> bytes:

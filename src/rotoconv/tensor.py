@@ -90,12 +90,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph construction ------------------------------------------------
 
     @staticmethod

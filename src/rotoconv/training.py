@@ -17,7 +17,7 @@ from .datasets import LabeledImageSet
 from .fileio import write_csv
 from .groups import rotation_matrix
 from .network import Model
-from .optim import AMSGrad
+from .optim import _run_epochs
 from .tensor import Tensor
 
 
@@ -145,35 +145,19 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     if config.color_normalize and model.input_stats is None:
         model.input_stats = channel_stats(train_set.images)
-    stats = model.input_stats
-    optimizer = AMSGrad(model.parameters(), config.learning_rate, config.weight_decay)
     images = train_set.images.astype(model.dtype)
-    labels = train_set.labels
-    m = len(train_set)
-    batch = min(config.batch_size, m)
+
+    def batch_loss(take):
+        y = train_set.labels[take]
+        x = augment(images[take], config, rng, model.input_stats)
+        logits = model.forward(Tensor(x), training=True)
+        loss = T.softmax_cross_entropy(logits, y)
+        correct = int((logits.data.argmax(axis=1) == y).sum())
+        return loss, [loss.item() * len(take), correct], len(take)
+
     rows = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(m)
-        loss_sum = 0.0
-        correct = 0
-        seen = 0
-        for start in range(0, m, batch):
-            take = perm[start:start + batch]
-            x = augment(images[take], config, rng, stats)
-            y = labels[take]
-            logits = model.forward(Tensor(x), training=True)
-            loss = T.softmax_cross_entropy(logits, y)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergence(f"non-finite loss at epoch {epoch}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            loss_sum += value * len(take)
-            correct += int((logits.data.argmax(axis=1) == y).sum())
-            seen += len(take)
-        row = {"epoch": epoch, "train_loss": loss_sum / seen,
-               "train_acc": correct / seen}
+    for row in _run_epochs(model.parameters(), config, len(train_set), rng, batch_loss,
+                           ("train_loss", "train_acc"), TrainingDivergence):
         if val_set is not None:
             row["val_acc"] = evaluate(model, val_set).accuracy
         rows.append(row)

@@ -82,6 +82,26 @@ class TestPretrainBasis:
         assert err.startswith("error:") and field in err
         assert not out.exists() and not log.exists()
 
+    def test_diverged_run_is_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "basis.rcbs"
+        code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
+                   "--epochs", "2", "--batch-size", "4", "--n-elements", "2",
+                   "--learning-rate", "1e30", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch ") and err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "basis.rcbs.manifest.json").exists()
+
+    def test_zero_images_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "basis.rcbs"
+        with pytest.raises(SystemExit) as exit_info:
+            run("pretrain-basis", "--corpus", "synthetic", "--n-images", "0",
+                "--epochs", "1", "--out", str(out))
+        assert exit_info.value.code == 2
+        assert "--n-images: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--config"], "expected one argument"),
         (["verify", "--config", "no-such.cfg"], "cannot read"),
@@ -134,6 +154,26 @@ class TestTrain:
         assert err.startswith("error:") and field in err
         assert not out.exists()
         assert not (tmp_path / "model.ckpt.manifest.json").exists()
+
+    def test_diverged_run_is_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        code = run("train", "--dataset", "synthetic", "--n-train", "8",
+                   "--model", "translational", "--epochs", "2", "--batch-size", "4",
+                   "--learning-rate", "1e30", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch ") and err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "model.ckpt.manifest.json").exists()
+
+    def test_zero_train_images_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        with pytest.raises(SystemExit) as exit_info:
+            run("train", "--dataset", "synthetic", "--n-train", "0",
+                "--model", "translational", "--epochs", "1", "--out", str(out))
+        assert exit_info.value.code == 2
+        assert "--n-train: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fingerprint_mismatch_fails_without_checkpoint(self, tmp_path, pretrained):
         first = tmp_path / "first.ckpt"

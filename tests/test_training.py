@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,23 @@ class TestTrain:
         model = small_group_model(partial_basis, classes=2, seed=1, dtype="float32")
         with pytest.raises(TrainingDivergence):
             train(model, ds, TrainConfig(epochs=1, batch_size=10, seed=0))
+
+    def test_batch_graph_freed_before_next_forward(self, partial_basis, monkeypatch):
+        ds = synthetic_labeled_set(8, 8, 2, seed=0)
+        model = small_group_model(partial_basis, classes=2, seed=1, dtype="float32")
+        first = model.layers[0]
+        forward = first.forward
+        earlier, alive = [], []
+
+        def spy(x, training):
+            alive.append([ref() is not None for ref in earlier])
+            out = forward(x, training)
+            earlier.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(first, "forward", spy)
+        train(model, ds, TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert alive == [[], [False]]
 
     def test_log_csv(self, tmp_path, partial_basis):
         ds = synthetic_labeled_set(20, 8, 4, seed=0)
