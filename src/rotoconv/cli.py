@@ -98,12 +98,17 @@ def _load_dataset(name: str, data_dir, split: str, seed: int,
     return ds
 
 
-def _count(text: str) -> int:
-    """argparse type of an image count: an int of at least 1."""
+def _count(text: str, least: int = 1) -> int:
+    """argparse type of an image count: an int of at least ``least``."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _count_or_zero(text: str) -> int:
+    """argparse type of an image count where 0 means none."""
+    return _count(text, least=0)
 
 
 def _add_common(p):
@@ -148,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None)
     p.add_argument("--init-from", default=None, help="checkpoint to resume from")
     p.add_argument("--n-train", type=_count, default=None)
-    p.add_argument("--n-val", type=int, default=None)
+    p.add_argument("--n-val", type=_count_or_zero, default=None,
+                   help="test-split images to validate on; 0 or omitted: no validation set")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1e-3)
@@ -227,7 +233,7 @@ def _cmd_train(args) -> int:
     train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed,
                               args.n_train, args.cache_dir)
     val_set = None
-    if args.n_val:
+    if args.n_val is not None and args.n_val > 0:
         val_set = _load_dataset(args.dataset, args.data_dir, "test", args.seed,
                                 args.n_val, args.cache_dir)
     in_channels = train_set.images.shape[1]

@@ -67,7 +67,6 @@ def _run_epochs(params, config, n: int, rng: np.random.Generator, batch_loss,
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            del loss  # the graph lives for its own step only, not through the next forward
             sums += terms
             weight += w
         yield {"epoch": epoch, **dict(zip(fields, (sums / weight).tolist()))}

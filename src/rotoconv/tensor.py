@@ -2,8 +2,9 @@
 
 Every differentiable operation records its inputs and an adjoint closure on
 the result tensor; ``Tensor.backward`` replays those closures in reverse
-topological order. Arrays are plain numpy, float32 by default; verification
-runs use float64 (``dtype="float64"`` at the leaves propagates through).
+topological order and frees the graph as it goes. Arrays are plain numpy,
+float32 by default; verification runs use float64 (``dtype="float64"`` at the
+leaves propagates through).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def no_grad():
 
 
 class GraphError(ValueError):
-    """Raised for backward() misuse: non-scalar loss or detached graph."""
+    """Raised for backward() misuse: non-scalar loss, detached graph, or a graph that
+    an earlier backward() released (it frees non-leaves as it goes; leaves keep grad)."""
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -111,6 +113,12 @@ class Tensor:
         return out
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into each leaf's ``grad``, freeing the graph as it goes.
+
+        Each non-leaf drops its closure, parents and ``grad`` once its adjoint has
+        run; leaves keep ``grad`` and every node keeps ``data``. A second backward
+        through a released node raises ``GraphError``.
+        """
         if self.data.size != 1:
             raise GraphError("backward() expects a scalar loss tensor")
         if not self.requires_grad:
@@ -125,15 +133,19 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is None and node._op != "leaf":
+                raise GraphError("graph already released by an earlier backward()")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents, node.grad = None, (), None
 
     # -- operator sugar ------------------------------------------------------
 

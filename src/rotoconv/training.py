@@ -2,7 +2,8 @@
 
 Only layer coefficients, normalization parameters, and the classifier head are
 updated; the basis is an input, never a parameter. Runs are deterministic
-given (config, seed, data).
+given (config, seed, data) on a fixed platform and BLAS thread count: the
+thread count changes how GEMMs sum, so float64 parameters differ in the last bits.
 """
 
 from __future__ import annotations

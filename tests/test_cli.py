@@ -175,6 +175,24 @@ class TestTrain:
         assert "--n-train: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_val_images_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        with pytest.raises(SystemExit) as exit_info:
+            run("train", "--dataset", "synthetic", "--n-train", "8", "--n-val", "-1",
+                "--model", "translational", "--epochs", "1", "--out", str(out))
+        assert exit_info.value.code == 2
+        assert "--n-val: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_val, header", [("0", "epoch,train_loss,train_acc"),
+                                               ("4", "epoch,train_loss,train_acc,val_acc")])
+    def test_zero_val_images_means_no_validation(self, tmp_path, n_val, header):
+        log = tmp_path / "log.csv"
+        assert run("train", "--dataset", "synthetic", "--n-train", "8", "--n-val", n_val,
+                   "--model", "translational", "--epochs", "1", "--batch-size", "8",
+                   "--out", str(tmp_path / "model.ckpt"), "--log-csv", str(log)) == 0
+        assert log.read_text().splitlines()[0] == header
+
     def test_fingerprint_mismatch_fails_without_checkpoint(self, tmp_path, pretrained):
         first = tmp_path / "first.ckpt"
         assert run("train", "--dataset", "synthetic", "--n-train", "20",

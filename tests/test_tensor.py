@@ -1,7 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from rotoconv import tensor as T
+from rotoconv.basis import populate_partial
+from rotoconv.network import build_model
 from rotoconv.tensor import GraphError, Tensor, set_debug_finite
 
 from oracles import brute_correlate2d, conv_dense_matrix
@@ -258,6 +263,72 @@ class TestBackward:
         y = x + x
         T.l1_norm(y).backward()
         assert x.grad.tolist() == [2.0, 2.0]
+
+    def test_interior_data_freed_while_loss_alive(self, rng):
+        x = t64(rng.standard_normal((3, 4)), grad=True)
+        w = t64(rng.standard_normal((4, 5)), grad=True)
+        loss = T.l1_norm(T.relu(T.matmul(x, w)))
+        interior = weakref.ref(loss._parents[0]._parents[0].data)
+        assert interior() is not None
+        loss.backward()
+        assert interior() is None
+        assert np.isfinite(loss.item()) and x.grad is not None
+
+    def test_leaves_keep_grad_and_non_leaves_drop_it(self, rng):
+        x = t64(rng.standard_normal((3, 4)), grad=True)
+        w = t64(rng.standard_normal((4, 5)), grad=True)
+        loss = T.l1_norm(T.relu(T.matmul(x, w)) * 2.0)
+        nodes, stack = [], [loss]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1]._parents)
+        loss.backward()
+        interior = [n for n in nodes if n._op != "leaf"]
+        assert len(interior) == 4
+        assert all(n.grad is None and n._backward is None and n._parents == ()
+                   for n in interior)
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 5)
+
+    def test_second_backward_raises(self, rng):
+        x = t64(rng.standard_normal(3), grad=True)
+        loss = T.l1_norm(T.relu(x) * 3.0)
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(GraphError, match="released"):
+            loss.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_second_loss_through_released_subexpression_raises(self):
+        x = t64([1.0, -2.0, 3.0], grad=True)
+        shared = T.relu(x) * 2.0
+        first_loss = T.l1_norm(shared)
+        second_loss = T.l1_norm(shared * 5.0)
+        first_loss.backward()
+        assert x.grad.tolist() == [2.0, 0.0, 2.0]
+        with pytest.raises(GraphError, match="released"):
+            second_loss.backward()
+        assert x.grad.tolist() == [2.0, 0.0, 2.0]
+
+    def test_backward_peak_below_forward_graph(self):
+        """One float32 group-model training step at [4, 3, 16, 16]: backward frees
+        the graph as it goes, so it never allocates as much as the graph holds."""
+        basis = populate_partial(np.random.default_rng(3).uniform(-1, 1, (2, 9, 3, 3)))
+        model = build_model("group", "partial", basis, in_channels=3, seed=1)
+        x = np.random.default_rng(4).standard_normal((4, 3, 16, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = T.softmax_cross_entropy(model.forward(Tensor(x), training=True),
+                                           np.array([0, 1, 2, 3]))
+            before_backward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph = before_backward - start
+        assert graph > 50 * 2 ** 20
+        assert peak - before_backward < 1.0 * graph
 
 
 class TestDebugFiniteCheck:
