@@ -9,7 +9,6 @@ error per layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +153,3 @@ def emit_reports(report, path) -> None:
         write_csv(path, _ROBUST_FIELDS, report.rows)
     else:
         raise TypeError(f"cannot emit {type(report).__name__}")
-
-
-def read_csv_rows(path) -> list:
-    with open(path, "r", newline="") as fh:
-        return list(csv.DictReader(fh))

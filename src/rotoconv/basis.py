@@ -244,15 +244,3 @@ def render_basis_pgm(basis: Basis, path, cell_scale: int = 8) -> None:
     with atomic_write(path) as fh:
         fh.write(f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii"))
         fh.write(canvas.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a binary P5 graymap (for round-trip checks)."""
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ValueError("not a binary PGM")
-        dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        fh.readline()
-        data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
-    return data.reshape(height, width)

@@ -97,20 +97,6 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=8).copy()
 
 
-def write_idx_images(images_u8: np.ndarray, path) -> None:
-    """Inverse of ``read_idx_images``; used for round-trip checks and fixtures."""
-    m, h, w = images_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, m, h, w))
-        fh.write(np.ascontiguousarray(images_u8, dtype=np.uint8).tobytes())
-
-
-def write_idx_labels(labels: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", _IDX_LABELS_MAGIC, len(labels)))
-        fh.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
-
-
 _MNIST_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -165,14 +151,6 @@ def read_cifar_batch(path) -> tuple:
         raise BadMagicError(f"{path}: label byte {labels.max()} out of range, not CIFAR-10")
     images = records[:, 1:].reshape(-1, 3, 32, 32)
     return images, labels
-
-
-def write_cifar_batch(images_u8: np.ndarray, labels: np.ndarray, path) -> None:
-    m = images_u8.shape[0]
-    records = np.empty((m, _CIFAR_RECORD), dtype=np.uint8)
-    records[:, 0] = labels
-    records[:, 1:] = images_u8.reshape(m, -1)
-    Path(path).write_bytes(records.tobytes())
 
 
 def load_cifar10(directory, split: str = "train", cache_dir=None) -> LabeledImageSet:

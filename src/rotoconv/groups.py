@@ -7,8 +7,8 @@ Covers three layers of machinery:
 * grid operators - exact quarter-turn permutations, Gaussian/bilinear
   interpolated rotations (as sparse matrices), orientation rolls, and their
   composition on orientation-stacked feature maps.
-* ``unitarity_defect`` - measures how far an operator is from preserving the
-  inner product that group convolutions are built on.
+* ``unitarity_defect`` and ``gram_defect`` - measure how far an operator is
+  from preserving the inner product that group convolutions are built on.
 
 Angle convention: rotation index ``r`` of a group of order ``n`` means a
 counter-clockwise turn by ``r * 2*pi/n``; one quarter turn of an ``HxW`` array
@@ -283,20 +283,20 @@ def unitarity_defect(ops: RotationOperators, r: int, trials: int = 32,
     return worst
 
 
+def gram_defect(ops: RotationOperators, r: int) -> float:
+    """Spectral norm ||M^T M - I||_2 of the operator M for index ``r``.
+
+    Deterministic companion of ``unitarity_defect``, whose ratio can blow up
+    when a random <f, psi> lands near zero: 0 for the exact quarter turns,
+    at least 1 once a pixel has no preimage (the corners at 45 degrees).
+    """
+    m = ops.matrix(r).toarray()
+    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[1]), 2))
+
+
 def export_triplets(matrix: sparse.spmatrix, path) -> None:
     """Write a sparse matrix as one ``row col value`` line per entry."""
     coo = matrix.tocoo()
     with atomic_write(path, "w", encoding="ascii") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {float(v)!r}\n")
-
-
-def import_triplets(path, shape) -> sparse.csr_matrix:
-    rows, cols, vals = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            i, j, v = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)

@@ -2,8 +2,8 @@
 
 A group layer never owns filters, only rotation-invariant coefficients; the
 filter bank for all orientations is synthesized per forward pass from the
-frozen basis, with the orientation roll realized as an index gather, and the
-whole bank applied as one standard correlation.
+frozen basis, synthesis and orientation roll (an index gather) in one graph
+node, and the whole bank applied as one standard correlation.
 """
 
 from __future__ import annotations
@@ -46,6 +46,47 @@ def _elements_matrix(elements: np.ndarray, dtype) -> np.ndarray:
         elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
 
 
+@functools.lru_cache(maxsize=None)
+def _roll_index(channels: int, order: int, slots: int):
+    """Gather index of ``_filter_bank`` over the flattened [C, slots, order] axes, and its inverse.
+
+    Entry (r, c, s) is the position of f[., c, (s - r) % slots, r]; each
+    position is hit exactly once, so the adjoint is the inverse gather.
+    """
+    r = np.arange(order)[:, None, None]
+    c = np.arange(channels)[None, :, None]
+    s = np.arange(slots)[None, None, :]
+    index = ((c * slots + (s - r) % slots) * order + r).ravel()
+    return index, np.argsort(index)
+
+
+def _filter_bank(coefficients: Tensor, elements: np.ndarray, dtype) -> Tensor:
+    """Every orientation's filters as one node: [O,C,(slots,)n] -> [O*order, C*slots, k, k].
+
+    Synthesis gives f[o, c, j, r] = coefficients[o, c, j] @ elements[r] for
+    each coefficient slot j and orientation r; the bank is the weight-tying
+    gather out[o, r, c, s] = f[o, c, (s - r) % slots, r], where slot s - r is
+    the coefficient block that lands on input orientation s when the filter
+    sits at orientation r (one slot: plain lifting). f is a transient: the
+    node keeps only the bank, and its adjoint gathers back before the
+    transposed synthesis.
+    """
+    order, n, k, _ = elements.shape
+    out_ch, in_ch = coefficients.data.shape[:2]
+    slots = coefficients.data.size // (out_ch * in_ch * n)
+    emat = _elements_matrix(elements, dtype)
+    index, inverse = _roll_index(in_ch, order, slots)
+    f = (coefficients.data.reshape(-1, n) @ emat).reshape(out_ch, -1, k * k)
+    out_data = np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
+
+    def backward(g):
+        gf = np.take(g.reshape(out_ch, -1, k * k), inverse, axis=1)
+        T.accumulate_grad(coefficients, (gf.reshape(-1, order * k * k) @ emat.T)
+                          .reshape(coefficients.data.shape))
+
+    return Tensor.from_op(out_data, (coefficients,), backward, "filter_bank")
+
+
 def gconv_input(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     """Lift an image stack [B,C,H,W] to orientation maps [B,O,order,H,W].
 
@@ -60,46 +101,9 @@ def gconv_input(x: Tensor, coefficients: Tensor, basis) -> Tensor:
                          f"basis has {n} elements")
     if x.data.shape[1] != in_ch:
         raise ValueError(f"input has {x.data.shape[1]} channels, expected {in_ch}")
-    emat = Tensor(_elements_matrix(elements, x.data.dtype))
-    bank = T.matmul(T.reshape(coefficients, (out_ch * in_ch, n)), emat)
-    bank = T.reshape(bank, (out_ch, in_ch, order, k, k))
-    bank = T.reshape(T.transpose(bank, (0, 2, 1, 3, 4)), (out_ch * order, in_ch, k, k))
-    out = T.correlate2d(x, bank)
+    out = T.correlate2d(x, _filter_bank(coefficients, elements, x.data.dtype))
     b, _, h, w = out.data.shape
     return T.reshape(out, (b, out_ch, order, h, w))
-
-
-@functools.lru_cache(maxsize=None)
-def _roll_index(channels: int, order: int):
-    """Gather index of ``_rolled_bank`` over the flattened [C, m, order] axes, and its inverse.
-
-    Entry (r, c, s) is the position of f[., c, (s - r) % order, r]; each
-    position is hit exactly once, so the adjoint is the inverse gather.
-    """
-    r = np.arange(order)[:, None, None]
-    c = np.arange(channels)[None, :, None]
-    s = np.arange(order)[None, None, :]
-    index = ((c * order + (s - r) % order) * order + r).ravel()
-    return index, np.argsort(index)
-
-
-def _rolled_bank(f: Tensor) -> Tensor:
-    """Weight-tying gather: [O,C,m,order,k,k] -> [O,order,C,s,k,k].
-
-    out[o, r, c, s] = f[o, c, (s - r) % order, r]; slot s - r is the
-    coefficient block that lands on input orientation s when the filter sits
-    at orientation r.
-    """
-    o, c, m, order, k, _ = f.data.shape
-    index, inverse = _roll_index(c, order)
-    out_data = np.take(f.data.reshape(o, c * m * order, k * k), index, axis=1)
-
-    def backward(g):
-        gf = np.take(g.reshape(o, c * m * order, k * k), inverse, axis=1)
-        T.accumulate_grad(f, gf.reshape(f.data.shape))
-
-    return Tensor.from_op(out_data.reshape(o, order, c, order, k, k), (f,), backward,
-                          "rolled_bank")
 
 
 def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
@@ -121,13 +125,9 @@ def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
                          f"got {x.data.shape}")
     if x.data.shape[1] != in_ch:
         raise ValueError(f"input has {x.data.shape[1]} channels, expected {in_ch}")
-    emat = Tensor(_elements_matrix(elements, x.data.dtype))
-    bank = T.matmul(T.reshape(coefficients, (out_ch * in_ch * order, n)), emat)
-    bank = T.reshape(bank, (out_ch, in_ch, order, order, k, k))
-    bank = T.reshape(_rolled_bank(bank), (out_ch * order, in_ch * order, k, k))
     b, _, _, h, w = x.data.shape
     flat = T.reshape(x, (b, in_ch * order, h, w))
-    out = T.correlate2d(flat, bank)
+    out = T.correlate2d(flat, _filter_bank(coefficients, elements, x.data.dtype))
     return T.reshape(out, (b, out_ch, order, h, w))
 
 
@@ -251,15 +251,24 @@ class BatchNorm(Layer):
     def _axes(self, x):
         return (0, 2, 3, 4) if x.data.ndim == 5 else (0, 2, 3)
 
+    def _track(self, mean, var):
+        self.running_mean += self.momentum * (mean.astype(np.float64) - self.running_mean)
+        self.running_var += self.momentum * (var.astype(np.float64) - self.running_var)
+
     def forward(self, x, training):
         axes = self._axes(x)
         if training:
             out, mean, var = T.batchnorm_train(x, self.gamma, self.beta, axes)
-            self.running_mean += self.momentum * (mean.astype(np.float64) - self.running_mean)
-            self.running_var += self.momentum * (var.astype(np.float64) - self.running_var)
+            self._track(mean, var)
             return out
         return T.batchnorm_eval(x, self.gamma, self.beta, axes,
                                 self.running_mean, self.running_var)
+
+    def forward_relu(self, x, pool):
+        """Training forward of this layer, a ReLU and, with ``pool``, a MaxPool2x2, as one op."""
+        out, mean, var = T.batchnorm_relu_train(x, self.gamma, self.beta, self._axes(x), pool)
+        self._track(mean, var)
+        return out
 
 
 class ReLU(Layer):
@@ -347,10 +356,15 @@ class Model:
                 for i, layer in enumerate(self.layers) for bname, b in layer.buffers()]
 
     def forward(self, x, training: bool = False) -> Tensor:
+        """Logits; a training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
-        for layer in self.layers:
-            x = layer.forward(x, training)
+        if not training:
+            for layer in self.layers:
+                x = layer.forward(x, False)
+            return x
+        for layer, pool in _training_plan(self.layers):
+            x = layer.forward(x, True) if pool is None else layer.forward_relu(x, pool)
         return x
 
     def iter_activations(self, x):
@@ -388,6 +402,19 @@ class Model:
     def arch_hash(self) -> str:
         payload = json.dumps(self.arch_description(), sort_keys=True).encode("ascii")
         return hashlib.sha256(payload).hexdigest()
+
+
+def _training_plan(layers):
+    """(layer, pool) steps of a training forward: pool is None for a layer run on
+    its own, else the BatchNorm of a fused BatchNorm -> ReLU (-> MaxPool2x2) run."""
+    plan, i = [], 0
+    while i < len(layers):
+        fused = isinstance(layers[i], BatchNorm) and i + 1 < len(layers) \
+            and isinstance(layers[i + 1], ReLU)
+        pool = fused and i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2x2)
+        plan.append((layers[i], pool if fused else None))
+        i += 1 + fused + pool
+    return plan
 
 
 def count_parameters(model: Model) -> int:

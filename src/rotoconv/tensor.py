@@ -514,24 +514,32 @@ def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
 # -- pooling -----------------------------------------------------------------
 
 
-def maxpool2x2(a: Tensor) -> Tensor:
-    """2x2/stride-2 max over the last two axes; gradient to the first max."""
-    h, w = a.data.shape[-2:]
+def _pool2x2(a: np.ndarray) -> tuple:
+    """2x2/stride-2 max over the last two axes -> (pooled, uint8 index of the first max)."""
+    h, w = a.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    lead = a.data.shape[:-2]
-    blocks = a.data.reshape(lead + (h // 2, 2, w // 2, 2))
-    order = tuple(range(len(lead))) + (len(lead), len(lead) + 2, len(lead) + 1, len(lead) + 3)
-    blocks = blocks.transpose(order).reshape(lead + (h // 2, w // 2, 4))
-    idx = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    lead = a.shape[:-2]
+    blocks = a.reshape(lead + (h // 2, 2, w // 2, 2)).swapaxes(-3, -2)
+    blocks = blocks.reshape(lead + (h // 2, w // 2, 4))
+    idx = blocks.argmax(axis=-1)[..., None]
+    return np.take_along_axis(blocks, idx, axis=-1)[..., 0], idx.astype(np.uint8)
+
+
+def _unpool2x2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_pool2x2``: each pooled gradient goes to its block's first max."""
+    gb = np.zeros(g.shape + (4,), dtype=g.dtype)
+    np.put_along_axis(gb, idx, g[..., None], axis=-1)
+    gb = gb.reshape(g.shape + (2, 2)).swapaxes(-3, -2)
+    return gb.reshape(g.shape[:-2] + (2 * g.shape[-2], 2 * g.shape[-1]))
+
+
+def maxpool2x2(a: Tensor) -> Tensor:
+    """2x2/stride-2 max over the last two axes; gradient to the first max."""
+    out_data, idx = _pool2x2(a.data)
 
     def backward(g):
-        gb = np.zeros(lead + (h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gb = gb.reshape(lead + (h // 2, w // 2, 2, 2))
-        inv = tuple(range(len(lead))) + (len(lead), len(lead) + 2, len(lead) + 1, len(lead) + 3)
-        accumulate_grad(a, gb.transpose(inv).reshape(a.data.shape))
+        accumulate_grad(a, _unpool2x2(g, idx))
 
     return Tensor.from_op(out_data, (a,), backward, "maxpool2x2")
 
@@ -569,6 +577,43 @@ def _check_bn_params(x: Tensor, gamma: Tensor, beta: Tensor, axes):
     return kept[0]
 
 
+def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> tuple:
+    """Batch statistics and ``gamma * xhat + beta`` -> (out, mean, var, inv_std), keepdims."""
+    _check_bn_params(x, gamma, beta, axes)
+    pshape = _bn_param_shape(x.data, axes)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    var = x.data.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = x.data - mu
+    out *= inv
+    out *= gamma.data.reshape(pshape)
+    out += beta.data.reshape(pshape)
+    return out, mu, var, inv
+
+
+def _bn_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
+                 mu: np.ndarray, inv: np.ndarray) -> None:
+    """The BatchNorm adjoint, with ``xhat`` recomputed from the saved mean and inverse std."""
+    xhat = x.data - mu
+    xhat *= inv
+    if gamma.requires_grad:
+        accumulate_grad(gamma, (g * xhat).sum(axis=axes).reshape(gamma.data.shape))
+    if beta.requires_grad:
+        accumulate_grad(beta, g.sum(axis=axes).reshape(beta.data.shape))
+    if x.requires_grad:
+        m = int(np.prod([x.data.shape[ax] for ax in axes]))
+        gxhat = g * gamma.data.reshape(mu.shape)
+        s1 = gxhat.sum(axis=axes, keepdims=True)
+        s2 = (gxhat * xhat).sum(axis=axes, keepdims=True)
+        gx = m * gxhat
+        del gxhat
+        gx -= s1
+        xhat *= s2
+        gx -= xhat
+        gx *= inv / m
+        accumulate_grad(x, gx)
+
+
 def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes,
                     eps: float = 1e-5):
     """Normalize over ``axes`` with batch statistics.
@@ -577,28 +622,40 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes,
     (biased variance) so the caller can maintain running estimates.
     """
     axes = tuple(axes)
-    _check_bn_params(x, gamma, beta, axes)
-    pshape = _bn_param_shape(x.data, axes)
-    m = int(np.prod([x.data.shape[ax] for ax in axes]))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    gb = gamma.data.reshape(pshape)
-    out_data = gb * xhat + beta.data.reshape(pshape)
+    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes, eps)
 
     def backward(g):
-        if gamma.requires_grad:
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes).reshape(gamma.data.shape))
-        if beta.requires_grad:
-            accumulate_grad(beta, g.sum(axis=axes).reshape(beta.data.shape))
-        if x.requires_grad:
-            gxhat = g * gb
-            s1 = gxhat.sum(axis=axes, keepdims=True)
-            s2 = (gxhat * xhat).sum(axis=axes, keepdims=True)
-            accumulate_grad(x, inv / m * (m * gxhat - s1 - xhat * s2))
+        _bn_backward(g, x, gamma, beta, axes, mu, inv)
 
     out = Tensor.from_op(out_data, (x, gamma, beta), backward, "batchnorm_train")
+    return out, mu.reshape(-1), var.reshape(-1)
+
+
+def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: bool,
+                         eps: float = 1e-5):
+    """``relu(batchnorm_train(x))``, then ``maxpool2x2`` when ``pool``, as one op.
+
+    The node keeps its output, x (its parent), the per-channel mean and
+    inverse std, and with ``pool`` a uint8 index per pooled value; backward
+    recomputes ``xhat`` and reads the ReLU mask off the output, since a pooled
+    value is positive exactly when the ReLU input at its first max is.
+    Results, gradients and statistics are bitwise those of the three ops.
+    Returns (out, batch_mean, batch_var) like ``batchnorm_train``.
+    """
+    axes = tuple(axes)
+    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes, eps)
+    np.maximum(out_data, 0, out=out_data)
+    idx = None
+    if pool:
+        out_data, idx = _pool2x2(out_data)
+
+    def backward(g):
+        g = g * (out_data > 0)
+        if pool:
+            g = _unpool2x2(g, idx)
+        _bn_backward(g, x, gamma, beta, axes, mu, inv)
+
+    out = Tensor.from_op(out_data, (x, gamma, beta), backward, "batchnorm_relu")
     return out, mu.reshape(-1), var.reshape(-1)
 
 

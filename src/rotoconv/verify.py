@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .basis import Basis, populate_partial
-from .groups import (GroupElement, RotationOperators, compose, inverse,
+from .groups import (GroupElement, RotationOperators, compose, gram_defect, inverse,
                      rotate_exact90, unitarity_defect)
 from .network import Model, model_from_arch
 from .tensor import check_gradient
@@ -164,14 +164,17 @@ def check_p4_equivariance(n: int = 8, seed: int = 0, tol: float = 1e-12,
 
 def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
     gaussian = RotationOperators(size, 8, "gaussian")
+    bilinear = RotationOperators(size, 8, "bilinear")
     worst_exact = max(unitarity_defect(gaussian, r, trials=16, seed=seed)
                       for r in (0, 2, 4, 6))
     gauss = unitarity_defect(gaussian, 1, 64, seed)
-    bilin = unitarity_defect(RotationOperators(size, 8, "bilinear"), 1, 64, seed)
+    bilin = unitarity_defect(bilinear, 1, 64, seed)
     ok = worst_exact <= 1e-12 and gauss > 1e-3 and bilin > 1e-3
     return CheckResult(
         "unitarity: exact permutations vs interpolators", ok,
-        f"exact {worst_exact:.2e}; gaussian(45deg) {gauss:.3f}; bilinear(45deg) {bilin:.3f}")
+        f"exact {worst_exact:.2e}; gaussian(45deg) {gauss:.3f}; bilinear(45deg) {bilin:.3f}; "
+        f"||M^T M - I||_2 gaussian {gram_defect(gaussian, 1):.3f}, "
+        f"bilinear {gram_defect(bilinear, 1):.3f}")
 
 
 def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
@@ -193,6 +196,10 @@ def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
         worst = max(worst, check_gradient(
             lambda a, gg, bb: T.l1_norm(T.batchnorm_train(a, gg, bb, (0, 2, 3))[0]),
             [rng.standard_normal((4, 3, 3, 3)), g, b], tol))
+        worst = max(worst, check_gradient(
+            lambda a, gg, bb: T.l1_norm(
+                T.batchnorm_relu_train(a, gg, bb, (0, 2, 3, 4), True)[0] - 0.5),
+            [rng.standard_normal((2, 3, 4, 4, 4)), g, b], tol))
         logits = rng.standard_normal((4, 5))
         labels = np.array([0, 2, 4, 1])
         worst = max(worst, check_gradient(

@@ -169,7 +169,7 @@ def gradcheck_catalog(seed=0):
     from rotoconv import tensor as T
     from rotoconv.basis import populate_partial
     from rotoconv.groups import RotationOperators
-    from rotoconv.network import gconv_input, gconv_intermediate
+    from rotoconv.network import _filter_bank, gconv_input, gconv_intermediate
 
     rng = np.random.default_rng(seed)
     r = rng.standard_normal
@@ -181,6 +181,13 @@ def gradcheck_catalog(seed=0):
     def rot(x):
         return T.spatial_linear_map(x, lambda m: ops.apply_flat(m, 1),
                                     lambda m: ops.apply_flat_t(m, 1), (6, 6))
+
+    def bn_relu(axes, pool, out_shape):
+        """Fused BatchNorm-ReLU(-pool) under an L1 loss about a fixed random offset,
+        so that every output, active or not, has its own gradient."""
+        offset = T.Tensor(r(out_shape))
+        return lambda a, g, b: T.l1_norm(
+            T.batchnorm_relu_train(a, g, b, axes, pool)[0] - offset)
 
     return [
         ("add_broadcast", lambda a, b: T.l1_norm(a + b), [r((3, 4)), r(4)]),
@@ -231,4 +238,16 @@ def gradcheck_catalog(seed=0):
          [r((1, 3, 3, 3)), r((2, 3, 3, 3))]),
         ("matmul_batched_both", lambda a, b: T.l1_norm(T.matmul(a, b)),
          [r((2, 1, 3, 4)), r((3, 4, 2))]),
+        ("batchnorm_relu_spatial", bn_relu((0, 2, 3), False, (4, 3, 3, 3)),
+         [r((4, 3, 3, 3)), r(3) + 1.5, r(3)]),
+        ("batchnorm_relu_pool_spatial", bn_relu((0, 2, 3), True, (3, 3, 2, 2)),
+         [r((3, 3, 4, 4)), r(3) + 1.5, r(3)]),
+        ("batchnorm_relu_group", bn_relu((0, 2, 3, 4), False, (2, 2, 8, 3, 3)),
+         [r((2, 2, 8, 3, 3)), r(2) + 1.5, r(2)]),
+        ("batchnorm_relu_pool_group", bn_relu((0, 2, 3, 4), True, (2, 2, 8, 2, 2)),
+         [r((2, 2, 8, 4, 4)), r(2) + 1.5, r(2)]),
+        ("filter_bank_lift", lambda a: T.l1_norm(_filter_bank(a, elements, np.float64)),
+         [r((2, 2, 3))]),
+        ("filter_bank_rolled", lambda a: T.l1_norm(_filter_bank(a, elements, np.float64)),
+         [r((2, 2, 8, 3))]),
     ]

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from rotoconv.audit import (SweepReport, activation_pair_error,
-                            emit_reports, read_csv_rows, robustness_suite,
-                            rotation_sweep)
+from rotoconv.audit import (SweepReport, activation_pair_error, emit_reports,
+                            robustness_suite, rotation_sweep)
 from rotoconv.basis import populate_partial
 from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
 from rotoconv.groups import RotationOperators, act_on_group_feature_map
 from rotoconv.network import GConvInput, Model
 from rotoconv.training import evaluate
 from rotoconv.verify import small_group_model
+
+from formats import read_csv_rows
 
 
 def single_layer_model(basis, channels=6, seed=7):

@@ -5,9 +5,11 @@ import pytest
 
 from rotoconv.basis import (Basis, BasisFormatError, check_partial_tying,
                             initialize_elements, load_basis, make_baseline_basis,
-                            orthogonality_defect, populate_partial, read_pgm,
-                            render_basis_pgm, save_basis, synthesize)
+                            orthogonality_defect, populate_partial, render_basis_pgm,
+                            save_basis, synthesize)
 from rotoconv.groups import rotate_exact90
+
+from formats import read_pgm
 
 
 class TestSynthesize:

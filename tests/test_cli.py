@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from rotoconv.basis import load_basis, read_pgm
+from rotoconv.basis import load_basis
 from rotoconv.cli import main
-from rotoconv.datasets import write_idx_images, write_idx_labels
+
+from formats import read_pgm, write_idx_images, write_idx_labels
 
 
 def run(*argv):

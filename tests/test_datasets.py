@@ -6,8 +6,9 @@ import pytest
 from rotoconv.datasets import (BadMagicError, LabeledImageSet, MissingFileError,
                                TruncatedRecordError, load_cifar10, load_mnist,
                                read_cifar_batch, subset, synthetic_image_corpus,
-                               synthetic_labeled_set, write_cifar_batch,
-                               write_idx_images, write_idx_labels)
+                               synthetic_labeled_set)
+
+from formats import write_cifar_batch, write_idx_images, write_idx_labels
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import pytest
 
 from rotoconv import groups
 from rotoconv.groups import (GroupElement, RotationOperators, act_on_group_feature_map,
-                             compose, crop_margin, export_triplets, import_triplets, inverse,
+                             compose, crop_margin, export_triplets, gram_defect, inverse,
                              roll_orientations, rotate_exact90, rotation_matrix,
                              unitarity_defect)
 
+from formats import import_triplets
 from oracles import rotation_dense_matrix
 
 
@@ -295,6 +296,17 @@ class TestUnitarity:
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             unitarity_defect(RotationOperators(5, 8), 1, trials=0)
+
+    @pytest.mark.parametrize("method", ["gaussian", "bilinear"])
+    def test_gram_defect_zero_exactly_at_quarter_turns(self, method):
+        ops = RotationOperators(9, 8, method)
+        assert [gram_defect(ops, r) for r in (0, 2, 4, 6)] == [0.0] * 4
+        assert 1.0 - 1e-9 <= gram_defect(ops, 1) <= 1.0 + 1e-9
+
+    def test_gram_defect_matches_dense_oracle(self):
+        m = rotation_dense_matrix(7, math.pi / 4, "bilinear")
+        want = np.linalg.svd(m.T @ m - np.eye(49), compute_uv=False)[0]
+        assert abs(gram_defect(RotationOperators(7, 8, "bilinear"), 1) - want) <= 1e-12
 
 
 class TestTripletExport:

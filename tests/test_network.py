@@ -9,7 +9,7 @@ from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
-                              GlobalMaxPool, Model, _rolled_bank, build_model,
+                              GlobalMaxPool, Model, _filter_bank, build_model,
                               count_parameters, gconv_input, gconv_intermediate,
                               load_checkpoint, read_checkpoint_header, save_checkpoint)
 from rotoconv.tensor import Tensor
@@ -141,13 +141,18 @@ class TestRolledBank:
 
     @pytest.mark.parametrize("shape", [(3, 2, 8, 8, 3, 3), (2, 5, 4, 4, 1, 1)])
     def test_gather_matches_two_loop_version(self, rng, shape):
-        f = Tensor(rng.standard_normal(shape), requires_grad=True)
-        out = _rolled_bank(f)
-        assert np.array_equal(out.data, self.two_loop_forward(f.data))
-        g = rng.standard_normal(out.data.shape)
+        """Synthesis in the identity basis is exact, which leaves the bank's gather bare."""
+        o, c, m, order, k, _ = shape
+        identity = np.eye(order * k * k).reshape(-1, order, k, k).transpose(1, 0, 2, 3)
+        f = rng.standard_normal(shape)
+        coefficients = Tensor(f.reshape(o, c, m, -1), requires_grad=True)
+        out = _filter_bank(coefficients, identity, np.float64)
+        want = self.two_loop_forward(f)
+        assert np.array_equal(out.data, want.reshape(out.data.shape))
+        g = rng.standard_normal(want.shape)
         loss = T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1)))
         loss.backward()
-        assert np.array_equal(f.grad, self.two_loop_backward(g, shape))
+        assert np.array_equal(coefficients.grad.reshape(shape), self.two_loop_backward(g, shape))
 
 
 class TestBuildModel:
@@ -250,6 +255,34 @@ class TestBatchNorm:
         model.forward(rng.standard_normal((4, 1, 8, 8)).astype(np.float32) + 3.0,
                       training=True)
         assert not np.array_equal(bn.running_mean, before)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_forward_fuses_and_matches_per_layer(self, rng, partial_basis, dtype):
+        """A training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op, with
+        logits, gradients and running statistics bitwise those of the per-layer path."""
+        x = rng.standard_normal((3, 1, 8, 8)).astype(dtype)
+        labels = np.array([0, 3, 1])
+        runs = []
+        for fused in (True, False):
+            model = small_group_model(partial_basis, seed=5, dtype=dtype)
+            if fused:
+                logits = model.forward(x, training=True)
+            else:
+                logits = Tensor(x)
+                for layer in model.layers:
+                    logits = layer.forward(logits, True)
+            ops, stack = set(), [logits]
+            while stack:
+                ops.add(stack[-1]._op)
+                stack.extend(stack.pop()._parents)
+            T.softmax_cross_entropy(logits, labels).backward()
+            runs.append((ops, [logits.data] + [p.grad for p in model.parameters()]
+                         + [b for _, b in model.named_buffers()]))
+        assert {"batchnorm_relu"} <= runs[0][0]
+        assert not {"batchnorm_train", "relu", "maxpool2x2"} & runs[0][0]
+        assert {"batchnorm_train", "relu", "maxpool2x2"} <= runs[1][0]
+        for got, want in zip(runs[0][1], runs[1][1]):
+            assert np.array_equal(got, want)
 
     def test_group_normalization_covers_orientation_axis(self, rng):
         x = Tensor(rng.standard_normal((4, 2, 8, 5, 5)))

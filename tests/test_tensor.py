@@ -223,6 +223,68 @@ class TestMaxPool:
         loss.backward()
         assert x.grad.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
+    def test_keeps_uint8_index(self, rng):
+        out = T.maxpool2x2(Tensor(rng.random((2, 3, 4, 4)), requires_grad=True))
+        held = closure_arrays(out)
+        assert [a.dtype for a in held] == [np.uint8] and held[0].size == out.data.size
+
+
+def closure_arrays(node):
+    """The numpy arrays a node's adjoint closure keeps alive (its parents aside)."""
+    return [c.cell_contents for c in node._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestBatchNormReLU:
+    """The fused op against batchnorm_train -> relu (-> maxpool2x2), bit for bit."""
+
+    @staticmethod
+    def tricky_input(shape, dtype, rng):
+        """Per channel, one 2x2 block far below the mean (all negative after the affine
+        map, so ReLU ties it at zero) and one with a maximum tied three ways."""
+        x = rng.standard_normal(shape)
+        x[..., 0:2, 0:2] = -10.0
+        x[..., 0:2, 2:4] = [[4.0, 4.0], [1.0, 4.0]]
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axes", [((3, 2, 6, 6), (0, 2, 3)),
+                                             ((2, 2, 8, 6, 6), (0, 2, 3, 4))])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_matches_unfused_chain_bitwise(self, rng, dtype, shape, axes, pool):
+        x = self.tricky_input(shape, dtype, rng)
+        gamma = (rng.random(shape[1]) + 0.5).astype(dtype)
+        beta = (0.2 * rng.standard_normal(shape[1])).astype(dtype)
+        results = []
+        for fused in (True, False):
+            xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta))
+            if fused:
+                out, mean, var = T.batchnorm_relu_train(xt, gt, bt, axes, pool)
+            else:
+                out, mean, var = T.batchnorm_train(xt, gt, bt, axes)
+                out = T.relu(out)
+                out = T.maxpool2x2(out) if pool else out
+            upstream = np.random.default_rng(9).standard_normal(out.data.shape).astype(dtype)
+            T.matmul(T.reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1))).backward()
+            results.append((out.data, mean, var, xt.grad, gt.grad, bt.grad))
+        assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_node_keeps_output_index_and_stats_only(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 8, 4, 4)).astype(np.float32), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
+        out, _, _ = T.batchnorm_relu_train(x, gamma, beta, (0, 2, 3, 4), True)
+        held = closure_arrays(out)
+        assert sorted(a.nbytes for a in held) == [12, 12, out.data.size, out.data.nbytes]
+        assert any(a is out.data for a in held)
+        assert np.uint8 in [a.dtype for a in held]
+
+    def test_batchnorm_train_keeps_stats_only(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 5, 5)), requires_grad=True)
+        out, _, _ = T.batchnorm_train(x, t64(np.ones(3)), t64(np.zeros(3)), (0, 2, 3))
+        assert sorted(a.nbytes for a in closure_arrays(out)) == [24, 24]
+
 
 class TestGlobalMaxPool:
     def test_constant(self):
@@ -310,8 +372,12 @@ class TestBackward:
         assert x.grad.tolist() == [2.0, 0.0, 2.0]
 
     def test_backward_peak_below_forward_graph(self):
-        """One float32 group-model training step at [4, 3, 16, 16]: backward frees
-        the graph as it goes, so it never allocates as much as the graph holds."""
+        """One float32 group-model training step at [4, 3, 16, 16], forward and backward,
+        stays under 120 MiB of traced allocation from its start (it takes 109 MiB). The
+        forward graph keeps one array per conv, one per fused BatchNorm-ReLU(-pool) block
+        and one per filter bank, and backward frees it as it goes. A graph with a node per
+        BatchNorm, ReLU and pool, and each bank held twice, peaks at 159 MiB; one kept
+        whole through backward, at 305 MiB."""
         basis = populate_partial(np.random.default_rng(3).uniform(-1, 1, (2, 9, 3, 3)))
         model = build_model("group", "partial", basis, in_channels=3, seed=1)
         x = np.random.default_rng(4).standard_normal((4, 3, 16, 16)).astype(np.float32)
@@ -320,15 +386,12 @@ class TestBackward:
             start = tracemalloc.get_traced_memory()[0]
             loss = T.softmax_cross_entropy(model.forward(Tensor(x), training=True),
                                            np.array([0, 1, 2, 3]))
-            before_backward = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        graph = before_backward - start
-        assert graph > 50 * 2 ** 20
-        assert peak - before_backward < 1.0 * graph
+        assert all(p.grad is not None for p in model.parameters())
+        assert peak - start <= 120 * 2 ** 20
 
 
 class TestDebugFiniteCheck:
