@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.datasets import synthetic_image_corpus, synthetic_labeled_set
-from rotoconv.network import build_model, load_checkpoint
+from rotoconv.network import GConvInput, GConvIntermediate, build_model, load_checkpoint
 from rotoconv.pretrain import PretrainConfig, pretrain, total_loss
+from rotoconv.tensor import Tensor
 from rotoconv.training import TrainConfig, train
 from rotoconv.verify import small_group_model
 
@@ -209,3 +211,41 @@ def test_pretrain_two_epochs_short_batch_pinned(sum_all_pairs):
     assert [row["epoch"] for row in result.epochs] == [0, 1]
     assert got == rows
     assert hashlib.sha256(result.basis.elements.tobytes()).hexdigest() == digest
+
+
+# -- group convolution layers -----------------------------------------------------
+# sha256 over the training forward's output, then the input and coefficient
+# gradients under a fixed random upstream gradient, for the lifting layer, a
+# basis intermediate layer and a 1x1 "ones" layer. Taken while lifting and
+# intermediate layers had separate bodies; every byte must hold. The maps are
+# 4x4 so that no GEMM rounds differently with the number of OpenBLAS threads.
+
+PINNED_GCONV = {
+    ("lift", "float32"): "dffd3f6bcea4bec775bd15691174b7a4da053cf206ad005b94d8e424ab6f20aa",
+    ("lift", "float64"): "6fcd4ec09c8457d1b31c9c0c5f2c0e0772db8b15819af8cd40f8f2821292428d",
+    ("basis", "float32"): "ff31685acab464a8878a9826189fe6a03f573c7f3cf789fcef9f68d605452f1c",
+    ("basis", "float64"): "8259bf240a9f0d57481063ff41408371aca967011ceb7d28ef2377416dc29d62",
+    ("ones", "float32"): "66d962685c1bf3bc4406de651c0280cf4753180be2314b8aedeacb837646da62",
+    ("ones", "float64"): "af6c5cceccd7b132329bb61f5c5fb1bbb7c118d629de6624d79e18ad50825845",
+}
+
+
+@pytest.mark.parametrize("layer, dtype", sorted(PINNED_GCONV))
+def test_gconv_layers_pinned(partial_basis, layer, dtype):
+    rng = np.random.default_rng(13)
+    if layer == "lift":
+        conv = GConvInput(2, 3, partial_basis.elements, rng, dtype, layer)
+        shape = (2, 2, 4, 4)
+    else:
+        elements = partial_basis.elements if layer == "basis" else np.ones((8, 1, 1, 1))
+        conv = GConvIntermediate(2, 3, elements, rng, dtype, layer)
+        shape = (2, 2, 8, 4, 4)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    out = conv.forward(x, True)
+    assert out.data.shape == (2, 3, 8, 4, 4) and out.data.dtype == dtype
+    g = rng.standard_normal((out.data.size, 1)).astype(dtype)
+    T.matmul(T.reshape(out, (1, -1)), Tensor(g)).backward()
+    digest = hashlib.sha256()
+    for arr in (out.data, x.grad, conv.coefficients.grad):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == PINNED_GCONV[layer, dtype]
