@@ -30,22 +30,6 @@ class CheckpointFormatError(ValueError):
     """Raised for unreadable or corrupt checkpoint files."""
 
 
-def _elements_array(basis) -> np.ndarray:
-    if isinstance(basis, Basis):
-        return basis.elements
-    arr = np.asarray(basis)
-    if arr.ndim != 4:
-        raise ValueError("basis elements must have shape [order, n, k, k]")
-    return arr
-
-
-def _elements_matrix(elements: np.ndarray, dtype) -> np.ndarray:
-    """[order, n, k, k] -> [n, order*k*k] for one-shot synthesis of all orientations."""
-    order, n, k, _ = elements.shape
-    return np.ascontiguousarray(
-        elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
-
-
 @functools.lru_cache(maxsize=None)
 def _roll_index(channels: int, order: int, slots: int):
     """Gather index of ``_filter_bank`` over the flattened [C, slots, order] axes, and its inverse.
@@ -67,14 +51,15 @@ def _filter_bank(coefficients: Tensor, elements: np.ndarray, dtype) -> Tensor:
     each coefficient slot j and orientation r; the bank is the weight-tying
     gather out[o, r, c, s] = f[o, c, (s - r) % slots, r], where slot s - r is
     the coefficient block that lands on input orientation s when the filter
-    sits at orientation r (one slot: plain lifting). f is a transient: the
-    node keeps only the bank, and its adjoint gathers back before the
-    transposed synthesis.
+    sits at orientation r (no slot axis: one slot, plain lifting). f is a
+    transient: the node keeps only the bank, and its adjoint gathers back
+    before the transposed synthesis.
     """
     order, n, k, _ = elements.shape
     out_ch, in_ch = coefficients.data.shape[:2]
-    slots = coefficients.data.size // (out_ch * in_ch * n)
-    emat = _elements_matrix(elements, dtype)
+    (slots,) = coefficients.data.shape[2:-1] or (1,)
+    emat = np.ascontiguousarray(  # [n, order*k*k]: all orientations in one product
+        elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
     index, inverse = _roll_index(in_ch, order, slots)
     f = (coefficients.data.reshape(-1, n) @ emat).reshape(out_ch, -1, k * k)
     out_data = np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
@@ -87,48 +72,39 @@ def _filter_bank(coefficients: Tensor, elements: np.ndarray, dtype) -> Tensor:
     return Tensor.from_op(out_data, (coefficients,), backward, "filter_bank")
 
 
-def gconv_input(x: Tensor, coefficients: Tensor, basis) -> Tensor:
-    """Lift an image stack [B,C,H,W] to orientation maps [B,O,order,H,W].
+def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
+    """Group correlation into orientation maps [B,O,order,H,W].
 
-    Output slice r is the correlation of the input with the coefficients
-    expanded in the basis at orientation r.
+    Coefficients [O,C,n] lift an image stack [B,C,H,W]; coefficients
+    [O,C,order,n] act on orientation maps [B,C,order,H,W]. Output slice r
+    sums, over input slots s, correlations with the filter at coefficient
+    slot (s - r) mod order synthesized in the orientation-r basis; lifting is
+    the case of one input slot.
     """
-    elements = _elements_array(basis)
-    order, n, k, _ = elements.shape
-    out_ch, in_ch, n_coeff = coefficients.data.shape
-    if n_coeff != n:
-        raise ValueError(f"coefficients carry {n_coeff} weights per filter, "
+    elements = basis.elements if isinstance(basis, Basis) else np.asarray(basis)
+    if elements.ndim != 4:
+        raise ValueError("basis elements must have shape [order, n, k, k]")
+    order, n = elements.shape[:2]
+    shape = coefficients.data.shape
+    if len(shape) not in (3, 4):
+        raise ValueError(f"coefficients must have shape [O, C, n] or [O, C, order, n], "
+                         f"got {shape}")
+    if shape[-1] != n:
+        raise ValueError(f"coefficients carry {shape[-1]} weights per filter, "
                          f"basis has {n} elements")
-    if x.data.shape[1] != in_ch:
-        raise ValueError(f"input has {x.data.shape[1]} channels, expected {in_ch}")
-    out = T.correlate2d(x, _filter_bank(coefficients, elements, x.data.dtype))
-    b, _, h, w = out.data.shape
-    return T.reshape(out, (b, out_ch, order, h, w))
-
-
-def gconv_intermediate(x: Tensor, coefficients: Tensor, basis) -> Tensor:
-    """Group convolution on orientation maps [B,C,order,H,W].
-
-    Output slice r sums, over input slices s, correlations with the filter at
-    coefficient slot (s - r) mod order synthesized in the orientation-r basis.
-    """
-    elements = _elements_array(basis)
-    order, n, k, _ = elements.shape
-    out_ch, in_ch, n_slots, n_coeff = coefficients.data.shape
-    if n_coeff != n:
-        raise ValueError(f"coefficients carry {n_coeff} weights per filter, "
-                         f"basis has {n} elements")
-    if n_slots != order:
-        raise ValueError(f"coefficients expect {n_slots} orientations, basis has {order}")
-    if x.data.ndim != 5 or x.data.shape[2] != order:
-        raise ValueError(f"input orientation axis must have extent {order}, "
-                         f"got {x.data.shape}")
-    if x.data.shape[1] != in_ch:
-        raise ValueError(f"input has {x.data.shape[1]} channels, expected {in_ch}")
-    b, _, _, h, w = x.data.shape
-    flat = T.reshape(x, (b, in_ch * order, h, w))
+    if shape[2:-1] not in ((), (order,)):
+        raise ValueError(f"coefficients expect {shape[2]} orientations, basis has {order}")
+    layout = shape[1:-1]  # the [C] or [C, order] axes the input must carry
+    if x.data.ndim != len(layout) + 3 or x.data.shape[1:-2] != layout:
+        raise ValueError(f"input of shape {x.data.shape} does not match the coefficients' "
+                         f"input axes {layout} (channels, then orientations if any)")
+    b, h, w = x.data.shape[0], *x.data.shape[-2:]
+    flat = T.reshape(x, (b, -1, h, w))
     out = T.correlate2d(flat, _filter_bank(coefficients, elements, x.data.dtype))
-    return T.reshape(out, (b, out_ch, order, h, w))
+    return T.reshape(out, (b, shape[0], order, h, w))
+
+
+gconv_input = gconv_intermediate = gconv
 
 
 # -- layers --------------------------------------------------------------------
@@ -204,7 +180,7 @@ class GConvInput(Layer):
                                    requires_grad=True)
 
     def forward(self, x, training):
-        return gconv_input(x, self.coefficients, self.elements)
+        return gconv(x, self.coefficients, self.elements)
 
 
 class GConvIntermediate(Layer):
@@ -227,7 +203,7 @@ class GConvIntermediate(Layer):
                                    requires_grad=True)
 
     def forward(self, x, training):
-        return gconv_intermediate(x, self.coefficients, self.elements)
+        return gconv(x, self.coefficients, self.elements)
 
 
 class BatchNorm(Layer):
