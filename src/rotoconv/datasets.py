@@ -108,19 +108,16 @@ def load_mnist(directory, split: str = "train", cache_dir=None) -> LabeledImageS
     if split not in _MNIST_FILES:
         raise ValueError(f"split must be train or test, got {split!r}")
     directory = Path(directory)
-    img_name, lab_name = _MNIST_FILES[split]
-    cached = _cache_get(cache_dir, [directory / img_name, directory / lab_name])
-    if cached is not None:
-        return LabeledImageSet(cached["images"], cached["labels"], split)
-    images = read_idx_images(directory / img_name)
-    labels = read_idx_labels(directory / lab_name)
-    if images.shape[0] != labels.shape[0]:
-        raise TruncatedRecordError("image and label counts disagree")
-    scaled = (images.astype(np.float32) / 255.0)[:, None]
-    labels = labels.astype(np.int64)
-    _cache_put(cache_dir, [directory / img_name, directory / lab_name],
-               images=scaled, labels=labels)
-    return LabeledImageSet(scaled, labels, split)
+    paths = [directory / name for name in _MNIST_FILES[split]]
+
+    def parse():
+        images = read_idx_images(paths[0])
+        labels = read_idx_labels(paths[1])
+        if images.shape[0] != labels.shape[0]:
+            raise TruncatedRecordError("image and label counts disagree")
+        return (images.astype(np.float32) / 255.0)[:, None], labels.astype(np.int64)
+
+    return LabeledImageSet(*_cached_load(cache_dir, paths, parse), split)
 
 
 # -- CIFAR-10 ----------------------------------------------------------------------
@@ -158,18 +155,13 @@ def load_cifar10(directory, split: str = "train", cache_dir=None) -> LabeledImag
     if split not in _CIFAR_FILES:
         raise ValueError(f"split must be train or test, got {split!r}")
     paths = _cifar_paths(Path(directory), split)
-    cached = _cache_get(cache_dir, paths)
-    if cached is not None:
-        return LabeledImageSet(cached["images"], cached["labels"], split)
-    all_images, all_labels = [], []
-    for p in paths:
-        images, labels = read_cifar_batch(p)
-        all_images.append(images)
-        all_labels.append(labels)
-    images = (np.concatenate(all_images).astype(np.float32) / 255.0)
-    labels = np.concatenate(all_labels).astype(np.int64)
-    _cache_put(cache_dir, paths, images=images, labels=labels)
-    return LabeledImageSet(images, labels, split)
+
+    def parse():
+        images, labels = zip(*(read_cifar_batch(p) for p in paths))
+        return (np.concatenate(images).astype(np.float32) / 255.0,
+                np.concatenate(labels).astype(np.int64))
+
+    return LabeledImageSet(*_cached_load(cache_dir, paths, parse), split)
 
 
 # -- subsetting -----------------------------------------------------------------
@@ -218,30 +210,29 @@ def _cache_key(paths) -> str | None:
     return h.hexdigest()
 
 
-def _cache_get(cache_dir, paths):
+def _cached_load(cache_dir, paths, parse) -> tuple:
+    """(images, labels) from ``parse()``, or from the cache entry keyed by ``paths``.
+
+    The key is computed once, so a miss reads each source file twice (hash,
+    parse) and a hit once.
+    """
     cache_dir = cache_dir or default_cache_dir()
-    if cache_dir is None:
-        return None
-    key = _cache_key(paths)
+    key = None if cache_dir is None else _cache_key(paths)
     if key is None:
-        return None
-    f = Path(cache_dir) / f"{key}.npz"
-    if not f.exists():
-        return None
-    with np.load(f) as z:
-        return {"images": z["images"], "labels": z["labels"]}
+        return parse()
+    entry = Path(cache_dir) / f"{key}.npz"
+    if entry.exists():
+        with np.load(entry) as z:
+            return z["images"], z["labels"]
+    images, labels = parse()
+    _cache_put(entry, images, labels)
+    return images, labels
 
 
-def _cache_put(cache_dir, paths, **arrays):
-    cache_dir = cache_dir or default_cache_dir()
-    if cache_dir is None:
-        return
-    key = _cache_key(paths)
-    if key is None:
-        return
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    with atomic_write(Path(cache_dir) / f"{key}.npz") as fh:
-        np.savez(fh, **arrays)
+def _cache_put(entry: Path, images, labels) -> None:
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(entry) as fh:
+        np.savez(fh, images=images, labels=labels)
 
 
 # -- synthetic corpora (demos and desk-scale tests) ---------------------------------

@@ -1,4 +1,7 @@
 import gzip
+import hashlib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +177,43 @@ class TestSynthetic:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             LabeledImageSet(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=np.int64), "train")
+
+
+class TestCacheReads:
+    """A cache miss reads each source file at most twice (key, parse), a hit once."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        counts = Counter()
+        original = Path.read_bytes
+
+        def counting(path):
+            counts[path.name] += 1
+            return original(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        return counts
+
+    @pytest.mark.parametrize("loader, fixture", [(load_mnist, "mnist_dir"),
+                                                 (load_cifar10, "cifar_dir")])
+    def test_reads_per_file(self, request, tmp_path, reads, loader, fixture):
+        d = request.getfixturevalue(fixture)[0]
+        cache = tmp_path / "cache"
+        miss = loader(d, "train", cache_dir=cache)
+        assert reads and max(reads.values()) <= 2
+        names = set(reads)
+        reads.clear()
+        hit = loader(d, "train", cache_dir=cache)
+        assert set(reads) == names and max(reads.values()) == 1
+        assert np.array_equal(hit.images, miss.images)
+        assert np.array_equal(hit.labels, miss.labels)
+
+    def test_key_is_sha256_of_names_and_bytes(self, mnist_dir, tmp_path):
+        d, _, _ = mnist_dir
+        h = hashlib.sha256()
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            h.update(name.encode())
+            h.update((d / name).read_bytes())
+        cache = tmp_path / "cache"
+        load_mnist(d, "train", cache_dir=cache)
+        assert [f.name for f in cache.glob("*.npz")] == [f"{h.hexdigest()}.npz"]

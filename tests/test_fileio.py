@@ -88,11 +88,9 @@ class TestWriteCsv:
 
 
 def _write_cache(tmp_path, value):
-    source = tmp_path / "source.bin"
-    if not source.exists():
-        source.write_bytes(b"dataset")
-    _cache_put(tmp_path / "cache", [source], images=np.full(4, value), labels=np.arange(4))
-    return next((tmp_path / "cache").glob("*.npz"))
+    entry = tmp_path / "cache" / "entry.npz"
+    _cache_put(entry, np.full(4, value), np.arange(4))
+    return entry
 
 
 def _write_basis(tmp_path, value):
