@@ -22,6 +22,7 @@ from .datasets import (LabeledImageSet, load_cifar10, load_mnist, subset,
 from .fileio import atomic_write
 from .network import FingerprintMismatch, build_model, load_checkpoint, save_checkpoint
 from .pretrain import PretrainConfig, PretrainDivergence, pretrain, write_loss_csv
+from .tensor import FLOAT_DTYPES
 from .training import TrainConfig, TrainingDivergence, train, write_training_csv
 from .verify import format_table, run_all
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-weights", default="1,1,1")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--crop-fraction", type=float, default=0.25)
-    p.add_argument("--dtype", default="float32")
+    p.add_argument("--dtype", default="float32", choices=FLOAT_DTYPES)
     p.add_argument("--out", required=True)
     p.add_argument("--log-csv", default=None)
 
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-translate", type=int, default=0)
     p.add_argument("--rotation-augment", default="none",
                    choices=["none", "quarter", "eighth", "full"])
-    p.add_argument("--dtype", default="float32")
+    p.add_argument("--dtype", default="float32", choices=FLOAT_DTYPES)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--out", required=True)
     p.add_argument("--log-csv", default=None)

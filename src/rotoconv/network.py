@@ -445,7 +445,7 @@ def build_model(kind: str, variant: str = "none", basis: Basis | None = None,
     layers += [{"type": "global_maxpool", "name": "global_pool"},
                {"type": "dense", "name": "classifier", "in": prev, "out": classes}]
     arch = {"kind": kind, "variant": variant, "in_channels": in_channels, "classes": classes,
-            "dtype": np.dtype(dtype).name, "group_order": basis.order if group else 1,
+            "dtype": dtype, "group_order": basis.order if group else 1,
             "layers": layers}
     return model_from_arch(arch, basis, seed)
 
@@ -470,13 +470,14 @@ def _layer_from_spec(spec: dict, basis: Basis | None, order: int, dtype, rng):
 
 def model_from_arch(arch: dict, basis: Basis | None, seed: int = 0) -> Model:
     """Build a model from its architecture description, drawing parameters from ``seed``."""
+    dtype = T.check_float_dtype(arch["dtype"])
     rng = np.random.default_rng(seed)
-    layers = [_layer_from_spec(s, basis, arch["group_order"], arch["dtype"], rng)
+    layers = [_layer_from_spec(s, basis, arch["group_order"], dtype, rng)
               for s in arch["layers"]]
     fingerprint = basis.fingerprint() if (basis is not None and arch["kind"] == "group") \
         else None
     return Model(layers, arch["kind"], arch["variant"], arch["in_channels"],
-                 arch["classes"], arch["dtype"], arch["group_order"], fingerprint)
+                 arch["classes"], dtype, arch["group_order"], fingerprint)
 
 
 
@@ -608,6 +609,9 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
         if target is not None and raw.shape != target.shape:
             raise CheckpointFormatError(f"array {name!r} has shape {raw.shape}, "
                                         f"the model expects {target.shape}")
+        if target is not None and raw.dtype != target.dtype:
+            raise CheckpointFormatError(f"array {name!r} is {raw.dtype}, "
+                                        f"the model expects {target.dtype}")
         if name in slots:
             slots[name].data = raw.copy()
         elif name in buffers:

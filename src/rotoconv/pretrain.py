@@ -10,6 +10,8 @@ quarter-turn tying holds bitwise after every step.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -55,6 +57,12 @@ class PretrainConfig:
         check_crop_fraction(self.crop_fraction)
         if self.order % 4:
             raise ValueError("group order must be divisible by 4")
+        T.check_float_dtype(self.dtype)
+        weights = self.loss_weights
+        if not (isinstance(weights, (tuple, list)) and len(weights) == 3
+                and all(isinstance(w, numbers.Real) and math.isfinite(w) for w in weights)):
+            raise ValueError("loss_weights must be three finite numbers (equivariance, "
+                             f"orthogonality, reconstruction), got {weights!r}")
 
 
 @dataclass

@@ -15,15 +15,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
-
-# When enabled, every op asserts its result is finite. Off by default: the
-# check costs a full pass over the data.
-_DEBUG_FINITE = False
+FLOAT_DTYPES = ("float32", "float64")
 
 
-def set_debug_finite(enabled: bool) -> None:
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
+def check_float_dtype(dtype) -> str:
+    """The name of ``dtype``; ValueError unless it is one the library computes in."""
+    try:
+        name = np.dtype(dtype).name
+    except TypeError:
+        name = None
+    if name not in FLOAT_DTYPES:
+        raise ValueError(f"dtype must be one of {FLOAT_DTYPES}, got {dtype!r}")
+    return name
 
 
 # Off inside ``no_grad()``: ops then record no parents and no adjoint closure,
@@ -46,11 +49,6 @@ def no_grad():
 class GraphError(ValueError):
     """Raised for backward() misuse: non-scalar loss, detached graph, or a graph that
     an earlier backward() released (it frees non-leaves as it goes; leaves keep grad)."""
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _DEBUG_FINITE and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by {op}")
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -102,7 +100,6 @@ class Tensor:
         ``accumulate_grad``. The closure is dropped when no parent needs it or
         inside ``no_grad()``.
         """
-        _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None

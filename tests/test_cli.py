@@ -83,6 +83,17 @@ class TestPretrainBasis:
         assert err.startswith("error:") and field in err
         assert not out.exists() and not log.exists()
 
+    @pytest.mark.parametrize("weights", ["1,1", "1,1,1,1", "1,nan,1"])
+    def test_malformed_loss_weights_is_clean_error(self, tmp_path, capsys, weights):
+        out = tmp_path / "basis.rcbs"
+        code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
+                   "--epochs", "1", "--batch-size", "8", "--n-elements", "2",
+                   "--loss-weights", weights, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "loss_weights" in err
+        assert not out.exists()
+
     def test_diverged_run_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "basis.rcbs"
         code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
@@ -113,6 +124,17 @@ class TestPretrainBasis:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "--config" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["pretrain-basis", "train"])
+@pytest.mark.parametrize("dtype", ["int32", "float16"])
+def test_non_float_dtype_is_usage_error(tmp_path, capsys, command, dtype):
+    out = tmp_path / "artifact"
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, "--epochs", "1", "--dtype", dtype, "--out", str(out))
+    assert exit_info.value.code == 2
+    assert "--dtype: invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestInspectBasis:

@@ -7,13 +7,15 @@ damage.
 """
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from rotoconv.basis import BasisFormatError, load_basis, populate_partial, save_basis
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
-                              load_checkpoint, save_checkpoint)
+                              load_checkpoint, read_checkpoint_header, save_checkpoint)
 from rotoconv.verify import small_group_model
 
 DOCUMENTED = (BasisFormatError, CheckpointFormatError, FingerprintMismatch)
@@ -73,3 +75,48 @@ def test_checkpoint_damage_raises_documented_types(tmp_path, tiny_basis):
     seen = load_each(tmp_path, blob, range(0, header_end, 3),
                      lambda p: load_checkpoint(p, tiny_basis))
     assert CheckpointFormatError in seen
+
+
+def rewrite_checkpoint(model, path, edit) -> None:
+    """Save ``model`` to ``path`` with header and arrays passed through ``edit``, re-hashed."""
+    save_checkpoint(model, path)
+    header = {k: v for k, v in read_checkpoint_header(path).items() if not k.startswith("_")}
+    arrays = [p.data for _, p in model.named_parameters()] + \
+        [b for _, b in model.named_buffers()]
+    arrays = edit(header, arrays)
+    hjson = json.dumps(header, sort_keys=True).encode("ascii")
+    payload = b"RCKP" + struct.pack("<II", 1, len(hjson)) + hjson
+    payload += b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+@pytest.fixture
+def tiny_model(tiny_basis):
+    return small_group_model(tiny_basis, channels=(2, 2), classes=2, seed=1, dtype="float32")
+
+
+def test_checkpoint_array_dtype_must_match_model(tmp_path, tiny_basis, tiny_model):
+    def widen_coefficients(header, arrays):
+        i = next(i for i, meta in enumerate(header["arrays"])
+                 if meta["name"].endswith(".coefficients"))
+        header["arrays"][i]["dtype"] = "float64"
+        return arrays[:i] + [arrays[i].astype(np.float64)] + arrays[i + 1:]
+
+    path = tmp_path / "tiny.ckpt"
+    rewrite_checkpoint(tiny_model, path, widen_coefficients)
+    with pytest.raises(CheckpointFormatError, match="coefficients' is float64, .* float32"):
+        load_checkpoint(path, tiny_basis)
+
+
+@pytest.mark.parametrize("dtype", ["int32", "float16"])
+def test_checkpoint_arch_dtype_must_be_float(tmp_path, tiny_basis, tiny_model, dtype):
+    def relabel(header, arrays):
+        header["arch"]["dtype"] = dtype
+        header["arch_hash"] = hashlib.sha256(
+            json.dumps(header["arch"], sort_keys=True).encode("ascii")).hexdigest()
+        return arrays
+
+    path = tmp_path / "tiny.ckpt"
+    rewrite_checkpoint(tiny_model, path, relabel)
+    with pytest.raises(CheckpointFormatError, match="dtype"):
+        load_checkpoint(path, tiny_basis)

@@ -163,6 +163,11 @@ class TestBuildModel:
         pg, pt = count_parameters(group), count_parameters(plain)
         assert abs(pg - pt) / max(pg, pt) <= 0.15
 
+    @pytest.mark.parametrize("dtype", ["int32", "float16", "bool", "no-such-type"])
+    def test_non_float_dtype_rejected(self, dtype):
+        with pytest.raises(ValueError, match="dtype"):
+            build_model("translational", dtype=dtype)
+
     def test_group_forward_shape(self, rng):
         basis = populate_partial(rng.uniform(-1, 1, (2, 9, 3, 3)))
         model = build_model("group", "partial", basis, in_channels=3, seed=1)

@@ -207,7 +207,11 @@ def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("kernel_size", 0), ("kernel_size", 2), ("kernel_size", -3), ("kernel_size", 3.0),
-    ("n_elements", 0), ("batch_size", 0), ("epochs", 0), ("epochs", -1)])
+    ("n_elements", 0), ("batch_size", 0), ("epochs", 0), ("epochs", -1),
+    ("dtype", "int32"), ("dtype", "float16"),
+    ("loss_weights", (1.0, 1.0)), ("loss_weights", (1.0, 1.0, 1.0, 1.0)),
+    ("loss_weights", (1.0, float("nan"), 1.0)), ("loss_weights", (1.0, float("inf"), 1.0)),
+    ("loss_weights", "1,1")])
 def test_config_range_checked(field, value):
     with pytest.raises(ValueError, match=field):
         PretrainConfig(**{field: value})

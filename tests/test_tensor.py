@@ -7,7 +7,7 @@ import pytest
 from rotoconv import tensor as T
 from rotoconv.basis import populate_partial
 from rotoconv.network import build_model
-from rotoconv.tensor import GraphError, Tensor, set_debug_finite
+from rotoconv.tensor import GraphError, Tensor
 
 from oracles import brute_correlate2d, conv_dense_matrix
 
@@ -395,15 +395,6 @@ class TestBackward:
 
 
 class TestDebugFiniteCheck:
-    def test_nan_surfaces_when_enabled(self):
-        set_debug_finite(True)
-        try:
-            big = t64([1e308])
-            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-                T.mul(big, t64([1e308]))
-        finally:
-            set_debug_finite(False)
-
     def test_nan_silent_by_default(self):
         with np.errstate(over="ignore"):
             out = T.mul(t64([1e308]), t64([1e308]))
