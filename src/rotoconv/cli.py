@@ -112,6 +112,19 @@ def _count_or_zero(text: str) -> int:
     return _count(text, least=0)
 
 
+def _loss_weights(text: str) -> tuple:
+    """argparse type of ``--loss-weights``: comma-separated numbers.
+
+    ``PretrainConfig`` checks that there are three and that they are finite.
+    """
+    try:
+        return tuple(float(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated numbers (equivariance,orthogonality,reconstruction), "
+            f"got {text!r}") from None
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default="data")
@@ -138,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-size", type=int, default=3)
     p.add_argument("--partial", action="store_true")
     p.add_argument("--sum-all-pairs", action="store_true")
-    p.add_argument("--loss-weights", default="1,1,1")
+    p.add_argument("--loss-weights", type=_loss_weights, default="1,1,1")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--crop-fraction", type=float, default=0.25)
     p.add_argument("--dtype", default="float32", choices=FLOAT_DTYPES)
@@ -203,13 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pretrain(args) -> int:
-    weights = tuple(float(w) for w in args.loss_weights.split(","))
     config = PretrainConfig(
         n_elements=args.n_elements, kernel_size=args.kernel_size,
         partial=args.partial, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, weight_decay=args.weight_decay,
         sigma=args.sigma, crop_fraction=args.crop_fraction,
-        loss_weights=weights, sum_all_pairs=args.sum_all_pairs,
+        loss_weights=args.loss_weights, sum_all_pairs=args.sum_all_pairs,
         seed=args.seed, dtype=args.dtype)
     if args.corpus == "synthetic":
         n_images = 256 if args.n_images is None else args.n_images

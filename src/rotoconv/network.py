@@ -1,9 +1,10 @@
 """Group-convolution layers, the paired classifier architectures, checkpoints.
 
-A group layer never owns filters, only rotation-invariant coefficients; the
-filter bank for all orientations is synthesized per forward pass from the
-frozen basis, synthesis and orientation roll (an index gather) in one graph
-node, and the whole bank applied as one standard correlation.
+A group layer never owns filters, only rotation-invariant coefficients. Its
+filter bank for all orientations (synthesis from the frozen basis, then the
+orientation roll as an index gather) is applied as one standard correlation,
+and the whole group convolution is one graph node that keeps no bank: the
+backward builds the bank again rather than store it.
 """
 
 from __future__ import annotations
@@ -44,47 +45,60 @@ def _roll_index(channels: int, order: int, slots: int):
     return index, np.argsort(index)
 
 
-def _filter_bank(coefficients: Tensor, elements: np.ndarray, dtype) -> Tensor:
-    """Every orientation's filters as one node: [O,C,(slots,)n] -> [O*order, C*slots, k, k].
+def _synthesis_matrix(elements: np.ndarray, dtype) -> np.ndarray:
+    """[n, order*k*k]: every orientation's elements, so one product synthesizes them all."""
+    order, n, k, _ = elements.shape
+    return np.ascontiguousarray(
+        elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
+
+
+def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
+    """Every orientation's filters: coefficients [O,C,(slots,)n] -> bank [O*order, C*slots, k, k].
 
     Synthesis gives f[o, c, j, r] = coefficients[o, c, j] @ elements[r] for
     each coefficient slot j and orientation r; the bank is the weight-tying
     gather out[o, r, c, s] = f[o, c, (s - r) % slots, r], where slot s - r is
     the coefficient block that lands on input orientation s when the filter
-    sits at orientation r (no slot axis: one slot, plain lifting). f is a
-    transient: the node keeps only the bank, and its adjoint gathers back
-    before the transposed synthesis.
+    sits at orientation r (no slot axis: one slot, plain lifting).
     """
     order, n, k, _ = elements.shape
-    out_ch, in_ch = coefficients.data.shape[:2]
-    (slots,) = coefficients.data.shape[2:-1] or (1,)
-    emat = np.ascontiguousarray(  # [n, order*k*k]: all orientations in one product
-        elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
-    index, inverse = _roll_index(in_ch, order, slots)
-    f = (coefficients.data.reshape(-1, n) @ emat).reshape(out_ch, -1, k * k)
-    out_data = np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
+    out_ch, in_ch = coefficients.shape[:2]
+    (slots,) = coefficients.shape[2:-1] or (1,)
+    index, _ = _roll_index(in_ch, order, slots)
+    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
+    f = f.reshape(out_ch, -1, k * k)
+    return np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
 
-    def backward(g):
-        gf = np.take(g.reshape(out_ch, -1, k * k), inverse, axis=1)
-        T.accumulate_grad(coefficients, (gf.reshape(-1, order * k * k) @ emat.T)
-                          .reshape(coefficients.data.shape))
 
-    return Tensor.from_op(out_data, (coefficients,), backward, "filter_bank")
+def _filter_bank_adjoint(g: np.ndarray, elements: np.ndarray, dtype, shape) -> np.ndarray:
+    """Adjoint of ``_filter_bank``: a bank gradient -> the gradient of coefficients of ``shape``.
+
+    The inverse gather, then the transposed synthesis.
+    """
+    order, n, k, _ = elements.shape
+    out_ch, in_ch = shape[:2]
+    (slots,) = shape[2:-1] or (1,)
+    _, inverse = _roll_index(in_ch, order, slots)
+    gf = np.take(g.reshape(out_ch, -1, k * k), inverse, axis=1)
+    return (gf.reshape(-1, order * k * k) @ _synthesis_matrix(elements, dtype).T).reshape(shape)
 
 
 def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
-    """Group correlation into orientation maps [B,O,order,H,W].
+    """Group correlation into orientation maps [B,O,order,H,W], as one graph node.
 
     Coefficients [O,C,n] lift an image stack [B,C,H,W]; coefficients
     [O,C,order,n] act on orientation maps [B,C,order,H,W]. Output slice r
     sums, over input slots s, correlations with the filter at coefficient
     slot (s - r) mod order synthesized in the orientation-r basis; lifting is
-    the case of one input slot.
+    the case of one input slot. The node keeps no filter bank: the forward
+    drops it once it has correlated, and the backward builds it again.
     """
     elements = basis.elements if isinstance(basis, Basis) else np.asarray(basis)
     if elements.ndim != 4:
         raise ValueError("basis elements must have shape [order, n, k, k]")
-    order, n = elements.shape[:2]
+    order, n, k = elements.shape[:3]
+    if k != elements.shape[3] or k % 2 == 0:
+        raise ValueError(f"basis elements must be square with odd size, got {elements.shape[2:]}")
     shape = coefficients.data.shape
     if len(shape) not in (3, 4):
         raise ValueError(f"coefficients must have shape [O, C, n] or [O, C, order, n], "
@@ -99,9 +113,25 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
         raise ValueError(f"input of shape {x.data.shape} does not match the coefficients' "
                          f"input axes {layout} (channels, then orientations if any)")
     b, h, w = x.data.shape[0], *x.data.shape[-2:]
-    flat = T.reshape(x, (b, -1, h, w))
-    out = T.correlate2d(flat, _filter_bank(coefficients, elements, x.data.dtype))
-    return T.reshape(out, (b, shape[0], order, h, w))
+    dtype = x.data.dtype
+    out_data = T._correlate(x.data.reshape(b, -1, h, w),
+                            _filter_bank(coefficients.data, elements, dtype))
+
+    def backward(g):
+        g = g.reshape(b, -1, h, w)
+        # The bank goes before grad-w, so no more than two bank-sized arrays are
+        # alive at once: the bank and grad-x's flipped copy of it, then the bank
+        # gradient and the adjoint's gathered copy.
+        if x.requires_grad:
+            bank = _filter_bank(coefficients.data, elements, dtype)
+            T.accumulate_grad(x, T._correlate_grad_x(g, bank).reshape(x.data.shape))
+            del bank
+        if coefficients.requires_grad:
+            gw = T._correlate_grad_w(g, x.data.reshape(b, -1, h, w), k)
+            T.accumulate_grad(coefficients, _filter_bank_adjoint(gw, elements, dtype, shape))
+
+    return Tensor.from_op(out_data.reshape(b, shape[0], order, h, w), (x, coefficients),
+                          backward, "gconv")
 
 
 gconv_input = gconv_intermediate = gconv

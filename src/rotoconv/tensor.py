@@ -428,12 +428,12 @@ def _sample_chunks(n: int, sample_bytes: int) -> list:
 
 
 def _padded_chunks(x: np.ndarray, k: int):
-    """Yield (sample slice, same-padded samples) in chunks whose columns fit ``_COLUMN_BYTES``."""
+    """Yield (sample slice, same-padded samples) in chunks whose columns fit ``_COLUMN_BYTES``;
+    each chunk is padded on its own, so the batch is never padded whole."""
     n, c, h, w = x.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
-        yield sl, xp[sl]
+        yield sl, np.pad(x[sl], ((0, 0), (0, 0), (p, p), (p, p)))
 
 
 def _columns(xp: np.ndarray, k: int) -> np.ndarray:
@@ -470,6 +470,23 @@ def _check_conv_args(x: Tensor, kernel: Tensor):
                          f"kernel expects {kernel.data.shape[1]}")
 
 
+def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """grad-x of ``_correlate(x, w)``: the same kernel run on g with the adjoint filter
+    (spatially flipped, channel axes swapped)."""
+    return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+
+
+def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, the columns rebuilt
+    chunk by chunk."""
+    o = g.shape[1]
+    gw = np.zeros((o, x.shape[1] * k * k), dtype=x.dtype)
+    for sl, xp in _padded_chunks(x, k):
+        g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
+        gw += g2 @ _columns(xp, k).T
+    return gw
+
+
 def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k], zero padded to [B,O,H,W].
 
@@ -480,18 +497,14 @@ def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
     (spatially flipped, channel axes swapped).
     """
     _check_conv_args(x, kernel)
-    o, _, k, _ = kernel.data.shape
+    k = kernel.data.shape[2]
     out_data = _correlate(x.data, kernel.data)
 
     def backward(g):
         if kernel.requires_grad:
-            gw = np.zeros_like(kernel.data.reshape(o, -1))
-            for sl, xp in _padded_chunks(x.data, k):
-                g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
-                gw += g2 @ _columns(xp, k).T
-            accumulate_grad(kernel, gw.reshape(kernel.data.shape))
+            accumulate_grad(kernel, _correlate_grad_w(g, x.data, k).reshape(kernel.data.shape))
         if x.requires_grad:
-            accumulate_grad(x, _correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+            accumulate_grad(x, _correlate_grad_x(g, kernel.data))
 
     return Tensor.from_op(out_data, (x, kernel), backward, "correlate2d")
 

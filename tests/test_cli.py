@@ -105,6 +105,18 @@ class TestPretrainBasis:
         assert not out.exists()
         assert not (tmp_path / "basis.rcbs.manifest.json").exists()
 
+    @pytest.mark.parametrize("weights", ["1,a,1", "1,,1"])
+    def test_non_numeric_loss_weights_is_usage_error(self, tmp_path, capsys, weights):
+        out = tmp_path / "basis.rcbs"
+        with pytest.raises(SystemExit) as exit_info:
+            run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
+                "--loss-weights", weights, "--out", str(out))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --loss-weights: expected comma-separated numbers" in err
+        assert repr(weights) in err
+        assert not out.exists()
+
     def test_zero_images_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "basis.rcbs"
         with pytest.raises(SystemExit) as exit_info:

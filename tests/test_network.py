@@ -8,10 +8,11 @@ import pytest
 from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
-from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
-                              GlobalMaxPool, Model, _filter_bank, build_model,
-                              count_parameters, gconv_input, gconv_intermediate,
-                              load_checkpoint, read_checkpoint_header, save_checkpoint)
+from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
+                              GConvIntermediate, GlobalMaxPool, Model, _filter_bank,
+                              _filter_bank_adjoint, build_model, count_parameters,
+                              gconv_input, gconv_intermediate, load_checkpoint,
+                              read_checkpoint_header, save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
@@ -63,6 +64,12 @@ class TestGConvInput:
             gconv_input(t64(rng.random((1, 1, 4, 4))),
                         t64(rng.random((2, 1, partial_basis.n_elements + 2))),
                         partial_basis)
+
+    @pytest.mark.parametrize("k", [(2, 2), (3, 5)])
+    def test_even_or_oblong_elements_rejected(self, rng, k):
+        with pytest.raises(ValueError, match="odd size"):
+            gconv_input(t64(rng.random((1, 1, 5, 5))), t64(rng.random((1, 1, 2))),
+                        rng.random((1, 2, *k)))
 
 
 class TestGConvIntermediate:
@@ -145,14 +152,70 @@ class TestRolledBank:
         o, c, m, order, k, _ = shape
         identity = np.eye(order * k * k).reshape(-1, order, k, k).transpose(1, 0, 2, 3)
         f = rng.standard_normal(shape)
-        coefficients = Tensor(f.reshape(o, c, m, -1), requires_grad=True)
-        out = _filter_bank(coefficients, identity, np.float64)
+        coefficient_shape = (o, c, m, order * k * k)
+        out = _filter_bank(f.reshape(coefficient_shape), identity, np.float64)
         want = self.two_loop_forward(f)
-        assert np.array_equal(out.data, want.reshape(out.data.shape))
+        assert np.array_equal(out, want.reshape(out.shape))
         g = rng.standard_normal(want.shape)
-        loss = T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1)))
-        loss.backward()
-        assert np.array_equal(coefficients.grad.reshape(shape), self.two_loop_backward(g, shape))
+        got = _filter_bank_adjoint(g.reshape(out.shape), identity, np.float64, coefficient_shape)
+        assert np.array_equal(got.reshape(shape), self.two_loop_backward(g, shape))
+
+    @pytest.mark.parametrize("slots", [(), (8,)], ids=["lift", "rolled"])
+    def test_adjoint_is_the_transpose(self, rng, partial_basis, slots):
+        """<bank(a), g> = <a, bank_adjoint(g)> in float64, in a real (non-identity) basis."""
+        elements = partial_basis.elements
+        a = rng.standard_normal((3, 2, *slots, elements.shape[1]))
+        bank = _filter_bank(a, elements, np.float64)
+        g = rng.standard_normal(bank.shape)
+        lhs = float(np.vdot(bank, g))
+        rhs = float(np.vdot(a, _filter_bank_adjoint(g, elements, np.float64, a.shape)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+class TestGConvGraph:
+    def test_training_graph_holds_no_filter_bank(self, rng, partial_basis, monkeypatch):
+        """Each gconv layer records one node, and no array reachable from the logits,
+        as node data or in an adjoint closure, has a filter bank's shape."""
+        model = small_group_model(partial_basis)
+        order, k = partial_basis.order, partial_basis.kernel_size
+        gconvs = [layer for layer in model.layers
+                  if isinstance(layer, (GConvInput, GConvIntermediate))]
+        bank_shapes = {(layer.out_channels * order,
+                        layer.in_channels * (order if isinstance(layer, GConvIntermediate) else 1),
+                        k, k) for layer in gconvs}
+        recorded = {layer.name: [] for layer in gconvs}
+        running = []
+        from_op = Tensor.from_op
+
+        def recording_from_op(data, parents, backward_fn, op="op"):
+            if running:
+                recorded[running[-1]].append(op)
+            return from_op(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(recording_from_op))
+        for layer in gconvs:
+            def forward(x, training, name=layer.name, inner=layer.forward):
+                running.append(name)
+                try:
+                    return inner(x, training)
+                finally:
+                    running.pop()
+            monkeypatch.setattr(layer, "forward", forward)
+        logits = model.forward(rng.standard_normal((2, 1, 8, 8)), training=True)
+        assert recorded == {layer.name: ["gconv"] for layer in gconvs}
+
+        shapes, seen, stack = set(), set(), [logits]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            shapes.add(node.data.shape)
+            for cell in getattr(node._backward, "__closure__", None) or ():
+                if isinstance(cell.cell_contents, np.ndarray):
+                    shapes.add(cell.cell_contents.shape)
+            stack.extend(node._parents)
+        assert not shapes & bank_shapes
 
 
 class TestBuildModel:
