@@ -2,9 +2,12 @@
 
 Two independent views of the same question. The sweep rotates the test set
 and watches classification error; the robustness suite feeds an image and its
-rotated copy, rectifies the second set of activations back (spatial rotation
-plus orientation roll for group maps), and measures a normalized squared
-error per layer.
+rotated copies, rectifies their activations back (spatial rotation plus
+orientation roll for group maps), and measures a normalized squared error per
+layer. The suite makes one forward per distinct rotation (an index equal to
+another mod the order, 0 included, reuses its row) and rectifies only the
+cropped interior that the error compares, with the same helpers as the
+one-pair ``activation_pair_error``, so both give the same values bitwise.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .datasets import LabeledImageSet
 from .fileio import write_csv
-from .groups import RotationOperators, act_on_group_feature_map, crop_margin
+from .groups import RotationOperators, check_crop_fraction, crop_margin
 from .network import Model
 from .training import evaluate, rotate_images
 
@@ -45,6 +48,70 @@ def rotation_sweep(model: Model, testset: LabeledImageSet, angles_deg,
     return report
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-ordered [channels, rest] array, the layout every sum below runs on."""
+    return np.ascontiguousarray(a).reshape(a.shape[0], -1)
+
+
+def _interior(a: np.ndarray, margin: int) -> np.ndarray:
+    if not margin:
+        return a
+    size = a.shape[-1]
+    return a[..., margin:size - margin, margin:size - margin]
+
+
+def _norms(flat: np.ndarray) -> np.ndarray:
+    """Per-channel float64 L2 norm of a [channels, rest] array."""
+    return np.sqrt((flat.astype(np.float64) ** 2).sum(axis=1))
+
+
+def _rectified_interior(a_s: np.ndarray, delta: int, kind: str, ops: RotationOperators,
+                        margin: int, row_cache: dict) -> np.ndarray:
+    """``a_s`` moved by rotation index ``delta`` as [channels, rest], on the interior only.
+
+    A quarter turn is ``rot90`` of the centred crop, which equals the crop of the
+    rotation. Another turn applies only the operator rows whose target pixel is
+    in the interior: a CSR row slice in ``a_s``'s dtype, kept in ``row_cache``
+    by (size, index, dtype). Group maps then roll their orientations. Every
+    value is bitwise the one the full rotation gives at that pixel.
+    """
+    if kind == "vector":
+        return _flat(a_s)
+    size, order = ops.size, ops.order
+    delta %= order
+    if kind == "group" and a_s.shape[-3] != order:
+        raise ValueError(f"orientation axis has extent {a_s.shape[-3]}, expected {order}")
+    if a_s.shape[-2:] != (size, size):
+        raise ValueError(f"operator built for square {size}x{size} images, "
+                         f"got {a_s.shape[-2]}x{a_s.shape[-1]}")
+    if ops.is_exact(delta):
+        rect = np.rot90(_interior(a_s, margin), (4 * delta) // order, axes=(-2, -1))
+    else:
+        key = (size, delta, a_s.dtype.str)
+        if key not in row_cache:
+            keep = np.arange(margin, size - margin)
+            rows = (keep[:, None] * size + keep).reshape(-1)
+            row_cache[key] = ops.matrix(delta)[rows].astype(a_s.dtype)
+        columns = a_s.reshape(-1, size * size).T
+        rect = (row_cache[key] @ columns).T
+        rect = rect.reshape(a_s.shape[:-2] + (size - 2 * margin,) * 2)
+    if kind == "group":
+        # np.roll(rect, delta, axis=-3) as one gather into a C-ordered copy
+        rect = np.take(rect, (np.arange(order) - delta) % order, axis=-3)
+    return _flat(rect)
+
+
+def _pair_value(ref: np.ndarray, norm_ref: np.ndarray, rect: np.ndarray) -> float:
+    """Sum over live channels of ||ref - rect||^2 / (||ref|| ||rect||), in float64."""
+    sq_diff = ((ref - rect).astype(np.float64) ** 2).sum(axis=1)
+    norm_rect = _norms(rect)
+    live = (norm_ref != 0.0) & (norm_rect != 0.0)
+    return float((sq_diff[live] / (norm_ref[live] * norm_rect[live])).sum())
+
+
+_KINDS = ("group", "spatial", "vector")
+
+
 def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
                           kind: str = "group", order: int = 8,
                           method: str = "gaussian", crop_fraction: float = 0.25,
@@ -55,37 +122,21 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     comparison: spatial rotation plus slice roll for ``kind="group"``, spatial
     rotation alone for ``kind="spatial"``, identity for ``kind="vector"``.
     Channels with zero norm contribute zero. Comparison happens on the
-    cropped interior to keep boundary interpolation out of the measurement.
+    cropped interior to keep boundary interpolation out of the measurement,
+    and only the interior is rectified.
     """
     if a_r.shape != a_s.shape:
         raise ValueError(f"activation shapes differ: {a_r.shape} vs {a_s.shape}")
-    delta = (r - s) % order
-    if kind == "vector":
-        rect = a_s
-    else:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown activation kind {kind!r}")
+    margin = 0
+    if kind != "vector":
         if ops is None:
             ops = RotationOperators(a_s.shape[-1], order, method)
-        if kind == "group":
-            rect = act_on_group_feature_map(a_s, delta, ops)
-        elif kind == "spatial":
-            rect = ops.apply(a_s, delta)
-        else:
-            raise ValueError(f"unknown activation kind {kind!r}")
-    if kind != "vector":
-        size = a_r.shape[-1]
-        m = crop_margin(size, crop_fraction)
-        ref = a_r[..., m:size - m, m:size - m]
-        rect = rect[..., m:size - m, m:size - m]
-    else:
-        ref = a_r
-    channels = ref.shape[0]
-    ref = ref.reshape(channels, -1)
-    rect = rect.reshape(channels, -1)
-    sq_diff = ((ref - rect).astype(np.float64) ** 2).sum(axis=1)
-    norm_ref = np.sqrt((ref.astype(np.float64) ** 2).sum(axis=1))
-    norm_rect = np.sqrt((rect.astype(np.float64) ** 2).sum(axis=1))
-    live = (norm_ref != 0.0) & (norm_rect != 0.0)
-    return float((sq_diff[live] / (norm_ref[live] * norm_rect[live])).sum())
+        margin = crop_margin(a_r.shape[-1], crop_fraction)
+    ref = _flat(_interior(a_r, margin))
+    rect = _rectified_interior(a_s, (r - s) % order, kind, ops, margin, {})
+    return _pair_value(ref, _norms(ref), rect)
 
 
 def robustness_suite(model: Model, images, n_images: int,
@@ -96,16 +147,26 @@ def robustness_suite(model: Model, images, n_images: int,
 
     Reference activations always come from the unrotated image; the rotated
     copies are produced by the index-``R`` operator at the input resolution.
-    Each image and its rotated copies go through one graph-free forward, and
-    each layer's errors are taken as soon as that layer's output exists.
+    One forward per distinct rotation: each image and one copy per distinct
+    non-zero ``R mod order`` go through one graph-free forward, and an index
+    equal mod ``order`` to one already seen (0 included, which is the image
+    itself) reuses its row and its value. Interior-only rectification: each
+    layer's errors are taken as soon as its output exists, from the reference
+    interior and its norms computed once, with only the interior of each copy
+    rotated back. Values are bitwise those of ``activation_pair_error`` per pair.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
+    check_crop_fraction(crop_fraction)
     arr = images.images if isinstance(images, LabeledImageSet) else np.asarray(images)
     arr = arr[:n_images]
-    if angle_indices is None:
-        angle_indices = list(range(order))
+    angle_indices = list(range(order) if angle_indices is None else angle_indices)
+    # Stack row of each distinct rotation index mod order; row 0 is the image.
+    row_of = {0: 0}
+    for ridx in angle_indices:
+        row_of.setdefault(int(ridx) % order, len(row_of))
     ops_by_size: dict = {}
+    row_cache: dict = {}
 
     def ops_for(size: int) -> RotationOperators:
         if size not in ops_by_size:
@@ -117,14 +178,23 @@ def robustness_suite(model: Model, images, n_images: int,
     sums = np.zeros(len(layer_names))
     per_angle_sums = np.zeros((len(layer_names), len(angle_indices)))
     for image in arr:
-        stack = np.stack([image] + [input_ops.apply(image, int(r)) for r in angle_indices])
+        stack = np.stack([image] + [input_ops.apply(image, d) for d in list(row_of)[1:]])
         for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
-            ops = None if kind == "vector" else ops_for(acts.shape[-1])
+            ops, margin = None, 0
+            if kind != "vector":
+                size = acts.shape[-1]
+                ops, margin = ops_for(size), crop_margin(size, crop_fraction)
+            ref = _flat(_interior(acts[0], margin))
+            norm_ref = _norms(ref)
+            values: dict = {}
             for a_i, ridx in enumerate(angle_indices):
-                value = activation_pair_error(acts[0], acts[1 + a_i], 0, int(ridx), kind,
-                                              order, method, crop_fraction, ops)
-                sums[l_i] += value
-                per_angle_sums[l_i, a_i] += value
+                d = int(ridx) % order
+                if d not in values:
+                    rect = _rectified_interior(acts[row_of[d]], -d % order, kind, ops,
+                                               margin, row_cache)
+                    values[d] = _pair_value(ref, norm_ref, rect)
+                sums[l_i] += values[d]
+                per_angle_sums[l_i, a_i] += values[d]
     n = len(arr)
     n_angles = len(angle_indices)
     report = RobustnessReport()

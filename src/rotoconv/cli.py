@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -125,6 +126,18 @@ def _loss_weights(text: str) -> tuple:
             f"got {text!r}") from None
 
 
+def _angles(text: str) -> list:
+    """argparse type of ``--angles``: comma-separated finite numbers of degrees."""
+    try:
+        angles = [float(a) for a in text.split(",")]
+        if all(math.isfinite(a) for a in angles):
+            return angles
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated finite numbers of degrees, got {text!r}")
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default="data")
@@ -190,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
     p.add_argument("--split", default="test")
     p.add_argument("--n-images", type=_count, default=None)
-    p.add_argument("--angles", default="0,45,90,135,180,225,270,315")
+    p.add_argument("--angles", type=_angles, default="0,45,90,135,180,225,270,315")
     p.add_argument("--variant", default="model")
     p.add_argument("--out", required=True)
 
@@ -285,8 +298,7 @@ def _cmd_eval_rotations(args) -> int:
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
                             args.n_images, args.cache_dir)
-    angles = [float(a) for a in args.angles.split(",")]
-    report = rotation_sweep(model, testset, angles, args.variant)
+    report = rotation_sweep(model, testset, args.angles, args.variant)
     emit_reports(report, args.out)
     inputs = [p for p in (args.checkpoint, args.basis) if p]
     _write_manifest(args.out, "eval-rotations", vars(args), inputs, [args.out])

@@ -156,9 +156,11 @@ def rotation_matrix(size: int, angle: float, method: str = "gaussian",
     floored source point. Out-of-grid neighbors are dropped and the remaining
     weights renormalized to sum 1 (a row with no weight stays empty); angles
     that are exact multiples of 90 degrees short-circuit to the grid
-    permutation. Raises ValueError for an unknown method, ``sigma <= 0`` or a
-    ``kernel_size`` that is not a positive odd int.
+    permutation. Raises ValueError for a non-finite angle, an unknown method,
+    ``sigma <= 0`` or a ``kernel_size`` that is not a positive odd int.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     _check_interpolation(method, sigma, kernel_size)
     quarter = angle / (math.pi / 2)
     if abs(quarter - round(quarter)) < 1e-12:

@@ -183,8 +183,11 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # The first gradient is stored as a copy in t's layout and dtype.
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _lift(x, dtype) -> Tensor:
@@ -433,7 +436,9 @@ def _padded_chunks(x: np.ndarray, k: int):
     n, c, h, w = x.shape
     p = k // 2
     for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
-        yield sl, np.pad(x[sl], ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.zeros((sl.stop - sl.start, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x[sl]
+        yield sl, xp
 
 
 def _columns(xp: np.ndarray, k: int) -> np.ndarray:
@@ -524,11 +529,16 @@ def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
 # -- pooling -----------------------------------------------------------------
 
 
-def _pool2x2(a: np.ndarray) -> tuple:
-    """2x2/stride-2 max over the last two axes -> (pooled, uint8 index of the first max)."""
+def _check_even(a: np.ndarray) -> None:
     h, w = a.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even extents, got {h}x{w}")
+
+
+def _pool2x2(a: np.ndarray) -> tuple:
+    """2x2/stride-2 max over the last two axes -> (pooled, uint8 index of the first max)."""
+    _check_even(a)
+    h, w = a.shape[-2:]
     lead = a.shape[:-2]
     blocks = a.reshape(lead + (h // 2, 2, w // 2, 2)).swapaxes(-3, -2)
     blocks = blocks.reshape(lead + (h // 2, w // 2, 4))
@@ -544,8 +554,28 @@ def _unpool2x2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return gb.reshape(g.shape[:-2] + (2 * g.shape[-2], 2 * g.shape[-1]))
 
 
+def _pool2x2_max(a: np.ndarray) -> np.ndarray:
+    """``_pool2x2``'s pooled values without the index: the max of the four stride-2 phases.
+
+    On a tie numpy's maximum returns its second argument, so each earlier phase
+    goes second and a block of mixed -0.0 and +0.0 keeps its first value's sign,
+    as the index path does.
+    """
+    _check_even(a)
+    out = np.maximum(a[..., 0::2, 1::2], a[..., 0::2, 0::2])
+    np.maximum(a[..., 1::2, 0::2], out, out=out)
+    np.maximum(a[..., 1::2, 1::2], out, out=out)
+    return out
+
+
 def maxpool2x2(a: Tensor) -> Tensor:
-    """2x2/stride-2 max over the last two axes; gradient to the first max."""
+    """2x2/stride-2 max over the last two axes; gradient to the first max.
+
+    Only a recorded backward needs the uint8 index of each block's first max;
+    without one (``no_grad`` or no input requiring gradients) no index is made.
+    """
+    if not (_GRAD_ENABLED and a.requires_grad):
+        return Tensor.from_op(_pool2x2_max(a.data), (a,), None, "maxpool2x2")
     out_data, idx = _pool2x2(a.data)
 
     def backward(g):
@@ -669,6 +699,13 @@ def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: boo
     return out, mu.reshape(-1), var.reshape(-1)
 
 
+def _in_place(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, written into ``a`` when numpy's promotion keeps ``a``'s dtype."""
+    if np.result_type(a, b) == a.dtype:
+        return ufunc(a, b, out=a)
+    return ufunc(a, b)
+
+
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, axes,
                    mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> Tensor:
     """Normalize with frozen statistics (per-channel affine map)."""
@@ -678,7 +715,10 @@ def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, axes,
     inv = (1.0 / np.sqrt(var + eps)).reshape(pshape).astype(x.data.dtype)
     mu = mean.reshape(pshape).astype(x.data.dtype)
     gb = gamma.data.reshape(pshape)
-    out_data = gb * (x.data - mu) * inv + beta.data.reshape(pshape)
+    # gb * (x - mu) * inv + beta, evaluated in that order into one array
+    out_data = _in_place(np.multiply, x.data - mu, gb)
+    out_data = _in_place(np.multiply, out_data, inv)
+    out_data = _in_place(np.add, out_data, beta.data.reshape(pshape))
 
     def backward(g):
         if gamma.requires_grad:

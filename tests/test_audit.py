@@ -56,6 +56,25 @@ def reference_suite(model, images, angle_indices, order=8):
     return sums / len(images)
 
 
+def one_stack_suite(model, images, angle_indices, order=8):
+    """Per-layer, per-angle mean pair error from one forward of ``[image]`` plus
+    one rotated copy per requested index, one ``activation_pair_error`` per
+    (layer, angle), summed in the suite's order."""
+    input_ops = RotationOperators(images.shape[-1], order)
+    ops_by_size = {}
+    sums = np.zeros((len(model.layers), len(angle_indices)))
+    for image in images:
+        stack = np.stack([image] + [input_ops.apply(image, int(r)) for r in angle_indices])
+        for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
+            size = acts.shape[-1]
+            ops = None if kind == "vector" else \
+                ops_by_size.setdefault(size, RotationOperators(size, order))
+            for a_i, r in enumerate(angle_indices):
+                sums[l_i, a_i] += activation_pair_error(acts[0], acts[1 + a_i], 0, int(r),
+                                                        kind, order, ops=ops)
+    return sums / len(images)
+
+
 def layer_kinds(model):
     kinds, kind = [], "spatial"
     for layer in model.layers:
@@ -142,6 +161,25 @@ class TestActivationPairError:
         assert got > 0.0
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,shape", [("group", (5, 8, 12, 12)),
+                                            ("spatial", (5, 12, 12))])
+    def test_equals_full_rotation_then_crop_exactly(self, rng, kind, shape, dtype):
+        # The formula on the whole rotated map, cropped afterwards.
+        a_r = rng.standard_normal(shape).astype(dtype)
+        a_s = rng.standard_normal(shape).astype(dtype)
+        ops = RotationOperators(12, 8)
+        for s in range(8):
+            rect = act_on_group_feature_map(a_s, -s % 8, ops) if kind == "group" \
+                else ops.apply(a_s, -s % 8)
+            ref = a_r[..., 3:9, 3:9].reshape(5, -1)
+            rect = rect[..., 3:9, 3:9].reshape(5, -1)
+            sq_diff = ((ref - rect).astype(np.float64) ** 2).sum(axis=1)
+            norm_ref = np.sqrt((ref.astype(np.float64) ** 2).sum(axis=1))
+            norm_rect = np.sqrt((rect.astype(np.float64) ** 2).sum(axis=1))
+            want = float((sq_diff / (norm_ref * norm_rect)).sum())
+            assert activation_pair_error(a_r, a_s, 0, s, kind, ops=ops) == want
+
     @pytest.mark.parametrize("fraction", [-0.25, 0.6])
     def test_crop_fraction_outside_range_rejected(self, rng, fraction):
         a = rng.standard_normal((2, 28, 28))
@@ -192,6 +230,34 @@ class TestRobustnessSuite:
         assert np.abs(got - want)[:, [0, 2, 4]].max() <= 1e-8
         means = [row["L_equivariance"] for row in report.rows]
         assert np.allclose(means, got.mean(axis=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("angles", [list(range(8)), [3, 0, 5, 11, 3]])
+    def test_per_angle_equals_one_stack_pair_errors_exactly(self, rng, partial_basis,
+                                                            dtype, angles):
+        model = small_group_model(partial_basis, channels=(6, 10), seed=4, dtype=dtype)
+        images = rng.random((2, 1, 16, 16))
+        want = one_stack_suite(model, images, angles)
+        report = robustness_suite(model, images, 2, angle_indices=angles)
+        got = np.array([row["L_equivariance"] for row in report.per_angle])
+        assert (want > 1e-3).any()
+        assert (got.reshape(want.shape) == want).all()
+
+    @pytest.mark.parametrize("angles, batch", [(range(8), 8), ([3, 0, 5, 11, 3], 3),
+                                               ([0, 8], 1)])
+    def test_one_forward_per_distinct_rotation(self, rng, partial_basis, monkeypatch,
+                                               angles, batch):
+        model = small_group_model(partial_basis, seed=1)
+        batches = []
+        forward = Model.iter_activations
+
+        def recording(self, x):
+            batches.append(len(x))
+            yield from forward(self, x)
+
+        monkeypatch.setattr(Model, "iter_activations", recording)
+        robustness_suite(model, rng.random((2, 1, 8, 8)), 2, angle_indices=angles)
+        assert batches == [batch, batch]
 
     def test_float32_quarter_turn_invariance(self, partial_basis):
         # Worst quarter-turn values over seeds 0-19 of this set-up: 1.7e-12 on

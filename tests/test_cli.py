@@ -267,6 +267,19 @@ class TestEvaluationCommands:
         assert code == 0
         assert robust.read_text().startswith("variant,layer_index,layer_name")
 
+    @pytest.mark.parametrize("angles", ["inf", "nan", "0,x", "0,,90", "45,inf"])
+    def test_malformed_angles_is_usage_error(self, tmp_path, capsys, angles):
+        # The checkpoint does not exist: the flag is rejected before anything loads.
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run("eval-rotations", "--checkpoint", str(tmp_path / "nope.ckpt"),
+                "--dataset", "synthetic", "--angles", angles, "--out", str(out))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --angles: expected comma-separated finite numbers" in err
+        assert repr(angles) in err
+        assert not out.exists()
+
     def test_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         code = run("eval-rotations", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--dataset", "synthetic", "--out", str(tmp_path / "s.csv"))

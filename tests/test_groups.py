@@ -216,6 +216,12 @@ class TestOperatorFamily:
             with pytest.raises(ValueError, match=message):
                 rotation_matrix(9, angle, **kwargs)
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, angle):
+        for method in ("gaussian", "bilinear"):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                rotation_matrix(9, angle, method)
+
     def test_matrices_built_once_on_first_use(self, rng, monkeypatch):
         built = []
 

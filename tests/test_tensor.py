@@ -253,6 +253,19 @@ class TestMaxPool:
         held = closure_arrays(out)
         assert [a.dtype for a in held] == [np.uint8] and held[0].size == out.data.size
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_matches_index_path_bitwise(self, rng, dtype):
+        x = np.maximum(TestBatchNormReLU.tricky_input((2, 3, 6, 6), dtype, rng), 0)
+        x[..., 2:4, 0:2] = [[-0.0, 0.0], [0.0, -0.0]]  # ReLU outputs of either sign
+        x[..., 2:4, 2:4] = [[0.0, -0.0], [-0.0, -0.0]]
+        x[..., 4:6, 0:2] = -0.0
+        want = T.maxpool2x2(Tensor(x, requires_grad=True)).data
+        with T.no_grad():
+            out = T.maxpool2x2(Tensor(x, requires_grad=True))
+        assert out._backward is None and out._parents == ()
+        assert np.signbit(want[..., 1, 0]).all() and not np.signbit(want[..., 1, 1]).any()
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
 
 def closure_arrays(node):
     """The numpy arrays a node's adjoint closure keeps alive (its parents aside)."""
@@ -311,6 +324,23 @@ class TestBatchNormReLU:
         assert sorted(a.nbytes for a in closure_arrays(out)) == [24, 24]
 
 
+class TestBatchNormEval:
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                        (np.float32, np.float64, np.float32),
+                                        (np.float32, np.float32, np.float64)])
+    def test_matches_expression_bitwise_with_its_promotion(self, rng, dtypes):
+        x, gamma, beta = (rng.standard_normal(shape).astype(dtype)
+                          for shape, dtype in zip([(2, 3, 4, 4), (3,), (3,)], dtypes))
+        mean, var = rng.standard_normal(3), rng.random(3)
+        x_before = x.copy()
+        out = T.batchnorm_eval(Tensor(x), Tensor(gamma), Tensor(beta), (0, 2, 3), mean, var)
+        inv = (1.0 / np.sqrt(var + 1e-5)).reshape(1, 3, 1, 1).astype(x.dtype)
+        mu = mean.reshape(1, 3, 1, 1).astype(x.dtype)
+        want = gamma.reshape(1, 3, 1, 1) * (x - mu) * inv + beta.reshape(1, 3, 1, 1)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
+
 class TestGlobalMaxPool:
     def test_constant(self):
         out = T.global_maxpool(t64(np.full((1, 2, 3, 3), 7.0)))
@@ -334,6 +364,16 @@ class TestBackward:
         x = t64([2.0, -3.0], grad=True)
         T.l1_norm(x).backward()
         assert x.grad.tolist() == [1.0, -1.0]
+
+    def test_first_gradient_stored_as_copy(self):
+        t = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        g = np.array([[-0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        T.accumulate_grad(t, g)
+        g[0, 1] = 7.0
+        assert t.grad.dtype == np.float32 and t.grad[0, 1] == 1.0
+        assert np.signbit(t.grad[0, 0])  # stored, not added to a zero (+0.0)
+        T.accumulate_grad(t, g)
+        assert t.grad[0].tolist() == [0.0, 8.0, 4.0]
 
     def test_non_scalar_loss_rejected(self, rng):
         x = t64(rng.random((2, 2)), grad=True)
