@@ -51,7 +51,10 @@ def _write_manifest(out_path, command: str, options: dict, inputs: list, outputs
 
 
 def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
-    """Expand ``--config FILE`` into key=value tokens ahead of explicit flags.
+    """Expand ``--config FILE`` into ``--key=value`` tokens ahead of explicit flags.
+
+    Each line is one token, so a value that starts with ``-`` (``angles=-45,90``)
+    is not read as a flag.
 
     A missing or unreadable FILE exits through ``parser.error`` (status 2).
     """
@@ -79,7 +82,7 @@ def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
         elif value.lower() in ("false", "no", "off"):
             continue
         else:
-            tokens.extend([flag, value])
+            tokens.append(f"{flag}={value}")
     return rest[:1] + tokens + rest[1:]
 
 
@@ -203,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
     p.add_argument("--split", default="test")
     p.add_argument("--n-images", type=_count, default=None)
-    p.add_argument("--angles", type=_angles, default="0,45,90,135,180,225,270,315")
+    p.add_argument("--angles", type=_angles, default="0,45,90,135,180,225,270,315",
+                   help="comma-separated degrees; a list that starts with a negative "
+                        "angle needs the --angles=-45,90 form")
     p.add_argument("--variant", default="model")
     p.add_argument("--out", required=True)
 

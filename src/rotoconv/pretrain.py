@@ -5,7 +5,10 @@ the three losses on the live basis parameters, and takes one AMSGrad step.
 The basis at every orientation is one stacked ``[order, n, k, k]`` tensor.
 With ``partial=True`` only the orientations below a quarter turn are free
 parameters; the rest are exact 90 degree copies inside the same graph, so the
-quarter-turn tying holds bitwise after every step.
+quarter-turn tying holds bitwise after every step. The equivariance and
+reconstruction terms of all of a step's draws are one graph node,
+``image_terms``; ``pair_maps`` with the two term functions is the graph-level
+reference it equals bitwise.
 """
 
 from __future__ import annotations
@@ -123,7 +126,9 @@ def pair_maps(images: Tensor, slots: Tensor, ops: RotationOperators,
               s: int, r: int) -> tuple:
     """(rot_s(x), rot_s(correlate(x, E_{r-s})), slot-r kernel [n, 1, k, k]) for one draw.
 
-    Both image terms compare these three, so one draw builds them once.
+    Both image terms compare these three, so one draw builds them once. With
+    ``equivariance_term`` and ``reconstruction_term`` this is the graph-level
+    reference of ``image_terms``.
     """
     order, n, k, _ = slots.data.shape
     kernels = T.reshape(slots, (order, n, 1, k, k))
@@ -151,6 +156,104 @@ def reconstruction_term(rotated: Tensor, response: Tensor, kernel: Tensor,
     return _mean_abs(rotated - T.transpose_correlate2d(response, kernel), margin)
 
 
+def _turn(x: np.ndarray, ops: RotationOperators, r: int, adjoint: bool = False) -> np.ndarray:
+    """``_rotate`` on an array (its transpose with ``adjoint``), by the same array operations."""
+    r = r % ops.order
+    if r == 0:
+        return x
+    if ops.is_exact(r):
+        q = (4 * r) // ops.order
+        return np.ascontiguousarray(np.rot90(x, -q if adjoint else q, axes=(-2, -1)))
+    apply = ops.apply_flat_t if adjoint else ops.apply_flat
+    return T._map_spatial(x, lambda m: apply(m, r), x.shape[-2:])
+
+
+def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws,
+                margin: int) -> Tensor:
+    """[equivariance, reconstruction] of images[B, 1, H, W], each summed over the (s, r)
+    ``draws``, as one graph node.
+
+    Both values and the gradient into ``slots`` are bitwise those of summing
+    ``equivariance_term`` and ``reconstruction_term`` of ``pair_maps`` over the
+    draws: the forward runs the same array operations, and the backward replays
+    the graph's adjoints on arrays, draw by draw in draw order, adding each
+    draw's slot gradient to ``slots`` as that draw's graph would. Each distinct
+    rot_s(images) and response R_{r-s} is computed once. The im2col columns of
+    the images and of each rot_s, then those of each draw's reconstruction
+    input, are kept for backward's grad-w while their total fits
+    ``tensor._COLUMN_BYTES``; past it they are rebuilt. Under ``no_grad``, or
+    for constant ``slots``, the node keeps nothing.
+    """
+    draws = [(int(s), int(r)) for s, r in draws]
+    if not draws:
+        raise ValueError("image_terms needs at least one (s, r) draw")
+    if images.ndim != 4 or images.shape[1] != 1:
+        raise ValueError(f"image_terms expects images [B, 1, H, W], got {images.shape}")
+    order, n, k, _ = slots.data.shape
+    kernels = slots.data.reshape(order, n, 1, k, k)
+    record = T._GRAD_ENABLED and slots.requires_grad
+    budget = [T._COLUMN_BYTES if record else 0]
+
+    def columns(x):
+        size = T._Columns.nbytes(x, k)
+        keep = size <= budget[0]
+        budget[0] -= size if keep else 0
+        return T._Columns(x, k, keep)
+
+    image_columns = columns(images)
+    rotated = {0: (images, image_columns)}
+    for s, _ in draws:
+        if s % order not in rotated:
+            turned = _turn(images, ops, s)
+            rotated[s % order] = turned, columns(turned)
+    sl = T._crop_slice(images.shape, margin)
+    batch, _, h, w = images[sl].shape
+    scale = 1.0 / (batch * h * w)
+
+    def mean_abs(diff):
+        crop = diff[sl].copy()
+        return np.asarray(np.abs(crop).sum(), dtype=diff.dtype).reshape(()) * scale, \
+            np.sign(crop)
+
+    responses = {}
+    saved = []
+    sums = None
+    for s, r in draws:
+        s, j, r = s % order, (r - s) % order, r % order
+        if j not in responses:
+            responses[j] = image_columns.correlate(kernels[j])
+        turned, turned_columns = rotated[s]
+        response = _turn(responses[j], ops, s)
+        equiv, sign_e = mean_abs(turned_columns.correlate(kernels[r]) - response)
+        flipped = np.ascontiguousarray(kernels[r].transpose(1, 0, 2, 3))[..., ::-1, ::-1].copy()
+        response_columns = columns(response)
+        rec, sign_r = mean_abs(turned - response_columns.correlate(flipped))
+        sums = (equiv, rec) if sums is None else (sums[0] + equiv, sums[1] + rec)
+        if record:
+            saved.append((s, j, r, turned_columns, response_columns, flipped, sign_e, sign_r))
+
+    def backward(g):
+        ge, gr = g[0, ...] * scale, g[1, ...] * scale
+        for s, j, r, turned_columns, response_columns, flipped, sign_e, sign_r in saved:
+            # the crop and L1 adjoints of both differences, then of their convolutions
+            full_e = np.zeros(images.shape[:1] + (n,) + images.shape[2:], dtype=images.dtype)
+            full_e[sl] = ge * sign_e
+            full_r = np.zeros_like(images)
+            full_r[sl] = gr * sign_r
+            grad_tc = -full_r
+            grad_kernel = turned_columns.grad_w(full_e).reshape(n, 1, k, k)
+            grad_flipped = response_columns.grad_w(grad_tc).reshape(flipped.shape)
+            grad_kernel += grad_flipped[..., ::-1, ::-1].transpose(1, 0, 2, 3)
+            grad_response = _turn(-full_e + T._correlate_grad_x(grad_tc, flipped), ops, s,
+                                  adjoint=True)
+            grad_slots = np.zeros_like(kernels)
+            grad_slots[j] += image_columns.grad_w(grad_response).reshape(n, 1, k, k)
+            grad_slots[r] += grad_kernel
+            T.accumulate_grad(slots, grad_slots.reshape(slots.data.shape))
+
+    return Tensor.from_op(np.array(sums), (slots,), backward, "image_terms")
+
+
 def orthogonality_term(slots: Tensor) -> Tensor:
     """Sum over orientations of || E_r E_r^T - I ||_1, as one batched Gram."""
     order, n, k, _ = slots.data.shape
@@ -164,49 +267,55 @@ def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
                              config.sigma, config.interp_kernel_size)
 
 
-def _stored_pair(images, basis: Basis, s: int, r: int,
-                 config: PretrainConfig | None, dtype: str) -> tuple:
-    """(config, slots, pair maps, crop margin) of a stored basis on an image batch."""
+def _stored(images, basis: Basis, config: PretrainConfig | None, dtype: str) -> tuple:
+    """(config, slots, image array, rotation operators, crop margin) of a stored basis on
+    an image batch."""
     config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
                                       kernel_size=basis.kernel_size)
     arr = corpus_images(images, dtype)
-    slots = Tensor(basis.elements.astype(dtype))
-    maps = pair_maps(Tensor(arr), slots, _ops_for(arr, config), s, r)
-    return config, slots, maps, crop_margin(arr.shape[-1], config.crop_fraction)
+    return (config, Tensor(basis.elements.astype(dtype)), arr, _ops_for(arr, config),
+            crop_margin(arr.shape[-1], config.crop_fraction))
 
 
 def total_loss(images, basis: Basis, s: int, r: int,
                config: PretrainConfig | None = None,
                dtype: str = "float64") -> dict:
     """All three terms of a stored basis on an image batch plus their weighted sum, as floats."""
-    config, slots, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
+    config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
+    le, lr = image_terms(arr, slots, ops, [(s, r)], margin).data.tolist()
     we, wo, wr = config.loss_weights
-    le = equivariance_term(*maps, margin).item()
     lo = orthogonality_term(slots).item()
-    lr = reconstruction_term(*maps, margin).item()
     return {"equiv": le, "orth": lo, "rec": lr,
             "total": we * le + wo * lo + wr * lr}
 
+
+# The one-term evaluators run the reference, which convolves only for the term
+# they return; ``image_terms`` would also run the other term's convolution.
 
 def equivariance_loss(images, basis: Basis, s: int, r: int,
                       config: PretrainConfig | None = None,
                       dtype: str = "float64") -> float:
     """The equivariance term of ``total_loss``, without the other two."""
-    _, _, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
-    return equivariance_term(*maps, margin).item()
+    _, slots, arr, ops, margin = _stored(images, basis, config, dtype)
+    return equivariance_term(*pair_maps(Tensor(arr), slots, ops, s, r), margin).item()
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
                         config: PretrainConfig | None = None,
                         dtype: str = "float64") -> float:
     """The reconstruction term of ``total_loss``, without the other two."""
-    _, _, maps, margin = _stored_pair(images, basis, s, r, config, dtype)
-    return reconstruction_term(*maps, margin).item()
+    _, slots, arr, ops, margin = _stored(images, basis, config, dtype)
+    return reconstruction_term(*pair_maps(Tensor(arr), slots, ops, s, r), margin).item()
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
                  ops: RotationOperators, margin: int, n_probe: int = 200) -> float:
-    """Sampled 45-degree equivariance loss (s = r = one group step)."""
+    """Sampled 45-degree equivariance loss (s = r = one group step).
+
+    Like ``equivariance_loss`` it runs the reference, graph-free; through
+    ``image_terms`` it would also convolve the 200 nine-channel responses for
+    the reconstruction term.
+    """
     with T.no_grad():
         maps = pair_maps(Tensor(images[:n_probe]), basis_slots(param, config.partial),
                          ops, 1, 1)
@@ -234,14 +343,11 @@ def pretrain(corpus, config: PretrainConfig) -> PretrainResult:
     pairs_all = [(s, r) for s in range(config.order) for r in range(config.order)]
 
     def batch_loss(take):
-        chunk = Tensor(images[take])
         draws = pairs_all if config.sum_all_pairs else \
             [(int(rng.integers(config.order)), int(rng.integers(config.order)))]
         slots = basis_slots(param, config.partial)
-        maps = [pair_maps(chunk, slots, ops, s, r) for s, r in draws]
-        e_terms = [equivariance_term(*m, margin) for m in maps]
-        r_terms = [reconstruction_term(*m, margin) for m in maps]
-        le, lr = sum(e_terms[1:], e_terms[0]), sum(r_terms[1:], r_terms[0])
+        terms = image_terms(images[take], slots, ops, draws, margin)
+        le, lr = T.take_slot(terms, 0), T.take_slot(terms, 1)
         lo = orthogonality_term(slots)
         loss = T.scale(le, we) + T.scale(lo, wo) + T.scale(lr, wr)
         return loss, [le.item(), lo.item(), lr.item(), loss.item()], 1

@@ -322,7 +322,8 @@ def roll_axis(a: Tensor, shift: int, axis: int) -> Tensor:
 def take_slot(a: Tensor, index: int) -> Tensor:
     """Index one slot of the first axis (gradient scatters back into that slot)."""
     index = int(index)
-    out_data = np.ascontiguousarray(a.data[index])
+    # ``asarray`` keeps the slot of a 1-d tensor 0-d (``ascontiguousarray`` would make it 1-d)
+    out_data = np.asarray(a.data[index, ...], order="C")
 
     def backward(g):
         if a.requires_grad:
@@ -346,12 +347,17 @@ def concat(tensors) -> Tensor:
     return Tensor.from_op(out_data, tensors, backward, "concat")
 
 
-def crop2d(a: Tensor, margin: int) -> Tensor:
-    """Cut ``margin`` rows and cols from every side of the last two axes."""
-    h, w = a.data.shape[-2:]
+def _crop_slice(shape, margin: int) -> tuple:
+    """The index of ``crop2d``'s interior of an array of ``shape``."""
+    h, w = shape[-2:]
     if h - 2 * margin < 1 or w - 2 * margin < 1:
         raise ValueError(f"crop margin {margin} leaves no pixels of {h}x{w}")
-    sl = (Ellipsis, slice(margin, h - margin), slice(margin, w - margin))
+    return (Ellipsis, slice(margin, h - margin), slice(margin, w - margin))
+
+
+def crop2d(a: Tensor, margin: int) -> Tensor:
+    """Cut ``margin`` rows and cols from every side of the last two axes."""
+    sl = _crop_slice(a.data.shape, margin)
     out_data = a.data[sl].copy()
 
     def backward(g):
@@ -445,23 +451,60 @@ def _columns(xp: np.ndarray, k: int) -> np.ndarray:
     """im2col: padded [n,C,H+k-1,W+k-1] -> [C*k*k, n*H*W].
 
     Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
-    (sample, row, col). Callers use the result in one expression, so only one
-    column buffer is alive at a time.
+    (sample, row, col). ``_Columns`` is the one caller: it drops each chunk's
+    buffer before building the next, unless it was asked to keep them all.
     """
     c = xp.shape[1]
     win = sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
 
 
+class _Columns:
+    """The im2col columns of x[B,C,H,W] for a k x k kernel, cut into ``_padded_chunks``' chunks.
+
+    With ``keep`` every chunk's columns are built once and kept; otherwise each use
+    rebuilds them, one chunk at a time, so only one column buffer is alive.
+    """
+
+    def __init__(self, x: np.ndarray, k: int, keep: bool):
+        self.x, self.k = x, k
+        self.kept = [(sl, _columns(xp, k)) for sl, xp in _padded_chunks(x, k)] if keep else None
+
+    @staticmethod
+    def nbytes(x: np.ndarray, k: int) -> int:
+        """Bytes of all of x's columns, kept."""
+        return x.size * k * k * x.itemsize
+
+    def _chunks(self):
+        if self.kept is not None:
+            yield from self.kept
+            return
+        for sl, xp in _padded_chunks(self.x, self.k):
+            yield sl, _columns(xp, self.k)
+
+    def correlate(self, w: np.ndarray) -> np.ndarray:
+        o = w.shape[0]
+        n, _, h, wd = self.x.shape
+        w2 = w.reshape(o, -1)
+        out = np.empty((n, o, h, wd), dtype=self.x.dtype)
+        for sl, cols in self._chunks():
+            out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+            del cols  # a rebuilt chunk's columns go before the next chunk's are built
+        return out
+
+    def grad_w(self, g: np.ndarray) -> np.ndarray:
+        o = g.shape[1]
+        gw = np.zeros((o, self.x.shape[1] * self.k * self.k), dtype=self.x.dtype)
+        for sl, cols in self._chunks():
+            g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
+            gw += g2 @ cols.T
+            del cols
+        return gw
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k]."""
-    o, _, k, _ = w.shape
-    n, _, h, wd = x.shape
-    w2 = w.reshape(o, -1)
-    out = np.empty((n, o, h, wd), dtype=x.dtype)
-    for sl, xp in _padded_chunks(x, k):
-        out[sl] = (w2 @ _columns(xp, k)).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
-    return out
+    return _Columns(x, w.shape[2], False).correlate(w)
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor):
@@ -484,12 +527,7 @@ def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, the columns rebuilt
     chunk by chunk."""
-    o = g.shape[1]
-    gw = np.zeros((o, x.shape[1] * k * k), dtype=x.dtype)
-    for sl, xp in _padded_chunks(x, k):
-        g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
-        gw += g2 @ _columns(xp, k).T
-    return gw
+    return _Columns(x, k, False).grad_w(g)
 
 
 def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -740,17 +778,19 @@ def spatial_linear_map(x: Tensor, apply_fn, apply_transpose_fn, out_hw) -> Tenso
     ``apply_fn`` / ``apply_transpose_fn`` act on [n_pixels, cols] matrices.
     The map itself is a constant: gradients flow through the application only.
     """
-    h, w = x.data.shape[-2:]
-    oh, ow = out_hw
-    lead = x.data.shape[:-2]
-    flat = x.data.reshape(-1, h * w).T
-    out_data = np.ascontiguousarray(apply_fn(flat).T).reshape(lead + (oh, ow))
+    out_data = _map_spatial(x.data, apply_fn, out_hw)
 
     def backward(g):
-        gf = g.reshape(-1, oh * ow).T
-        accumulate_grad(x, np.ascontiguousarray(apply_transpose_fn(gf).T).reshape(x.data.shape))
+        accumulate_grad(x, _map_spatial(g, apply_transpose_fn, x.data.shape[-2:]))
 
     return Tensor.from_op(out_data, (x,), backward, "spatial_linear_map")
+
+
+def _map_spatial(x: np.ndarray, apply_fn, out_hw) -> np.ndarray:
+    """``apply_fn`` on the flattened last two axes of x, as [n_pixels, cols] columns."""
+    h, w = x.shape[-2:]
+    flat = x.reshape(-1, h * w).T
+    return np.ascontiguousarray(apply_fn(flat).T).reshape(x.shape[:-2] + tuple(out_hw))
 
 
 # -- numerical differentiation -------------------------------------------------

@@ -183,6 +183,14 @@ def filter_bank_op(coefficients, elements):
                             backward, "filter_bank")
 
 
+def image_terms_builder(images, ops, draws):
+    """Both outputs of ``pretrain.image_terms`` on fixed images, as a function of the slots."""
+    from rotoconv import tensor as T
+    from rotoconv.pretrain import image_terms
+
+    return lambda slots: T.l1_norm(image_terms(images, slots, ops, draws, 1))
+
+
 def gradcheck_catalog(seed=0):
     """(name, scalar-builder, input arrays) for every differentiable operation."""
     from rotoconv import tensor as T
@@ -269,4 +277,8 @@ def gradcheck_catalog(seed=0):
          [r((2, 2, 3))]),
         ("filter_bank_rolled", lambda a: T.l1_norm(filter_bank_op(a, elements)),
          [r((2, 2, 8, 3))]),
+        ("take_slot_1d", lambda a: T.l1_norm(T.take_slot(a, 1)), [r(3)]),
+        # an interpolated, an exact and an identity image rotation, on 6x6 images
+        ("image_terms", image_terms_builder(r((2, 1, 6, 6)), ops, [(1, 3), (2, 2), (0, 5)]),
+         [r((8, 2, 3, 3))]),
     ]

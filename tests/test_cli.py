@@ -267,6 +267,28 @@ class TestEvaluationCommands:
         assert code == 0
         assert robust.read_text().startswith("variant,layer_index,layer_name")
 
+    def test_negative_first_angle_on_command_line_and_in_config(self, tmp_path, pretrained):
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--dataset", "synthetic", "--n-train", "10",
+                   "--model", "group", "--basis", str(pretrained),
+                   "--epochs", "1", "--batch-size", "10", "--out", str(ckpt)) == 0
+        common = ["--checkpoint", str(ckpt), "--basis", str(pretrained),
+                  "--dataset", "synthetic", "--n-images", "4"]
+        flag_out, config_out = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert run("eval-rotations", *common, "--angles=-45,90", "--out", str(flag_out)) == 0
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("angles=-45,90\n")
+        assert run("eval-rotations", "--config", str(cfg), *common,
+                   "--out", str(config_out)) == 0
+        for out in (flag_out, config_out):
+            rows = out.read_text().strip().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows] == ["-45.0", "90.0"]
+
+    def test_angles_help_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            run("eval-rotations", "--help")
+        assert "--angles=-45,90" in capsys.readouterr().out
+
     @pytest.mark.parametrize("angles", ["inf", "nan", "0,x", "0,,90", "45,inf"])
     def test_malformed_angles_is_usage_error(self, tmp_path, capsys, angles):
         # The checkpoint does not exist: the flag is rejected before anything loads.

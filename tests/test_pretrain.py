@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from rotoconv.datasets import synthetic_image_corpus
 from rotoconv.groups import RotationOperators, crop_margin
 from rotoconv.pretrain import (PretrainConfig, PretrainDivergence, _ops_for,
                                _probe_equiv, basis_slots, corpus_images,
-                               equivariance_loss, equivariance_term, orthogonality_term,
-                               pair_maps, pretrain, reconstruction_loss,
+                               equivariance_loss, equivariance_term, image_terms,
+                               orthogonality_term, pair_maps, pretrain, reconstruction_loss,
                                reconstruction_term, total_loss, write_loss_csv)
 from rotoconv.tensor import Tensor
 
@@ -184,6 +185,112 @@ def test_stacked_loss_and_gradient_match_slot_list_reference(rng, partial):
     assert np.abs(stacked.grad - reference.grad).max() <= 1e-12 * scale
 
 
+ALL_PAIRS = [(s, r) for s in range(8) for r in range(8)]
+
+
+def weighted_step(slots, terms_fn, weights=(10.0, 1.0, 0.5)):
+    """``batch_loss``'s objective on ``slots``, backpropagated: the two image terms
+    from ``terms_fn(slots)`` as (equiv, rec) tensors, orthogonality where
+    ``batch_loss`` adds it. Returns the two image terms as floats."""
+    le, lr = terms_fn(slots)
+    loss = (T.scale(le, weights[0]) + T.scale(orthogonality_term(slots), weights[1])
+            + T.scale(lr, weights[2]))
+    loss.backward()
+    return le.item(), lr.item()
+
+
+def graph_terms(images, ops, draws, margin):
+    def terms(slots):
+        maps = [pair_maps(Tensor(images), slots, ops, s, r) for s, r in draws]
+        e_terms = [equivariance_term(*m, margin) for m in maps]
+        r_terms = [reconstruction_term(*m, margin) for m in maps]
+        return sum(e_terms[1:], e_terms[0]), sum(r_terms[1:], r_terms[0])
+    return terms
+
+
+def node_terms(images, ops, draws, margin):
+    def terms(slots):
+        out = image_terms(images, slots, ops, draws, margin)
+        return T.take_slot(out, 0), T.take_slot(out, 1)
+    return terms
+
+
+class TestImageTerms:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_equals_graph_reference_bitwise(self, rng, dtype, partial):
+        """Every single draw and the all-pairs list: both terms and the slot gradient."""
+        images = rng.random((3, 1, 12, 12)).astype(dtype)
+        ops = RotationOperators(12, 8)
+        init = rng.uniform(-0.7, 0.7, (2 if partial else 8, 3, 3, 3)).astype(dtype)
+        stack = basis_slots(Tensor(init), partial).data
+        for draws in [[pair] for pair in ALL_PAIRS] + [ALL_PAIRS]:
+            got_slots = Tensor(stack.copy(), requires_grad=True)
+            got = weighted_step(got_slots, node_terms(images, ops, draws, 3))
+            want_slots = Tensor(stack.copy(), requires_grad=True)
+            want = weighted_step(want_slots, graph_terms(images, ops, draws, 3))
+            assert [v.hex() for v in got] == [v.hex() for v in want], draws
+            assert got_slots.grad.tobytes() == want_slots.grad.tobytes(), draws
+
+    @pytest.mark.parametrize("column_bytes", [4000, 40000])
+    def test_chunked_and_rebuilt_columns_match_reference(self, rng, monkeypatch, column_bytes):
+        """Columns cut into chunks, and a budget spent part way through the draws."""
+        monkeypatch.setattr(T, "_COLUMN_BYTES", column_bytes)
+        images = rng.random((5, 1, 12, 12))
+        ops = RotationOperators(12, 8)
+        stack = basis_slots(Tensor(rng.uniform(-0.7, 0.7, (2, 3, 3, 3))), True).data
+        draws = [(1, 3), (0, 0), (5, 2), (2, 6)]
+        got_slots = Tensor(stack.copy(), requires_grad=True)
+        got = weighted_step(got_slots, node_terms(images, ops, draws, 3))
+        want_slots = Tensor(stack.copy(), requires_grad=True)
+        want = weighted_step(want_slots, graph_terms(images, ops, draws, 3))
+        assert got == want
+        assert got_slots.grad.tobytes() == want_slots.grad.tobytes()
+
+    @staticmethod
+    def live_columns(monkeypatch):
+        """Patch im2col to record, at each call, the bytes of earlier column buffers still alive."""
+        buffers, live = [], []
+        columns = T._columns
+
+        def tracked(xp, k):
+            alive = [ref() for ref in buffers if ref() is not None]
+            live.append(sum(a.nbytes for a in alive))
+            out = columns(xp, k)
+            buffers.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(T, "_columns", tracked)
+        return live
+
+    def test_no_grad_keeps_no_columns(self, rng, monkeypatch):
+        images = rng.random((4, 1, 12, 12))
+        slots = Tensor(rng.uniform(-0.7, 0.7, (8, 3, 3, 3)), requires_grad=True)
+        ops = RotationOperators(12, 8)
+        live = self.live_columns(monkeypatch)
+        with T.no_grad():
+            out = image_terms(images, slots, ops, ALL_PAIRS, 3)
+        assert not out.requires_grad
+        assert len(live) > 64 and max(live) == 0
+
+    def test_recorded_node_keeps_columns_within_budget(self, rng, monkeypatch):
+        budget = 60000
+        monkeypatch.setattr(T, "_COLUMN_BYTES", budget)
+        images = rng.random((4, 1, 12, 12))
+        slots = Tensor(rng.uniform(-0.7, 0.7, (8, 3, 3, 3)), requires_grad=True)
+        live = self.live_columns(monkeypatch)
+        T.l1_norm(image_terms(images, slots, RotationOperators(12, 8), ALL_PAIRS, 3)).backward()
+        assert 0 < max(live) <= budget
+
+    def test_rejects_no_draws_and_multichannel_images(self, rng):
+        slots = Tensor(rng.uniform(-0.7, 0.7, (8, 3, 3, 3)))
+        ops = RotationOperators(12, 8)
+        with pytest.raises(ValueError, match="draw"):
+            image_terms(rng.random((2, 1, 12, 12)), slots, ops, [], 3)
+        with pytest.raises(ValueError, match=r"\[B, 1, H, W\]"):
+            image_terms(rng.random((2, 3, 12, 12)), slots, ops, [(1, 1)], 3)
+
+
 def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
     """One partial single-draw step at batch 16, 28x28: the stacked basis keeps the graph small."""
     corpus = synthetic_image_corpus(16, 28, seed=0)
@@ -202,7 +309,7 @@ def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
         return calls[0]
 
     # The second run repeats the first and adds exactly one step.
-    assert nodes(2) - nodes(1) <= 40
+    assert nodes(2) - nodes(1) <= 20
 
 
 @pytest.mark.parametrize("field, value", [

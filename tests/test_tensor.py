@@ -490,6 +490,13 @@ class TestShapeOps:
         x = rng.random((3, 2, 2))
         assert np.array_equal(T.take_slot(t64(x), 2).data, x[2])
 
+    def test_take_slot_of_vector_is_scalar(self):
+        a = t64([1.0, -2.0], grad=True)
+        picked = T.take_slot(a, 1)
+        assert picked.data.shape == () and picked.item() == -2.0
+        T.l1_norm(picked).backward()
+        assert np.array_equal(a.grad, [0.0, -1.0])
+
     def test_default_dtype_is_float32(self):
         assert Tensor([1.0, 2.0]).dtype == np.float32
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
