@@ -161,6 +161,8 @@ def robustness_suite(model: Model, images, n_images: int,
     arr = images.images if isinstance(images, LabeledImageSet) else np.asarray(images)
     arr = arr[:n_images]
     angle_indices = list(range(order) if angle_indices is None else angle_indices)
+    if not angle_indices:
+        raise ValueError("angle_indices must name at least one rotation index")
     # Stack row of each distinct rotation index mod order; row 0 is the image.
     row_of = {0: 0}
     for ridx in angle_indices:

@@ -224,15 +224,18 @@ class RotationOperators:
     def is_exact(self, r: int) -> bool:
         return (4 * (r % self.order)) % self.order == 0
 
-    def apply(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Rotate the last two axes of ``x`` by index ``r``."""
+    def apply(self, x: np.ndarray, r: int, transpose: bool = False) -> np.ndarray:
+        """Rotate the last two axes of ``x`` by index ``r``, or apply that map's transpose
+        (for a quarter turn, the inverse turn)."""
         r = r % self.order
         if x.shape[-1] != self.size or x.shape[-2] != self.size:
             raise ValueError(f"operator built for square {self.size}x{self.size} images, "
                              f"got {x.shape[-2]}x{x.shape[-1]}")
         if self.is_exact(r):
-            return rotate_exact90(x, (4 * r) // self.order)
-        return self.apply_flat(x.reshape(-1, self.size ** 2).T, r).T.reshape(x.shape)
+            q = (4 * r) // self.order
+            return rotate_exact90(x, -q if transpose else q)
+        apply_flat = self.apply_flat_t if transpose else self.apply_flat
+        return apply_flat(x.reshape(-1, self.size ** 2).T, r).T.reshape(x.shape)
 
     def apply_flat(self, columns: np.ndarray, r: int) -> np.ndarray:
         """Apply to flattened images stacked as columns [n_pixels, n_images]."""
@@ -286,14 +289,15 @@ def unitarity_defect(ops: RotationOperators, r: int, trials: int = 32,
 
 
 def gram_defect(ops: RotationOperators, r: int) -> float:
-    """Spectral norm ||M^T M - I||_2 of the operator M for index ``r``.
+    """RMS defect ||M^T M - I||_F / sqrt(n) of the n x n operator M for index ``r``.
 
     Deterministic companion of ``unitarity_defect``, whose ratio can blow up
-    when a random <f, psi> lands near zero: 0 for the exact quarter turns,
-    at least 1 once a pixel has no preimage (the corners at 45 degrees).
+    when a random <f, psi> lands near zero: 0 for the exact quarter turns. The
+    spectral norm would read 1 for every interpolator at 45 degrees, since the
+    interpolation blur leaves M singular; the RMS defect tells them apart.
     """
     m = ops.matrix(r).toarray()
-    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[1]), 2))
+    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[1])) / math.sqrt(m.shape[1]))
 
 
 def export_triplets(matrix: sparse.spmatrix, path) -> None:

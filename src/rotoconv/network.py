@@ -243,12 +243,12 @@ class BatchNorm(Layer):
     fields = {"channels": "channels", "kind": "map_kind"}
     param_names = ("gamma", "beta")
     buffer_names = ("running_mean", "running_var")
+    momentum = 0.1  # weight of each training batch in the running statistics
 
-    def __init__(self, channels, map_kind, dtype, name, momentum: float = 0.1):
+    def __init__(self, channels, map_kind, dtype, name):
         self.name = name
         self.channels = channels
         self.map_kind = map_kind
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float64)

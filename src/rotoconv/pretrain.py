@@ -156,18 +156,6 @@ def reconstruction_term(rotated: Tensor, response: Tensor, kernel: Tensor,
     return _mean_abs(rotated - T.transpose_correlate2d(response, kernel), margin)
 
 
-def _turn(x: np.ndarray, ops: RotationOperators, r: int, adjoint: bool = False) -> np.ndarray:
-    """``_rotate`` on an array (its transpose with ``adjoint``), by the same array operations."""
-    r = r % ops.order
-    if r == 0:
-        return x
-    if ops.is_exact(r):
-        q = (4 * r) // ops.order
-        return np.ascontiguousarray(np.rot90(x, -q if adjoint else q, axes=(-2, -1)))
-    apply = ops.apply_flat_t if adjoint else ops.apply_flat
-    return T._map_spatial(x, lambda m: apply(m, r), x.shape[-2:])
-
-
 def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws,
                 margin: int) -> Tensor:
     """[equivariance, reconstruction] of images[B, 1, H, W], each summed over the (s, r)
@@ -195,16 +183,18 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
     budget = [T._COLUMN_BYTES if record else 0]
 
     def columns(x):
-        size = T._Columns.nbytes(x, k)
-        keep = size <= budget[0]
-        budget[0] -= size if keep else 0
-        return T._Columns(x, k, keep)
+        """x's column chunks, kept while they fit the budget; None to rebuild them."""
+        size = x.size * k * k * x.itemsize
+        if size > budget[0]:
+            return None
+        budget[0] -= size
+        return list(T._column_chunks(x, k))
 
     image_columns = columns(images)
     rotated = {0: (images, image_columns)}
     for s, _ in draws:
         if s % order not in rotated:
-            turned = _turn(images, ops, s)
+            turned = ops.apply(images, s)
             rotated[s % order] = turned, columns(turned)
     sl = T._crop_slice(images.shape, margin)
     batch, _, h, w = images[sl].shape
@@ -221,33 +211,36 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
     for s, r in draws:
         s, j, r = s % order, (r - s) % order, r % order
         if j not in responses:
-            responses[j] = image_columns.correlate(kernels[j])
-        turned, turned_columns = rotated[s]
-        response = _turn(responses[j], ops, s)
-        equiv, sign_e = mean_abs(turned_columns.correlate(kernels[r]) - response)
+            responses[j] = T._correlate(images, kernels[j], image_columns)
+        turned, turned_cols = rotated[s]
+        response = ops.apply(responses[j], s)
+        equiv, sign_e = mean_abs(T._correlate(turned, kernels[r], turned_cols) - response)
         flipped = np.ascontiguousarray(kernels[r].transpose(1, 0, 2, 3))[..., ::-1, ::-1].copy()
-        response_columns = columns(response)
-        rec, sign_r = mean_abs(turned - response_columns.correlate(flipped))
+        response_cols = columns(response)
+        rec, sign_r = mean_abs(turned - T._correlate(response, flipped, response_cols))
         sums = (equiv, rec) if sums is None else (sums[0] + equiv, sums[1] + rec)
         if record:
-            saved.append((s, j, r, turned_columns, response_columns, flipped, sign_e, sign_r))
+            saved.append((s, j, r, turned, turned_cols, response, response_cols,
+                          flipped, sign_e, sign_r))
 
     def backward(g):
         ge, gr = g[0, ...] * scale, g[1, ...] * scale
-        for s, j, r, turned_columns, response_columns, flipped, sign_e, sign_r in saved:
+        for (s, j, r, turned, turned_cols, response, response_cols, flipped, sign_e,
+             sign_r) in saved:
             # the crop and L1 adjoints of both differences, then of their convolutions
             full_e = np.zeros(images.shape[:1] + (n,) + images.shape[2:], dtype=images.dtype)
             full_e[sl] = ge * sign_e
             full_r = np.zeros_like(images)
             full_r[sl] = gr * sign_r
             grad_tc = -full_r
-            grad_kernel = turned_columns.grad_w(full_e).reshape(n, 1, k, k)
-            grad_flipped = response_columns.grad_w(grad_tc).reshape(flipped.shape)
-            grad_kernel += grad_flipped[..., ::-1, ::-1].transpose(1, 0, 2, 3)
-            grad_response = _turn(-full_e + T._correlate_grad_x(grad_tc, flipped), ops, s,
-                                  adjoint=True)
+            grad_kernel = T._correlate_grad_w(full_e, turned, k, turned_cols).reshape(n, 1, k, k)
+            grad_flipped = T._correlate_grad_w(grad_tc, response, k, response_cols)
+            grad_kernel += grad_flipped.reshape(1, n, k, k)[..., ::-1, ::-1].transpose(1, 0, 2, 3)
+            grad_response = ops.apply(-full_e + T._correlate_grad_x(grad_tc, flipped), s,
+                                      transpose=True)
             grad_slots = np.zeros_like(kernels)
-            grad_slots[j] += image_columns.grad_w(grad_response).reshape(n, 1, k, k)
+            grad_slots[j] += T._correlate_grad_w(grad_response, images, k,
+                                                 image_columns).reshape(n, 1, k, k)
             grad_slots[r] += grad_kernel
             T.accumulate_grad(slots, grad_slots.reshape(slots.data.shape))
 
@@ -272,6 +265,9 @@ def _stored(images, basis: Basis, config: PretrainConfig | None, dtype: str) -> 
     an image batch."""
     config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
                                       kernel_size=basis.kernel_size)
+    if config.order != basis.order:
+        raise ValueError(f"config order {config.order} does not match the basis order "
+                         f"{basis.order}")
     arr = corpus_images(images, dtype)
     return (config, Tensor(basis.elements.astype(dtype)), arr, _ops_for(arr, config),
             crop_margin(arr.shape[-1], config.crop_fraction))

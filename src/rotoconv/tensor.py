@@ -451,60 +451,34 @@ def _columns(xp: np.ndarray, k: int) -> np.ndarray:
     """im2col: padded [n,C,H+k-1,W+k-1] -> [C*k*k, n*H*W].
 
     Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
-    (sample, row, col). ``_Columns`` is the one caller: it drops each chunk's
-    buffer before building the next, unless it was asked to keep them all.
+    (sample, row, col).
     """
     c = xp.shape[1]
     win = sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
 
 
-class _Columns:
-    """The im2col columns of x[B,C,H,W] for a k x k kernel, cut into ``_padded_chunks``' chunks.
+def _column_chunks(x: np.ndarray, k: int):
+    """Yield (sample slice, im2col columns) of x[B,C,H,W] per ``_padded_chunks`` chunk.
 
-    With ``keep`` every chunk's columns are built once and kept; otherwise each use
-    rebuilds them, one chunk at a time, so only one column buffer is alive.
+    A caller that drops each chunk's columns before taking the next keeps one
+    column buffer alive; ``list`` of it keeps them all, for reuse as ``columns``.
     """
-
-    def __init__(self, x: np.ndarray, k: int, keep: bool):
-        self.x, self.k = x, k
-        self.kept = [(sl, _columns(xp, k)) for sl, xp in _padded_chunks(x, k)] if keep else None
-
-    @staticmethod
-    def nbytes(x: np.ndarray, k: int) -> int:
-        """Bytes of all of x's columns, kept."""
-        return x.size * k * k * x.itemsize
-
-    def _chunks(self):
-        if self.kept is not None:
-            yield from self.kept
-            return
-        for sl, xp in _padded_chunks(self.x, self.k):
-            yield sl, _columns(xp, self.k)
-
-    def correlate(self, w: np.ndarray) -> np.ndarray:
-        o = w.shape[0]
-        n, _, h, wd = self.x.shape
-        w2 = w.reshape(o, -1)
-        out = np.empty((n, o, h, wd), dtype=self.x.dtype)
-        for sl, cols in self._chunks():
-            out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
-            del cols  # a rebuilt chunk's columns go before the next chunk's are built
-        return out
-
-    def grad_w(self, g: np.ndarray) -> np.ndarray:
-        o = g.shape[1]
-        gw = np.zeros((o, self.x.shape[1] * self.k * self.k), dtype=self.x.dtype)
-        for sl, cols in self._chunks():
-            g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
-            gw += g2 @ cols.T
-            del cols
-        return gw
+    for sl, xp in _padded_chunks(x, k):
+        yield sl, _columns(xp, k)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k]."""
-    return _Columns(x, w.shape[2], False).correlate(w)
+def _correlate(x: np.ndarray, w: np.ndarray, columns=None) -> np.ndarray:
+    """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k], over x's
+    kept ``columns`` when given."""
+    o = w.shape[0]
+    n, _, h, wd = x.shape
+    w2 = w.reshape(o, -1)
+    out = np.empty((n, o, h, wd), dtype=x.dtype)
+    for sl, cols in columns if columns is not None else _column_chunks(x, w.shape[2]):
+        out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+        del cols  # a rebuilt chunk's columns go before the next chunk's are built
+    return out
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor):
@@ -524,10 +498,16 @@ def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, the columns rebuilt
-    chunk by chunk."""
-    return _Columns(x, k, False).grad_w(g)
+def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int, columns=None) -> np.ndarray:
+    """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, over x's kept
+    ``columns`` when given, else with the columns rebuilt chunk by chunk."""
+    o = g.shape[1]
+    gw = np.zeros((o, x.shape[1] * k * k), dtype=x.dtype)
+    for sl, cols in columns if columns is not None else _column_chunks(x, k):
+        g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
+        gw += g2 @ cols.T
+        del cols
+    return gw
 
 
 def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:

@@ -173,7 +173,7 @@ def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
     return CheckResult(
         "unitarity: exact permutations vs interpolators", ok,
         f"exact {worst_exact:.2e}; gaussian(45deg) {gauss:.3f}; bilinear(45deg) {bilin:.3f}; "
-        f"||M^T M - I||_2 gaussian {gram_defect(gaussian, 1):.3f}, "
+        f"RMS ||M^T M - I||_F/sqrt(n) gaussian {gram_defect(gaussian, 1):.3f}, "
         f"bilinear {gram_defect(bilinear, 1):.3f}")
 
 

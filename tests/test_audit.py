@@ -283,6 +283,17 @@ class TestRobustnessSuite:
         with pytest.raises(ValueError, match="n_images"):
             robustness_suite(model, rng.random((2, 1, 8, 8)), 0)
 
+    def test_empty_angle_list_rejected_before_any_forward(self, rng, partial_basis,
+                                                           monkeypatch):
+        model = small_group_model(partial_basis, classes=5, seed=2)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(type(model), "iter_activations", no_forward)
+        with pytest.raises(ValueError, match="angle_indices"):
+            robustness_suite(model, rng.random((2, 1, 8, 8)), 2, angle_indices=[])
+
 
 @pytest.mark.slow
 def test_sweep_direction_desk_scale(partial_basis):

@@ -94,6 +94,7 @@ class TestPretrainBasis:
         assert err.startswith("error:") and "loss_weights" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
     def test_diverged_run_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "basis.rcbs"
         code = run("pretrain-basis", "--corpus", "synthetic", "--n-images", "8",
@@ -190,6 +191,7 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "model.ckpt.manifest.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
     def test_diverged_run_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "model.ckpt"
         code = run("train", "--dataset", "synthetic", "--n-train", "8",

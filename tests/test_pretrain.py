@@ -118,6 +118,14 @@ class TestTotalLoss:
         assert abs(terms["total"] - terms["equiv"]) <= 1e-12
 
 
+@pytest.mark.parametrize("evaluator", [total_loss, equivariance_loss, reconstruction_loss])
+def test_evaluators_reject_config_order_other_than_the_basis(small_corpus, partial_basis,
+                                                             evaluator):
+    cfg = PretrainConfig(order=4, n_elements=4)
+    with pytest.raises(ValueError, match="config order 4 .* basis order 8"):
+        evaluator(small_corpus, partial_basis, 1, 3, cfg)
+
+
 def slot_list_loss(param, partial, images, ops, draws, margin, weights):
     """The pretraining objective built one orientation at a time, each term on its own."""
     order, stride = 8, 2
