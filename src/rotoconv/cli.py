@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .audit import emit_reports, robustness_suite, rotation_sweep
 from .basis import load_basis, render_basis_pgm, save_basis
-from .datasets import (LabeledImageSet, load_cifar10, load_mnist, subset,
+from .datasets import (DatasetError, LabeledImageSet, load_cifar10, load_mnist, subset,
                        synthetic_image_corpus, synthetic_labeled_set)
 from .fileio import atomic_write
 from .network import FingerprintMismatch, build_model, load_checkpoint, save_checkpoint
@@ -318,7 +318,8 @@ def _cmd_eval_activations(args) -> int:
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
                             args.n_images, args.cache_dir)
     report = robustness_suite(model, testset, args.n_images,
-                              order=max(model.group_order, 8), variant=args.variant)
+                              order=model.group_order if model.kind == "group" else 8,
+                              variant=args.variant)
     emit_reports(report, args.out)
     inputs = [p for p in (args.checkpoint, args.basis) if p]
     _write_manifest(args.out, "eval-activations", vars(args), inputs, [args.out])
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FingerprintMismatch, FileNotFoundError, ValueError) as err:
+    except (DatasetError, FingerprintMismatch, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TrainingDivergence, PretrainDivergence) as err:

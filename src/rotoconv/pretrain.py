@@ -8,7 +8,8 @@ parameters; the rest are exact 90 degree copies inside the same graph, so the
 quarter-turn tying holds bitwise after every step. The equivariance and
 reconstruction terms of all of a step's draws are one graph node,
 ``image_terms``; ``pair_maps`` with the two term functions is the graph-level
-reference it equals bitwise.
+reference it equals bitwise. The graph-free evaluators and the 45 degree probe
+run that reference one training batch of images at a time (``_chunked_terms``).
 """
 
 from __future__ import annotations
@@ -139,21 +140,61 @@ def pair_maps(images: Tensor, slots: Tensor, ops: RotationOperators,
 
 def _mean_abs(diff: Tensor, margin: int) -> Tensor:
     """Sum of |diff| over the cropped interior, per image and retained pixel."""
-    diff = T.crop2d(diff, margin)
-    batch, _, h, w = diff.data.shape
-    return T.scale(T.l1_norm(diff), 1.0 / (batch * h * w))
+    return _l1_mean(T.crop2d(diff, margin))
+
+
+def _l1_mean(crop: Tensor) -> Tensor:
+    """Sum of |crop| per image and pixel of a cropped [B, C, h, w] difference."""
+    batch, _, h, w = crop.data.shape
+    return T.scale(T.l1_norm(crop), 1.0 / (batch * h * w))
+
+
+def equivariance_diff(rotated: Tensor, response: Tensor, kernel: Tensor) -> Tensor:
+    """Rotate-then-convolve minus convolve-then-rotate, uncropped."""
+    return T.correlate2d(rotated, kernel) - response
+
+
+def reconstruction_diff(rotated: Tensor, response: Tensor, kernel: Tensor) -> Tensor:
+    """The rotated image minus its filter/transposed-filter round trip, uncropped."""
+    return rotated - T.transpose_correlate2d(response, kernel)
 
 
 def equivariance_term(rotated: Tensor, response: Tensor, kernel: Tensor,
                       margin: int) -> Tensor:
     """L1 gap between convolve-then-rotate and rotate-then-convolve, cropped."""
-    return _mean_abs(T.correlate2d(rotated, kernel) - response, margin)
+    return _mean_abs(equivariance_diff(rotated, response, kernel), margin)
 
 
 def reconstruction_term(rotated: Tensor, response: Tensor, kernel: Tensor,
                         margin: int) -> Tensor:
     """L1 gap between the rotated image and its filter/transposed-filter round trip."""
-    return _mean_abs(rotated - T.transpose_correlate2d(response, kernel), margin)
+    return _mean_abs(reconstruction_diff(rotated, response, kernel), margin)
+
+
+def _chunked_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, s: int,
+                   r: int, margin: int, batch_size: int, diffs) -> list:
+    """The cropped L1 means of ``diffs`` (difference maps of ``pair_maps``, such as
+    ``equivariance_diff``) for draw (s, r) on images[M, 1, H, W], as floats.
+
+    Graph-free, ``batch_size`` images at a time: each chunk's cropped
+    differences are written into one preallocated [M, C, h, w] array per term,
+    and the L1 mean is taken once over each array. The convolution GEMM and
+    rotation columns are per image and the one sum runs over the same array as
+    the full batch's, so every value is bitwise the full-batch graph value,
+    while no pass holds more than ``batch_size`` images' maps.
+    """
+    sl = T._crop_slice(images.shape, margin)
+    crops = [None] * len(diffs)
+    with T.no_grad():
+        for start in range(0, len(images), batch_size):
+            chunk = slice(start, start + batch_size)
+            maps = pair_maps(Tensor(images[chunk]), slots, ops, s, r)
+            for i, diff in enumerate(diffs):
+                part = diff(*maps).data[sl]
+                if crops[i] is None:
+                    crops[i] = np.empty((len(images),) + part.shape[1:], dtype=part.dtype)
+                crops[i][chunk] = part
+        return [_l1_mean(Tensor(crop)).item() for crop in crops]
 
 
 def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws,
@@ -276,46 +317,53 @@ def _stored(images, basis: Basis, config: PretrainConfig | None, dtype: str) -> 
 def total_loss(images, basis: Basis, s: int, r: int,
                config: PretrainConfig | None = None,
                dtype: str = "float64") -> dict:
-    """All three terms of a stored basis on an image batch plus their weighted sum, as floats."""
+    """All three terms of a stored basis on an image batch plus their weighted sum, as floats.
+
+    Both image terms come from one ``pair_maps`` per ``config.batch_size``
+    images (``_chunked_terms``), bitwise equal to their full-batch values.
+    """
     config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    le, lr = image_terms(arr, slots, ops, [(s, r)], margin).data.tolist()
+    le, lr = _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
+                            (equivariance_diff, reconstruction_diff))
     we, wo, wr = config.loss_weights
     lo = orthogonality_term(slots).item()
     return {"equiv": le, "orth": lo, "rec": lr,
             "total": we * le + wo * lo + wr * lr}
 
 
-# The one-term evaluators run the reference, which convolves only for the term
-# they return; ``image_terms`` would also run the other term's convolution.
-
 def equivariance_loss(images, basis: Basis, s: int, r: int,
                       config: PretrainConfig | None = None,
                       dtype: str = "float64") -> float:
-    """The equivariance term of ``total_loss``, without the other two."""
-    _, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    return equivariance_term(*pair_maps(Tensor(arr), slots, ops, s, r), margin).item()
+    """The equivariance term of ``total_loss``, without the other two; it convolves
+    only for that term, ``config.batch_size`` images at a time."""
+    config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
+    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
+                          (equivariance_diff,))[0]
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
                         config: PretrainConfig | None = None,
                         dtype: str = "float64") -> float:
-    """The reconstruction term of ``total_loss``, without the other two."""
-    _, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    return reconstruction_term(*pair_maps(Tensor(arr), slots, ops, s, r), margin).item()
+    """The reconstruction term of ``total_loss``, without the other two; it convolves
+    only for that term, ``config.batch_size`` images at a time."""
+    config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
+    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
+                          (reconstruction_diff,))[0]
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
                  ops: RotationOperators, margin: int, n_probe: int = 200) -> float:
-    """Sampled 45-degree equivariance loss (s = r = one group step).
+    """Sampled 45-degree equivariance loss (s = r = one group step) on the first
+    ``n_probe`` images.
 
-    Like ``equivariance_loss`` it runs the reference, graph-free; through
-    ``image_terms`` it would also convolve the 200 nine-channel responses for
-    the reconstruction term.
+    Like ``equivariance_loss`` it runs only that term, graph-free and
+    ``config.batch_size`` images at a time, so the probe holds no more images'
+    maps than a training step; the value is bitwise the full-batch graph's.
     """
     with T.no_grad():
-        maps = pair_maps(Tensor(images[:n_probe]), basis_slots(param, config.partial),
-                         ops, 1, 1)
-        return equivariance_term(*maps, margin).item()
+        slots = basis_slots(param, config.partial)
+    return _chunked_terms(images[:n_probe], slots, ops, 1, 1, margin, config.batch_size,
+                          (equivariance_diff,))[0]
 
 
 def pretrain(corpus, config: PretrainConfig) -> PretrainResult:

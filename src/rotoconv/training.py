@@ -146,7 +146,7 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     if config.color_normalize and model.input_stats is None:
         model.input_stats = channel_stats(train_set.images)
-    images = train_set.images.astype(model.dtype)
+    images = train_set.images.astype(model.dtype, copy=False)
 
     def batch_loss(take):
         y = train_set.labels[take]
@@ -166,17 +166,21 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
 
 
 def evaluate(model: Model, dataset: LabeledImageSet, batch_size: int = 200) -> EvalResult:
-    """Frozen-statistics evaluation: accuracy plus per-class confusion counts."""
+    """Frozen-statistics evaluation: accuracy plus per-class confusion counts.
+
+    Holds one batch at a time: each batch is converted to the model's dtype
+    (a view when it already is) and normalized on its own, so the set is never
+    copied or normalized whole.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    images = dataset.images.astype(model.dtype)
-    if model.input_stats is not None:
-        images = normalize(images, model.input_stats)
     k = dataset.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     with T.no_grad():
         for start in range(0, len(dataset), batch_size):
-            x = images[start:start + batch_size]
+            x = dataset.images[start:start + batch_size].astype(model.dtype, copy=False)
+            if model.input_stats is not None:
+                x = normalize(x, model.input_stats)
             y = dataset.labels[start:start + batch_size]
             logits = model.forward(Tensor(x), training=False)
             pred = logits.data.argmax(axis=1)

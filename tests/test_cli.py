@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rotoconv.basis import load_basis
+from rotoconv.basis import load_basis, populate_partial, save_basis
 from rotoconv.cli import main
 
 from formats import read_pgm, write_idx_images, write_idx_labels
@@ -304,6 +304,22 @@ class TestEvaluationCommands:
         assert repr(angles) in err
         assert not out.exists()
 
+    def test_eval_activations_on_order_4_group_model(self, tmp_path, capsys):
+        basis_path = tmp_path / "order4.rcbs"
+        learned = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 3, 3, 3))
+        save_basis(populate_partial(learned, order=4), basis_path)
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", "--dataset", "synthetic", "--n-train", "10",
+                   "--model", "group", "--basis", str(basis_path),
+                   "--epochs", "1", "--batch-size", "10", "--out", str(ckpt)) == 0
+        robust = tmp_path / "robust.csv"
+        assert run("eval-activations", "--checkpoint", str(ckpt), "--basis",
+                   str(basis_path), "--dataset", "synthetic", "--n-images", "2",
+                   "--out", str(robust)) == 0
+        assert capsys.readouterr().err == ""
+        rows = robust.read_text().strip().splitlines()
+        assert rows[0].startswith("variant,layer_index,layer_name") and len(rows) > 1
+
     def test_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         code = run("eval-rotations", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--dataset", "synthetic", "--out", str(tmp_path / "s.csv"))
@@ -325,3 +341,30 @@ class TestDatasetWiring:
                    "--n-elements", "2", "--out", str(out))
         assert code == 0
         assert out.exists()
+
+    def test_missing_dataset_file_is_clean_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "model.ckpt"
+        code = run("train", "--dataset", "mnist", "--data-dir", str(empty),
+                   "--model", "translational", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected dataset file ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_corrupt_idx_file_is_clean_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_idx_images(np.zeros((4, 28, 28), dtype=np.uint8), data / "train-images-idx3-ubyte")
+        write_idx_labels(np.arange(4, dtype=np.uint8), data / "train-labels-idx1-ubyte")
+        with open(data / "train-images-idx3-ubyte", "r+b") as fh:
+            fh.write(b"\x00\x00\x09\x99")  # not the IDX image magic
+        out = tmp_path / "model.ckpt"
+        code = run("train", "--dataset", "mnist", "--data-dir", str(data),
+                   "--model", "translational", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "magic 0x00000999" in err
+        assert err.count("\n") == 1
+        assert not out.exists()

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from rotoconv.datasets import synthetic_labeled_set
+from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
 from rotoconv.groups import rotate_exact90
+from rotoconv.tensor import Tensor
 from rotoconv.training import (TrainConfig, TrainingDivergence, augment,
-                               channel_stats, evaluate, rotate_images, train,
+                               channel_stats, evaluate, normalize, rotate_images, train,
                                write_training_csv)
 from rotoconv.verify import small_group_model
 
@@ -219,3 +221,47 @@ class TestEvaluate:
         shifted = evaluate(model, ds)
         assert not np.array_equal(plain.confusion, shifted.confusion) or \
             plain.accuracy == shifted.accuracy
+
+    class StubModel:
+        """What ``evaluate`` reads of a model: its dtype, input statistics and a forward
+        that returns constant logits, keeping a copy of each input batch when asked."""
+
+        def __init__(self, dtype, input_stats, keep=False):
+            self.dtype = np.dtype(dtype)
+            self.input_stats = input_stats
+            self.batches = [] if keep else None
+
+        def forward(self, x, training):
+            if self.batches is not None:
+                self.batches.append(x.data.copy())
+            return Tensor(np.zeros((x.data.shape[0], 10), dtype=self.dtype))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_batches_equal_whole_set_normalization_bitwise(self, dtype):
+        """Converting and normalizing batch by batch feeds the forward the very
+        inputs that normalizing the whole converted set did, so logits are unchanged."""
+        ds = synthetic_labeled_set(50, 8, 10, seed=0, channels=3)
+        stats = channel_stats(ds.images)
+        model = self.StubModel(dtype, stats, keep=True)
+        evaluate(model, ds, batch_size=16)
+        want = normalize(ds.images.astype(dtype), stats)
+        assert [len(b) for b in model.batches] == [16, 16, 16, 2]
+        got = np.concatenate(model.batches)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_holds_one_batch(self):
+        """A normalized float32 set of 2000 images is never copied or normalized whole:
+        the traced peak stays under half the set's own bytes (the whole-set copy and
+        its float64 temporaries took about five times them)."""
+        images = np.random.default_rng(0).random((2000, 3, 16, 16)).astype(np.float32)
+        ds = LabeledImageSet(images, np.arange(2000) % 10, "test")
+        model = self.StubModel("float32", channel_stats(images))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = evaluate(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n == 2000
+        assert peak - start <= images.nbytes // 2
