@@ -10,7 +10,7 @@ so their parameter counts line up.
 import numpy as np
 
 from rotoconv import build_model, count_parameters, populate_partial
-from rotoconv.groups import rotate_exact90
+from rotoconv.audit import quarter_turn_drift
 
 rng = np.random.default_rng(0)
 basis = populate_partial(rng.uniform(-1, 1, (2, 9, 3, 3)))
@@ -24,9 +24,7 @@ print(f"parameters: group {count_parameters(group):,} vs "
 x = rng.standard_normal((2, 3, 32, 32))
 logits = group.forward(x).data
 print("\nlogits for two images:\n", np.round(logits, 4))
-for q in (1, 2, 3):
-    rotated_logits = group.forward(rotate_exact90(x, q)).data
-    drift = np.abs(rotated_logits - logits).max() / np.abs(logits).max()
+for q, (_, drift) in quarter_turn_drift(group, x).items():
     print(f"input rotated by {90 * q:3d} degrees: max relative logit drift {drift:.2e}")
 
 print("\nactivation shapes through the first blocks:")

@@ -8,6 +8,7 @@ layer. The suite makes one forward per distinct rotation (an index equal to
 another mod the order, 0 included, reuses its row) and rectifies only the
 cropped interior that the error compares, with the same helpers as the
 one-pair ``activation_pair_error``, so both give the same values bitwise.
+``quarter_turn_drift`` compares every layer under the exact quarter turns.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import quarter_stride
 from .datasets import LabeledImageSet
 from .fileio import write_csv
-from .groups import RotationOperators, check_crop_fraction, crop_margin
+from .groups import RotationOperators, check_crop_fraction, crop_margin, rotate_exact90
 from .network import Model
 from .training import evaluate, rotate_images
 
@@ -127,6 +129,8 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     """
     if a_r.shape != a_s.shape:
         raise ValueError(f"activation shapes differ: {a_r.shape} vs {a_s.shape}")
+    if ops is not None and ops.order != order:
+        raise ValueError(f"operators of order {ops.order} given for order {order}")
     if kind not in _KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
     margin = 0
@@ -209,6 +213,34 @@ def robustness_suite(model: Model, images, n_images: int,
                                      "layer_name": name, "angle_index": int(ridx),
                                      "L_equivariance": per_angle_sums[l_i, a_i] / n})
     return report
+
+
+def _relative_change(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
+    """max |a - b| / max |scale|, with the denominator floored at 1e-12."""
+    return float(np.abs(a - b).max()) / max(float(np.abs(scale).max()), 1e-12)
+
+
+def quarter_turn_drift(model: Model, images) -> dict:
+    """``{q: (maps, logits)}``: the worst relative change under q quarter turns of the input.
+
+    ``images`` and its turns by q = 1, 2, 3 take four graph-free forwards run
+    in step, so one layer of each is held at a time. ``maps`` is the worst, over
+    every group and spatial layer, of max |a_q - g_q a| / max |a|, where g_q turns
+    a map and rolls a group map's orientations by q * order / 4; ``logits`` is
+    max |logits_q - logits| / max |logits|. Maxima run over the whole batch;
+    denominators floor at 1e-12.
+    """
+    passes = [model.iter_activations(rotate_exact90(images, q)) for q in range(4)]
+    maps = dict.fromkeys((1, 2, 3), 0.0)
+    for (_, kind, a), *turned in zip(*passes):
+        for q, (_, _, a_q) in enumerate(turned, 1):
+            if kind != "vector":
+                moved = rotate_exact90(a, q)
+                if kind == "group":
+                    moved = np.roll(moved, q * quarter_stride(a.shape[-3]), axis=-3)
+                maps[q] = max(maps[q], _relative_change(a_q, moved, a))
+    # the loop leaves the last layer, the logits, in a and turned
+    return {q: (maps[q], _relative_change(a_q, a, a)) for q, (_, _, a_q) in enumerate(turned, 1)}
 
 
 # -- CSV emission -----------------------------------------------------------------

@@ -228,6 +228,8 @@ def load_basis(path) -> Basis:
 
 def render_basis_pgm(basis: Basis, path, cell_scale: int = 8) -> None:
     """Draw the basis as a grayscale grid (orientations down, elements across)."""
+    if cell_scale < 1:
+        raise ValueError(f"cell_scale must be >= 1, got {cell_scale}")
     e = basis.elements
     order, n, k, _ = e.shape
     lo, hi = float(e.min()), float(e.max())

@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect-basis", help="render a basis as a grayscale grid")
     _add_common(p)
     p.add_argument("--basis", required=True)
-    p.add_argument("--cell-scale", type=int, default=8)
+    p.add_argument("--cell-scale", type=_count, default=8)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the property-check suite")
@@ -260,6 +260,12 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = TrainConfig(
+        epochs=args.epochs, learning_rate=args.learning_rate,
+        weight_decay=args.weight_decay, batch_size=args.batch_size,
+        flip=args.flip, color_normalize=args.color_normalize,
+        max_translate=args.max_translate, rotation_augment=args.rotation_augment,
+        seed=args.seed)
     basis = load_basis(args.basis) if args.basis else None
     train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed,
                               args.n_train, args.cache_dir)
@@ -274,12 +280,6 @@ def _cmd_train(args) -> int:
     else:
         model = build_model(args.model, variant, basis, in_channels,
                             args.classes, args.seed, args.dtype)
-    config = TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay, batch_size=args.batch_size,
-        flip=args.flip, color_normalize=args.color_normalize,
-        max_translate=args.max_translate, rotation_augment=args.rotation_augment,
-        seed=args.seed)
     rows = train(model, train_set, config, val_set)
     save_checkpoint(model, args.out)
     outputs = [args.out]

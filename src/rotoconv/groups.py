@@ -47,6 +47,8 @@ class GroupElement:
     order: int = 8
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"group order must be >= 1, got {self.order}")
         object.__setattr__(self, "rot", self.rot % self.order)
         tx, ty = self.translation
         object.__setattr__(self, "translation", (float(tx), float(ty)))
@@ -205,6 +207,9 @@ class RotationOperators:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        for name in ("size", "order"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_interpolation(self.method, self.sigma, self.kernel_size)
 
     def matrix(self, r: int) -> sparse.csr_matrix:

@@ -45,6 +45,16 @@ class AMSGrad:
             p.data -= step.astype(p.data.dtype)
 
 
+def check_run_config(config) -> None:
+    """Raise ValueError unless ``config`` has ``epochs`` and ``batch_size`` >= 1 and a finite
+    ``learning_rate`` and ``weight_decay`` >= 0: a negative rate ascends, a NaN one poisons."""
+    for name, least in (("epochs", 1), ("batch_size", 1),
+                        ("learning_rate", 0), ("weight_decay", 0)):
+        value = getattr(config, name)
+        if not (np.isfinite(value) and value >= least):
+            raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
+
+
 def _run_epochs(params, config, n: int, rng: np.random.Generator, batch_loss,
                 fields: tuple, diverged: type, drop_last: bool = False):
     """Run ``config.epochs`` AMSGrad epochs over ``n`` shuffled items; yield each epoch's row.

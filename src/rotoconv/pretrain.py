@@ -24,7 +24,7 @@ from . import tensor as T
 from .basis import Basis, initialize_elements, populate_partial, quarter_stride
 from .fileio import write_csv
 from .groups import RotationOperators, check_crop_fraction, check_odd_size, crop_margin
-from .optim import _run_epochs
+from .optim import _run_epochs, check_run_config
 from .tensor import Tensor
 
 
@@ -55,12 +55,12 @@ class PretrainConfig:
 
     def __post_init__(self):
         check_odd_size("kernel_size", self.kernel_size)
-        for name in ("n_elements", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_elements < 1:
+            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
+        check_run_config(self)
         check_crop_fraction(self.crop_fraction)
-        if self.order % 4:
-            raise ValueError("group order must be divisible by 4")
+        if self.order < 1 or self.order % 4:
+            raise ValueError(f"group order must be a positive multiple of 4, got {self.order}")
         T.check_float_dtype(self.dtype)
         weights = self.loss_weights
         if not (isinstance(weights, (tuple, list)) and len(weights) == 3

@@ -18,7 +18,7 @@ from .datasets import LabeledImageSet
 from .fileio import write_csv
 from .groups import rotation_matrix
 from .network import Model
-from .optim import _run_epochs
+from .optim import _run_epochs, check_run_config
 from .tensor import Tensor
 
 
@@ -43,9 +43,7 @@ class TrainConfig:
             raise ValueError(f"unknown rotation_augment {self.rotation_augment!r}")
         if not 0 <= self.max_translate <= 4:
             raise ValueError("max_translate must be within [0, 4]")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_run_config(self)
 
 
 @dataclass

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from rotoconv import network
 from rotoconv.audit import (SweepReport, activation_pair_error, emit_reports,
-                            robustness_suite, rotation_sweep)
-from rotoconv.basis import populate_partial
+                            quarter_turn_drift, robustness_suite, rotation_sweep)
+from rotoconv.basis import Basis, make_baseline_basis, populate_partial
 from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
-from rotoconv.groups import RotationOperators, act_on_group_feature_map
-from rotoconv.network import GConvInput, Model
+from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
+from rotoconv.network import Conv2d, GConvInput, Model
 from rotoconv.training import evaluate
 from rotoconv.verify import small_group_model
 
@@ -186,6 +187,11 @@ class TestActivationPairError:
         with pytest.raises(ValueError, match="crop fraction"):
             activation_pair_error(a, a[:, ::-1], 0, 0, kind="spatial", crop_fraction=fraction)
 
+    def test_operators_of_another_order_rejected(self, rng):
+        a = rng.standard_normal((2, 9, 9))
+        with pytest.raises(ValueError, match="order 8 given for order 4"):
+            activation_pair_error(a, a, 0, 3, "spatial", order=4, ops=RotationOperators(9, 8))
+
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             activation_pair_error(rng.random((1, 2, 4, 4)), rng.random((1, 2, 5, 5)), 0, 1)
@@ -296,6 +302,71 @@ class TestRobustnessSuite:
 
 
 @pytest.mark.slow
+class TestQuarterTurnDrift:
+    def test_partial_model_exact_in_float64(self, rng, partial_basis):
+        model = small_group_model(partial_basis, seed=1)
+        drift = quarter_turn_drift(model, rng.standard_normal((3, 1, 8, 8)))
+        assert sorted(drift) == [1, 2, 3]
+        for maps, logits in drift.values():
+            assert maps <= 1e-12 and logits <= 1e-12
+
+    def test_random_basis_breaks_the_maps(self, rng):
+        model = small_group_model(make_baseline_basis("random", n_elements=4), seed=1)
+        drift = quarter_turn_drift(model, rng.standard_normal((3, 1, 8, 8)))
+        assert all(maps > 1e-3 for maps, _ in drift.values())
+
+    def test_logits_figure_is_the_hand_formula(self, rng):
+        model = small_group_model(make_baseline_basis("random", n_elements=4), seed=1)
+        x = rng.standard_normal((3, 1, 8, 8))
+        logits = model.forward(x).data
+        drift = quarter_turn_drift(model, x)
+        for q in (1, 2, 3):
+            change = np.abs(model.forward(rotate_exact90(x, q)).data - logits).max()
+            assert drift[q][1] == change / np.abs(logits).max()
+
+    def test_wrong_orientation_gather_shows_in_the_maps(self, rng, partial_basis,
+                                                       monkeypatch):
+        def rolled_the_wrong_way(channels, order, slots):
+            r = np.arange(order)[:, None, None]
+            c = np.arange(channels)[None, :, None]
+            s = np.arange(slots)[None, None, :]
+            index = ((c * slots + (s + r) % slots) * order + r).ravel()
+            return index, np.argsort(index)
+
+        monkeypatch.setattr(network, "_roll_index", rolled_the_wrong_way)
+        model = small_group_model(partial_basis, seed=1)
+        drift = quarter_turn_drift(model, rng.standard_normal((1, 1, 8, 8)))
+        assert max(maps for maps, _ in drift.values()) > 0.5
+
+    @pytest.mark.parametrize("kernel, exact", [
+        (np.array([[1.0, 2.0, 1.0], [2.0, 5.0, 2.0], [1.0, 2.0, 1.0]]), True),
+        (np.arange(9.0).reshape(3, 3), False)])
+    def test_spatial_maps_turn_without_a_roll(self, rng, kernel, exact):
+        layer = Conv2d(1, 1, 3, rng, "float64", "conv")
+        layer.weight.data[...] = kernel
+        model = Model([layer], "translational", "none", 1, 1, "float64", 1)
+        drift = quarter_turn_drift(model, rng.standard_normal((2, 1, 6, 6)))
+        assert all((maps <= 1e-12) == exact for maps, _ in drift.values())
+
+    def test_four_forwards_of_the_batch_shape(self, rng, partial_basis, monkeypatch):
+        model = small_group_model(partial_basis, seed=1)
+        shapes = []
+        forward = Model.iter_activations
+
+        def recording(self, x):
+            shapes.append(np.shape(x))
+            yield from forward(self, x)
+
+        monkeypatch.setattr(Model, "iter_activations", recording)
+        quarter_turn_drift(model, rng.standard_normal((2, 1, 8, 8)))
+        assert shapes == [(2, 1, 8, 8)] * 4
+
+    def test_order_not_divisible_by_four_rejected(self, rng):
+        model = small_group_model(Basis(rng.standard_normal((6, 2, 3, 3)), "full"), seed=1)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            quarter_turn_drift(model, rng.standard_normal((1, 1, 8, 8)))
+
+
 def test_sweep_direction_desk_scale(partial_basis):
     """Trained on unrotated data: group errors flat across quarter turns,
     translational error collapses at 180 degrees."""

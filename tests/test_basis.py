@@ -238,6 +238,13 @@ class TestFileFormat:
 
 
 class TestRendering:
+    @pytest.mark.parametrize("cell_scale", [0, -1])
+    def test_cell_scale_below_one_rejected(self, tmp_path, partial_basis, cell_scale):
+        path = tmp_path / "basis.pgm"
+        with pytest.raises(ValueError, match="cell_scale must be >= 1"):
+            render_basis_pgm(partial_basis, path, cell_scale=cell_scale)
+        assert not path.exists()
+
     def test_pgm_grid_dimensions_and_tying(self, tmp_path, partial_basis):
         path = tmp_path / "basis.pgm"
         render_basis_pgm(partial_basis, path, cell_scale=2)

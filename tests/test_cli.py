@@ -5,6 +5,7 @@ import pytest
 
 from rotoconv.basis import load_basis, populate_partial, save_basis
 from rotoconv.cli import main
+from rotoconv.verify import check_partial_model_equivariance, format_table, run_all
 
 from formats import read_pgm, write_idx_images, write_idx_labels
 
@@ -29,6 +30,20 @@ class TestVerify:
         assert run("verify") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_every_check_passes_with_one_table_row_each(self):
+        results = run_all(seed=0)
+        assert len(results) == 5 and all(r.passed for r in results)
+        lines = format_table(results).splitlines()
+        assert len(lines) == len(results)
+        for line, r in zip(lines, results):
+            assert line.startswith(r.name) and line.endswith(f"  PASS  {r.detail}")
+
+    def test_equivariance_row_reads_maps_and_logits(self):
+        row = check_partial_model_equivariance(seed=0)
+        assert row.detail.startswith("worst relative change: maps ")
+        maps, logits = (float(word.rstrip(",")) for word in row.detail.split()[4::2])
+        assert maps <= 1e-12 and logits <= 1e-12
 
 
 class TestPretrainBasis:
@@ -71,7 +86,9 @@ class TestPretrainBasis:
     @pytest.mark.parametrize("flag, value, field", [
         ("--kernel-size", "0", "kernel_size"), ("--kernel-size", "2", "kernel_size"),
         ("--n-elements", "0", "n_elements"), ("--batch-size", "0", "batch_size"),
-        ("--epochs", "-1", "epochs")])
+        ("--epochs", "-1", "epochs"), ("--learning-rate", "-5", "learning_rate"),
+        ("--learning-rate", "nan", "learning_rate"), ("--weight-decay", "-1", "weight_decay"),
+        ("--weight-decay", "inf", "weight_decay")])
     def test_out_of_range_option_is_clean_error(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "basis.rcbs"
         log = tmp_path / "loss.csv"
@@ -80,7 +97,7 @@ class TestPretrainBasis:
                    flag, value, "--out", str(out), "--log-csv", str(log))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
         assert not out.exists() and not log.exists()
 
     @pytest.mark.parametrize("weights", ["1,1", "1,1,1,1", "1,nan,1"])
@@ -166,6 +183,16 @@ class TestInspectBasis:
             assert np.array_equal(tile(2, i), np.rot90(tile(0, i)))
             assert np.array_equal(tile(6, i), np.rot90(tile(0, i), 3))
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_cell_scale_below_one_is_usage_error(self, tmp_path, capsys, pretrained, scale):
+        out = tmp_path / "grid.pgm"
+        with pytest.raises(SystemExit) as exit_info:
+            run("inspect-basis", "--basis", str(pretrained), "--cell-scale", scale,
+                "--out", str(out))
+        assert exit_info.value.code == 2
+        assert f"--cell-scale: must be >= 1, got {scale}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_writes_checkpoint(self, tmp_path, pretrained):
@@ -178,8 +205,10 @@ class TestTrain:
         assert out.exists()
         assert (tmp_path / "model.ckpt.manifest.json").exists()
 
-    @pytest.mark.parametrize("flag, value, field", [("--epochs", "-1", "epochs"),
-                                                    ("--batch-size", "0", "batch_size")])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--epochs", "-1", "epochs"), ("--batch-size", "0", "batch_size"),
+        ("--learning-rate", "-5", "learning_rate"), ("--learning-rate", "nan", "learning_rate"),
+        ("--weight-decay", "-1", "weight_decay"), ("--weight-decay", "inf", "weight_decay")])
     def test_out_of_range_option_is_clean_error(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "model.ckpt"
         code = run("train", "--dataset", "synthetic", "--n-train", "10",
@@ -187,7 +216,7 @@ class TestTrain:
                    flag, value, "--out", str(out))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
         assert not out.exists()
         assert not (tmp_path / "model.ckpt.manifest.json").exists()
 

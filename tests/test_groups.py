@@ -77,6 +77,11 @@ class TestGroupAlgebra:
         with pytest.raises(ValueError, match="orders"):
             compose(GroupElement(1, order=8), GroupElement(1, order=4))
 
+    @pytest.mark.parametrize("order", [0, -4])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="group order must be >= 1"):
+            GroupElement(0, order=order)
+
 
 class TestExactRotation:
     def test_zero_turns_identity(self, rng):
@@ -220,6 +225,12 @@ class TestOperatorFamily:
                 RotationOperators(9, 8, method)
             with pytest.raises(ValueError, match="method"):
                 rotation_matrix(9, 0.3, method)
+
+    @pytest.mark.parametrize("size, order, message", [
+        (9, 0, "order"), (9, -8, "order"), (0, 8, "size"), (-9, 8, "size")])
+    def test_size_and_order_below_one_rejected(self, size, order, message):
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            RotationOperators(size, order)
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"kernel_size": 2}, "kernel_size"), ({"kernel_size": 4}, "kernel_size"),

@@ -350,9 +350,12 @@ def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
     ("dtype", "int32"), ("dtype", "float16"),
     ("loss_weights", (1.0, 1.0)), ("loss_weights", (1.0, 1.0, 1.0, 1.0)),
     ("loss_weights", (1.0, float("nan"), 1.0)), ("loss_weights", (1.0, float("inf"), 1.0)),
-    ("loss_weights", "1,1")])
+    ("loss_weights", "1,1"),
+    ("order", 0), ("order", -4), ("order", 6),
+    ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
 def test_config_range_checked(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match="group order" if field == "order" else field):
         PretrainConfig(**{field: value})
 
 

@@ -113,8 +113,10 @@ class TestRotateImages:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -1),
-                                              ("batch_size", 0)])
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0),
+        ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
     def test_config_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
