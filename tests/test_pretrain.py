@@ -11,12 +11,12 @@ from rotoconv.datasets import synthetic_image_corpus
 from rotoconv.groups import RotationOperators, crop_margin
 from rotoconv.pretrain import (PretrainConfig, PretrainDivergence, _ops_for,
                                _probe_equiv, basis_slots, corpus_images,
-                               equivariance_loss, equivariance_term, image_terms,
-                               orthogonality_term, pair_maps, pretrain, reconstruction_loss,
-                               reconstruction_term, total_loss, write_loss_csv)
+                               equivariance_loss, image_terms, orthogonality_term, pretrain,
+                               reconstruction_loss, total_loss, write_loss_csv)
 from rotoconv.tensor import Tensor
 
-from oracles import brute_correlate2d, rotation_dense_matrix
+from oracles import (brute_correlate2d, equivariance_term, pair_maps, reconstruction_term,
+                     rotation_dense_matrix)
 
 
 def rotate_via_oracle(images, s, size):
@@ -148,6 +148,57 @@ def test_evaluators_chunked_equal_full_batch_graph_bitwise(small_corpus, partial
         else:
             want = equiv if evaluator is equivariance_loss else rec
             assert got.hex() == want.hex()
+
+
+def test_one_draw_terms_equal_graph_reference_bitwise(small_corpus, partial_basis):
+    from rotoconv.pretrain import equivariance_term as one_draw_equiv
+    from rotoconv.pretrain import reconstruction_term as one_draw_rec
+
+    images = corpus_images(small_corpus, "float64")
+    slots = Tensor(partial_basis.elements, requires_grad=True)
+    ops = RotationOperators(images.shape[-1], 8)
+    maps = pair_maps(Tensor(images), slots, ops, 3, 6)
+    for got, want in [(one_draw_equiv, equivariance_term),
+                      (one_draw_rec, reconstruction_term)]:
+        term = got(images, slots, ops, 3, 6, 4)
+        assert term.requires_grad
+        assert term.item().hex() == want(*maps, 4).item().hex()
+
+
+def _image_terms_of(images, basis, s, r):
+    ops = RotationOperators(images.shape[-1], basis.order)
+    return image_terms(images, Tensor(basis.elements), ops, [(s, r)], 3)
+
+
+@pytest.mark.parametrize("evaluator", [_image_terms_of, total_loss, equivariance_loss,
+                                       reconstruction_loss])
+@pytest.mark.parametrize("s, r", [(1.5, 1), (1, 3.0), (np.float64(2), 2)])
+def test_non_integer_draw_indices_rejected(small_corpus, partial_basis, evaluator, s, r):
+    """A fractional s would turn the images by a fraction of a group step; r would be
+    truncated to a slot."""
+    images = corpus_images(small_corpus, "float64")
+    with pytest.raises(ValueError, match=r"draw \(.*\) needs integer"):
+        evaluator(images, partial_basis, s, r)
+
+
+def test_evaluators_build_no_graph(small_corpus, partial_basis, monkeypatch):
+    """The graph-free evaluators and the 45 degree probe run on arrays alone."""
+    cfg = PretrainConfig(n_elements=4, batch_size=7, partial=True)
+    images = corpus_images(small_corpus, cfg.dtype)
+    param = Tensor(partial_basis.elements[:2].astype(cfg.dtype), requires_grad=True)
+    ops = _ops_for(images, cfg)
+    original = Tensor.from_op
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("op"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+    for evaluator in (total_loss, equivariance_loss, reconstruction_loss):
+        evaluator(small_corpus, partial_basis, 1, 3, cfg)
+    _probe_equiv(images, param, cfg, ops, crop_margin(images.shape[-1], cfg.crop_fraction))
+    assert calls == []
 
 
 def slot_list_loss(param, partial, images, ops, draws, margin, weights):
@@ -353,7 +404,9 @@ def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
     ("loss_weights", "1,1"),
     ("order", 0), ("order", -4), ("order", 6),
     ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-    ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
+    ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("sigma", 0), ("sigma", -0.5), ("sigma", float("nan")),
+    ("interp_kernel_size", 0), ("interp_kernel_size", 4)])
 def test_config_range_checked(field, value):
     with pytest.raises(ValueError, match="group order" if field == "order" else field):
         PretrainConfig(**{field: value})
