@@ -36,13 +36,19 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command: str, options: dict, inputs: list, outputs: list):
+def _input_hashes(*paths) -> dict:
+    """sha256 of each given input file, taken before the run can overwrite it
+    (``train --init-from x --out x`` resumes in place)."""
+    return {str(p): _sha256_file(p) for p in paths if p and Path(p).exists()}
+
+
+def _write_manifest(out_path, command: str, options: dict, inputs: dict, outputs: list):
     manifest = {
         "tool": "rotoconv",
         "version": __version__,
         "command": command,
         "options": {k: v for k, v in sorted(options.items()) if not k.startswith("_")},
-        "inputs": {str(p): _sha256_file(p) for p in inputs if Path(p).exists()},
+        "inputs": inputs,
         "outputs": {str(p): _sha256_file(p) for p in outputs if Path(p).exists()},
     }
     path = Path(str(out_path) + ".manifest.json")
@@ -51,20 +57,25 @@ def _write_manifest(out_path, command: str, options: dict, inputs: list, outputs
 
 
 def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
-    """Expand ``--config FILE`` into ``--key=value`` tokens ahead of explicit flags.
+    """Expand ``--config FILE`` or ``--config=FILE`` into ``--key=value`` tokens
+    ahead of explicit flags.
 
     Each line is one token, so a value that starts with ``-`` (``angles=-45,90``)
     is not read as a flag.
 
     A missing or unreadable FILE exits through ``parser.error`` (status 2).
     """
-    if "--config" not in argv:
+    for i, token in enumerate(argv):
+        if token == "--config" or token.startswith("--config="):
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        parser.error("argument --config: expected one argument")
-    cfg_path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
+    if token == "--config":
+        if i + 1 == len(argv):
+            parser.error("argument --config: expected one argument")
+        cfg_path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        cfg_path, rest = token[len("--config="):], argv[:i] + argv[i + 1:]
     try:
         text = Path(cfg_path).read_text()
     except OSError as err:
@@ -87,11 +98,11 @@ def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
 
 
 def _load_dataset(name: str, data_dir, split: str, seed: int,
-                  n_images: int | None, cache_dir=None) -> LabeledImageSet:
+                  n_images: int | None) -> LabeledImageSet:
     if name == "mnist":
-        ds = load_mnist(data_dir, split, cache_dir)
+        ds = load_mnist(data_dir, split)
     elif name == "cifar10":
-        ds = load_cifar10(data_dir, split, cache_dir)
+        ds = load_cifar10(data_dir, split)
     elif name == "synthetic":
         count = 500 if n_images is None else n_images
         return synthetic_labeled_set(count, size=16, seed=seed + (0 if split == "train" else 7),
@@ -144,8 +155,6 @@ def _angles(text: str) -> list:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--cache-dir", default=None,
-                   help="parsed-dataset cache (or set ROTOCONV_CACHE_DIR)")
     p.add_argument("--config", default=None,
                    help="key=value file applied before explicit flags")
 
@@ -246,14 +255,14 @@ def _cmd_pretrain(args) -> int:
         corpus = synthetic_image_corpus(n_images, size=20, seed=args.seed)
     else:
         corpus = _load_dataset(args.corpus, args.data_dir, args.split, args.seed,
-                               args.n_images, args.cache_dir).images
+                               args.n_images).images
     result = pretrain(corpus, config)
     save_basis(result.basis, args.out)
     outputs = [args.out]
     if args.log_csv:
         write_loss_csv(result.epochs, args.log_csv)
         outputs.append(args.log_csv)
-    _write_manifest(args.out, "pretrain-basis", vars(args), [], outputs)
+    _write_manifest(args.out, "pretrain-basis", vars(args), {}, outputs)
     print(f"basis {result.basis.kind} saved to {args.out} "
           f"(45deg equiv loss {result.initial_equiv_45:.4f} -> {result.final_equiv_45:.4f})")
     return 0
@@ -266,13 +275,12 @@ def _cmd_train(args) -> int:
         flip=args.flip, color_normalize=args.color_normalize,
         max_translate=args.max_translate, rotation_augment=args.rotation_augment,
         seed=args.seed)
+    inputs = _input_hashes(args.basis, args.init_from)
     basis = load_basis(args.basis) if args.basis else None
-    train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed,
-                              args.n_train, args.cache_dir)
+    train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed, args.n_train)
     val_set = None
     if args.n_val is not None and args.n_val > 0:
-        val_set = _load_dataset(args.dataset, args.data_dir, "test", args.seed,
-                                args.n_val, args.cache_dir)
+        val_set = _load_dataset(args.dataset, args.data_dir, "test", args.seed, args.n_val)
     in_channels = train_set.images.shape[1]
     variant = args.variant or (basis.kind if basis else "none")
     if args.init_from:
@@ -286,7 +294,6 @@ def _cmd_train(args) -> int:
     if args.log_csv:
         write_training_csv(rows, args.log_csv)
         outputs.append(args.log_csv)
-    inputs = [args.basis] if args.basis else []
     _write_manifest(args.out, "train", vars(args), inputs, outputs)
     last = rows[-1] if rows else {}
     print(f"checkpoint saved to {args.out} (final train_acc "
@@ -300,12 +307,12 @@ def _load_model(args):
 
 
 def _cmd_eval_rotations(args) -> int:
+    inputs = _input_hashes(args.checkpoint, args.basis)
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
-                            args.n_images, args.cache_dir)
+                            args.n_images)
     report = rotation_sweep(model, testset, args.angles, args.variant)
     emit_reports(report, args.out)
-    inputs = [p for p in (args.checkpoint, args.basis) if p]
     _write_manifest(args.out, "eval-rotations", vars(args), inputs, [args.out])
     for row in report.rows:
         print(f"{row['variant']:>12s}  {row['angle_deg']:7.1f} deg  "
@@ -314,14 +321,14 @@ def _cmd_eval_rotations(args) -> int:
 
 
 def _cmd_eval_activations(args) -> int:
+    inputs = _input_hashes(args.checkpoint, args.basis)
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
-                            args.n_images, args.cache_dir)
+                            args.n_images)
     report = robustness_suite(model, testset, args.n_images,
                               order=model.group_order if model.kind == "group" else 8,
                               variant=args.variant)
     emit_reports(report, args.out)
-    inputs = [p for p in (args.checkpoint, args.basis) if p]
     _write_manifest(args.out, "eval-activations", vars(args), inputs, [args.out])
     for row in report.rows:
         print(f"layer {row['layer_index']:>2d} {row['layer_name']:<16s} "
@@ -330,9 +337,10 @@ def _cmd_eval_activations(args) -> int:
 
 
 def _cmd_inspect_basis(args) -> int:
+    inputs = _input_hashes(args.basis)
     basis = load_basis(args.basis)
     render_basis_pgm(basis, args.out, args.cell_scale)
-    _write_manifest(args.out, "inspect-basis", vars(args), [args.basis], [args.out])
+    _write_manifest(args.out, "inspect-basis", vars(args), inputs, [args.out])
     print(f"{basis.kind} basis: {basis.order} orientations x {basis.n_elements} "
           f"elements ({basis.kernel_size}x{basis.kernel_size}) -> {args.out}")
     return 0

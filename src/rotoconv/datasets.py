@@ -1,23 +1,18 @@
-"""MNIST-IDX and CIFAR-10 binary parsing, subsetting, caching, synthetic corpora.
+"""MNIST-IDX and CIFAR-10 binary parsing, subsetting, synthetic corpora.
 
 Loaders validate magic numbers and record sizes before touching pixel data and
-scale everything to [0, 1]. An optional on-disk cache (keyed by the content
-hash of the source files) skips re-parsing between runs; point it somewhere
-with ``ROTOCONV_CACHE_DIR`` or the ``cache_dir`` argument.
+scale everything to [0, 1] float32 in one allocation. Each load reads its
+source files once and parses them; nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .fileio import atomic_write
 
 
 class DatasetError(Exception):
@@ -103,21 +98,17 @@ _MNIST_FILES = {
 }
 
 
-def load_mnist(directory, split: str = "train", cache_dir=None) -> LabeledImageSet:
+def load_mnist(directory, split: str = "train") -> LabeledImageSet:
     """28x28 grayscale digits from the standard IDX pair in ``directory``."""
     if split not in _MNIST_FILES:
         raise ValueError(f"split must be train or test, got {split!r}")
-    directory = Path(directory)
-    paths = [directory / name for name in _MNIST_FILES[split]]
-
-    def parse():
-        images = read_idx_images(paths[0])
-        labels = read_idx_labels(paths[1])
-        if images.shape[0] != labels.shape[0]:
-            raise TruncatedRecordError("image and label counts disagree")
-        return (images.astype(np.float32) / 255.0)[:, None], labels.astype(np.int64)
-
-    return LabeledImageSet(*_cached_load(cache_dir, paths, parse), split)
+    image_name, label_name = _MNIST_FILES[split]
+    images = read_idx_images(Path(directory) / image_name)
+    labels = read_idx_labels(Path(directory) / label_name)
+    if images.shape[0] != labels.shape[0]:
+        raise TruncatedRecordError("image and label counts disagree")
+    return LabeledImageSet(np.divide(images, np.float32(255), dtype=np.float32)[:, None],
+                           labels.astype(np.int64), split)
 
 
 # -- CIFAR-10 ----------------------------------------------------------------------
@@ -150,18 +141,15 @@ def read_cifar_batch(path) -> tuple:
     return images, labels
 
 
-def load_cifar10(directory, split: str = "train", cache_dir=None) -> LabeledImageSet:
+def load_cifar10(directory, split: str = "train") -> LabeledImageSet:
     """32x32 RGB images from the binary batch files in ``directory``."""
     if split not in _CIFAR_FILES:
         raise ValueError(f"split must be train or test, got {split!r}")
-    paths = _cifar_paths(Path(directory), split)
-
-    def parse():
-        images, labels = zip(*(read_cifar_batch(p) for p in paths))
-        return (np.concatenate(images).astype(np.float32) / 255.0,
-                np.concatenate(labels).astype(np.int64))
-
-    return LabeledImageSet(*_cached_load(cache_dir, paths, parse), split)
+    images, labels = zip(*(read_cifar_batch(p) for p in _cifar_paths(Path(directory), split)))
+    # Casting inside concatenate skips a uint8 copy of the whole split.
+    pixels = np.concatenate(images, dtype=np.float32)
+    pixels /= np.float32(255)
+    return LabeledImageSet(pixels, np.concatenate(labels).astype(np.int64), split)
 
 
 # -- subsetting -----------------------------------------------------------------
@@ -189,50 +177,6 @@ def subset(dataset: LabeledImageSet, n: int, seed: int = 0) -> LabeledImageSet:
     order = np.sort(np.concatenate(chosen))
     return LabeledImageSet(dataset.images[order], dataset.labels[order],
                            dataset.split, dataset.n_classes)
-
-
-# -- cache ------------------------------------------------------------------------
-
-
-def default_cache_dir():
-    return os.environ.get("ROTOCONV_CACHE_DIR")
-
-
-def _cache_key(paths) -> str | None:
-    h = hashlib.sha256()
-    for p in paths:
-        p = Path(p)
-        target = p if p.exists() else p.with_name(p.name + ".gz")
-        if not target.exists():
-            return None
-        h.update(target.name.encode())
-        h.update(target.read_bytes())
-    return h.hexdigest()
-
-
-def _cached_load(cache_dir, paths, parse) -> tuple:
-    """(images, labels) from ``parse()``, or from the cache entry keyed by ``paths``.
-
-    The key is computed once, so a miss reads each source file twice (hash,
-    parse) and a hit once.
-    """
-    cache_dir = cache_dir or default_cache_dir()
-    key = None if cache_dir is None else _cache_key(paths)
-    if key is None:
-        return parse()
-    entry = Path(cache_dir) / f"{key}.npz"
-    if entry.exists():
-        with np.load(entry) as z:
-            return z["images"], z["labels"]
-    images, labels = parse()
-    _cache_put(entry, images, labels)
-    return images, labels
-
-
-def _cache_put(entry: Path, images, labels) -> None:
-    entry.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(entry) as fh:
-        np.savez(fh, images=images, labels=labels)
 
 
 # -- synthetic corpora (demos and desk-scale tests) ---------------------------------

@@ -1,4 +1,4 @@
-"""Crash-safe file output shared by every writer of artifacts and caches."""
+"""Crash-safe file output shared by every writer of artifacts, checkpoints and manifests."""
 
 from __future__ import annotations
 

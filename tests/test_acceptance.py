@@ -40,7 +40,7 @@ def _report(num, name, passed, detail=""):
 def _blocked(num, name, which):
     detail = (f"BLOCKED: {which} files not found under {data_root()} "
               f"(set ROTOCONV_DATA_DIR). This environment has no network egress "
-              f"and no cached copy; supply the standard files to run the "
+              f"to fetch them; supply the standard files to run the "
               f"criterion exactly as stated.")
     _report(num, name, False, detail)
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from rotoconv.basis import load_basis, populate_partial, save_basis
-from rotoconv.cli import main
+from rotoconv.cli import _load_config_tokens, build_parser, main
 from rotoconv.verify import check_partial_model_equivariance, format_table, run_all
 
 from formats import read_pgm, write_idx_images, write_idx_labels
@@ -147,6 +148,7 @@ class TestPretrainBasis:
     @pytest.mark.parametrize("argv,message", [
         (["verify", "--config"], "expected one argument"),
         (["verify", "--config", "no-such.cfg"], "cannot read"),
+        (["verify", "--config=no-such.cfg"], "cannot read"),
     ])
     def test_bad_config_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -259,6 +261,18 @@ class TestTrain:
                    "--out", str(tmp_path / "model.ckpt"), "--log-csv", str(log)) == 0
         assert log.read_text().splitlines()[0] == header
 
+    def test_resume_manifest_hashes_the_starting_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        common = ["train", "--dataset", "synthetic", "--n-train", "8",
+                  "--model", "translational", "--epochs", "1", "--batch-size", "8",
+                  "--out", str(ckpt)]
+        assert run(*common) == 0
+        start = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        assert run(*common, "--init-from", str(ckpt)) == 0  # resumes in place
+        manifest = json.loads((tmp_path / "model.ckpt.manifest.json").read_text())
+        assert manifest["inputs"] == {str(ckpt): start}
+        assert manifest["outputs"][str(ckpt)] != start
+
     def test_fingerprint_mismatch_fails_without_checkpoint(self, tmp_path, pretrained):
         first = tmp_path / "first.ckpt"
         assert run("train", "--dataset", "synthetic", "--n-train", "20",
@@ -314,6 +328,17 @@ class TestEvaluationCommands:
         for out in (flag_out, config_out):
             rows = out.read_text().strip().splitlines()[1:]
             assert [row.split(",")[1] for row in rows] == ["-45.0", "90.0"]
+
+    def test_config_equals_form_parses_as_separate_form(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("angles=0,90\n")
+        parser = build_parser()
+        rest = ["--checkpoint", "m.ckpt", "--out", "s.csv"]
+        separate, joined = (
+            parser.parse_args(_load_config_tokens(["eval-rotations", *form, *rest], parser))
+            for form in (["--config", str(cfg)], [f"--config={cfg}"]))
+        assert vars(joined) == vars(separate)
+        assert joined.angles == [0.0, 90.0]
 
     def test_angles_help_names_the_equals_form(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,5 +1,5 @@
 import gzip
-import hashlib
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -78,14 +78,6 @@ class TestMnist:
             fh.write(raw)
         ds = load_mnist(d, "train")
         assert np.array_equal((ds.images[:, 0] * 255).round().astype(np.uint8), images)
-
-    def test_cache_round_trip(self, mnist_dir, tmp_path):
-        d, _, _ = mnist_dir
-        cache = tmp_path / "cache"
-        a = load_mnist(d, "train", cache_dir=cache)
-        assert list(cache.glob("*.npz"))
-        b = load_mnist(d, "train", cache_dir=cache)
-        assert np.array_equal(a.images, b.images)
 
 
 class TestCifar:
@@ -180,7 +172,7 @@ class TestSynthetic:
 
 
 class TestCacheReads:
-    """A cache miss reads each source file at most twice (key, parse), a hit once."""
+    """A load reads each source file exactly once: nothing is hashed or cached."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -196,24 +188,54 @@ class TestCacheReads:
 
     @pytest.mark.parametrize("loader, fixture", [(load_mnist, "mnist_dir"),
                                                  (load_cifar10, "cifar_dir")])
-    def test_reads_per_file(self, request, tmp_path, reads, loader, fixture):
+    def test_reads_per_file(self, request, reads, loader, fixture):
         d = request.getfixturevalue(fixture)[0]
-        cache = tmp_path / "cache"
-        miss = loader(d, "train", cache_dir=cache)
-        assert reads and max(reads.values()) <= 2
-        names = set(reads)
-        reads.clear()
-        hit = loader(d, "train", cache_dir=cache)
-        assert set(reads) == names and max(reads.values()) == 1
-        assert np.array_equal(hit.images, miss.images)
-        assert np.array_equal(hit.labels, miss.labels)
+        loader(d, "train")
+        train_files = sorted(p.name for p in d.iterdir() if not p.name.startswith("test"))
+        assert sorted(reads) == train_files
+        assert set(reads.values()) == {1}
 
-    def test_key_is_sha256_of_names_and_bytes(self, mnist_dir, tmp_path):
-        d, _, _ = mnist_dir
-        h = hashlib.sha256()
-        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
-            h.update(name.encode())
-            h.update((d / name).read_bytes())
-        cache = tmp_path / "cache"
-        load_mnist(d, "train", cache_dir=cache)
-        assert [f.name for f in cache.glob("*.npz")] == [f"{h.hexdigest()}.npz"]
+
+def _gzip_in_place(directory: Path) -> None:
+    for path in list(directory.iterdir()):
+        with gzip.open(path.with_name(path.name + ".gz"), "wb") as fh:
+            fh.write(path.read_bytes())
+        path.unlink()
+
+
+class TestOneAllocationLoad:
+    """Pixels are scaled straight into the float32 array the load returns."""
+
+    @pytest.fixture(params=["mnist", "cifar10"])
+    def source(self, request, tmp_path, rng):
+        labels = (np.arange(200) % 10).astype(np.uint8)
+        if request.param == "mnist":
+            images = rng.integers(0, 256, (200, 28, 28)).astype(np.uint8)
+            write_idx_images(images, tmp_path / "train-images-idx3-ubyte")
+            write_idx_labels(labels, tmp_path / "train-labels-idx1-ubyte")
+            return load_mnist, tmp_path, images[:, None]
+        images = rng.integers(0, 256, (200, 3, 32, 32)).astype(np.uint8)
+        for i in range(5):
+            write_cifar_batch(images[i * 40:(i + 1) * 40], labels[i * 40:(i + 1) * 40],
+                              tmp_path / f"data_batch_{i + 1}.bin")
+        return load_cifar10, tmp_path, images
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_bitwise_the_two_step_scaling(self, source, gzipped):
+        loader, d, images = source
+        if gzipped:
+            _gzip_in_place(d)
+        got = loader(d, "train").images
+        want = images.astype(np.float32) / 255.0
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_traced_memory_below_175_percent_of_images(self, source):
+        loader, d, _ = source
+        tracemalloc.start()
+        try:
+            ds = loader(d, "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * ds.images.nbytes, peak / ds.images.nbytes

@@ -7,7 +7,6 @@ from rotoconv import fileio
 from rotoconv.audit import SweepReport, emit_reports
 from rotoconv.basis import populate_partial, render_basis_pgm, save_basis
 from rotoconv.cli import _write_manifest
-from rotoconv.datasets import _cache_put
 from rotoconv.fileio import atomic_write
 from rotoconv.groups import export_triplets
 from rotoconv.network import save_checkpoint
@@ -87,12 +86,6 @@ class TestWriteCsv:
         assert list(tmp_path.iterdir()) == []
 
 
-def _write_cache(tmp_path, value):
-    entry = tmp_path / "cache" / "entry.npz"
-    _cache_put(entry, np.full(4, value), np.arange(4))
-    return entry
-
-
 def _write_basis(tmp_path, value):
     elements = np.random.default_rng(value).uniform(-1, 1, (2, 4, 3, 3))
     path = tmp_path / "b.rcbs"
@@ -109,7 +102,7 @@ def _write_checkpoint(tmp_path, value):
 
 def _write_manifest_file(tmp_path, value):
     out = tmp_path / "run.out"
-    _write_manifest(out, "test", {"value": value}, [], [])
+    _write_manifest(out, "test", {"value": value}, {}, [])
     return tmp_path / "run.out.manifest.json"
 
 
@@ -145,7 +138,7 @@ def _write_pgm(tmp_path, value):
     return path
 
 
-@pytest.mark.parametrize("writer", [_write_cache, _write_basis, _write_checkpoint,
+@pytest.mark.parametrize("writer", [_write_basis, _write_checkpoint,
                                     _write_manifest_file, _write_audit_csv,
                                     _write_loss_csv, _write_training_csv,
                                     _write_triplets, _write_pgm])
