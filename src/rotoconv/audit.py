@@ -20,7 +20,8 @@ import numpy as np
 from .basis import quarter_stride
 from .datasets import LabeledImageSet
 from .fileio import write_csv
-from .groups import RotationOperators, check_crop_fraction, crop_margin, rotate_exact90
+from .groups import (RotationOperators, check_crop_fraction, check_rotation_index, crop_margin,
+                     rotate_exact90)
 from .network import Model
 from .training import evaluate, rotate_images
 
@@ -37,11 +38,11 @@ class RobustnessReport:
 
 
 def rotation_sweep(model: Model, testset: LabeledImageSet, angles_deg,
-                   variant: str = "model", method: str = "gaussian") -> SweepReport:
-    """Classification error after rotating every test image by each angle."""
+                   variant: str = "model") -> SweepReport:
+    """Classification error after a Gaussian rotation of every test image by each angle."""
     report = SweepReport()
     for angle in angles_deg:
-        rotated = rotate_images(testset.images, float(angle), method)
+        rotated = rotate_images(testset.images, float(angle))
         rotated_set = LabeledImageSet(rotated, testset.labels, testset.split,
                                       testset.n_classes)
         result = evaluate(model, rotated_set)
@@ -115,8 +116,7 @@ _KINDS = ("group", "spatial", "vector")
 
 
 def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
-                          kind: str = "group", order: int = 8,
-                          method: str = "gaussian", crop_fraction: float = 0.25,
+                          kind: str = "group", order: int = 8, crop_fraction: float = 0.25,
                           ops: RotationOperators | None = None) -> float:
     """Normalized squared L2 error between activations after rectification.
 
@@ -125,8 +125,9 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     rotation alone for ``kind="spatial"``, identity for ``kind="vector"``.
     Channels with zero norm contribute zero. Comparison happens on the
     cropped interior to keep boundary interpolation out of the measurement,
-    and only the interior is rectified.
+    and only the interior is rectified, by ``ops`` or else the Gaussian operators.
     """
+    check_rotation_index(r, s)
     if a_r.shape != a_s.shape:
         raise ValueError(f"activation shapes differ: {a_r.shape} vs {a_s.shape}")
     if ops is not None and ops.order != order:
@@ -136,21 +137,20 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     margin = 0
     if kind != "vector":
         if ops is None:
-            ops = RotationOperators(a_s.shape[-1], order, method)
+            ops = RotationOperators(a_s.shape[-1], order)
         margin = crop_margin(a_r.shape[-1], crop_fraction)
     ref = _flat(_interior(a_r, margin))
     rect = _rectified_interior(a_s, (r - s) % order, kind, ops, margin, {})
     return _pair_value(ref, _norms(ref), rect)
 
 
-def robustness_suite(model: Model, images, n_images: int,
-                     angle_indices=None, order: int = 8,
-                     variant: str = "model", method: str = "gaussian",
-                     crop_fraction: float = 0.25) -> RobustnessReport:
+def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
+                     variant: str = "model", crop_fraction: float = 0.25) -> RobustnessReport:
     """Per-layer mean of the pair error over images and rotation indices.
 
-    Reference activations always come from the unrotated image; the rotated
-    copies are produced by the index-``R`` operator at the input resolution.
+    The order is a group model's ``group_order``, else 8, and integer indices default
+    to all of it. Reference activations come from the unrotated image, the rotated
+    copies from the index-``R`` Gaussian operator at the input resolution.
     One forward per distinct rotation: each image and one copy per distinct
     non-zero ``R mod order`` go through one graph-free forward, and an index
     equal mod ``order`` to one already seen (0 included, which is the image
@@ -164,9 +164,11 @@ def robustness_suite(model: Model, images, n_images: int,
     check_crop_fraction(crop_fraction)
     arr = images.images if isinstance(images, LabeledImageSet) else np.asarray(images)
     arr = arr[:n_images]
+    order = model.group_order if model.kind == "group" else 8
     angle_indices = list(range(order) if angle_indices is None else angle_indices)
     if not angle_indices:
         raise ValueError("angle_indices must name at least one rotation index")
+    check_rotation_index(*angle_indices)
     # Stack row of each distinct rotation index mod order; row 0 is the image.
     row_of = {0: 0}
     for ridx in angle_indices:
@@ -176,7 +178,7 @@ def robustness_suite(model: Model, images, n_images: int,
 
     def ops_for(size: int) -> RotationOperators:
         if size not in ops_by_size:
-            ops_by_size[size] = RotationOperators(size, order, method)
+            ops_by_size[size] = RotationOperators(size, order)
         return ops_by_size[size]
 
     input_ops = ops_for(arr.shape[-1])

@@ -57,43 +57,47 @@ def _write_manifest(out_path, command: str, options: dict, inputs: dict, outputs
 
 
 def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
-    """Expand ``--config FILE`` or ``--config=FILE`` into ``--key=value`` tokens
-    ahead of explicit flags.
+    """Expand each ``--config FILE`` or ``--config=FILE`` into ``--key=value`` tokens
+    ahead of explicit flags; a later file's values win over an earlier one's.
 
     Each line is one token, so a value that starts with ``-`` (``angles=-45,90``)
     is not read as a flag.
 
-    A missing or unreadable FILE exits through ``parser.error`` (status 2).
+    A missing or unreadable FILE, an abbreviated ``--config`` (which argparse
+    would otherwise bind) and a config line that names another config file
+    exit through ``parser.error`` (status 2).
     """
-    for i, token in enumerate(argv):
-        if token == "--config" or token.startswith("--config="):
-            break
-    else:
-        return argv
-    if token == "--config":
-        if i + 1 == len(argv):
-            parser.error("argument --config: expected one argument")
-        cfg_path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-    else:
-        cfg_path, rest = token[len("--config="):], argv[:i] + argv[i + 1:]
-    try:
-        text = Path(cfg_path).read_text()
-    except OSError as err:
-        parser.error(f"argument --config: cannot read {cfg_path!r}: {err.strerror}")
-    tokens = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+    tokens, rest = [], []
+    args = iter(argv)
+    for token in args:
+        flag, given, cfg_path = token.partition("=")
+        # --config itself, or an abbreviation that argparse would bind to it
+        if not (len(flag) > 2 and "--config".startswith(flag)):
+            rest.append(token)
             continue
-        key, _, value = line.partition("=")
-        flag = "--" + key.strip().replace("_", "-")
-        value = value.strip()
-        if value.lower() in ("true", "yes", "on"):
-            tokens.append(flag)
-        elif value.lower() in ("false", "no", "off"):
-            continue
-        else:
-            tokens.append(f"{flag}={value}")
+        if flag != "--config":
+            parser.error(f"argument --config: write the flag in full, not {flag!r}")
+        if not given:
+            cfg_path = next(args, None)
+            if cfg_path is None:
+                parser.error("argument --config: expected one argument")
+        try:
+            text = Path(cfg_path).read_text()
+        except OSError as err:
+            parser.error(f"argument --config: cannot read {cfg_path!r}: {err.strerror}")
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            if len(flag) > 2 and "--config".startswith(flag):
+                parser.error(f"argument --config: {cfg_path!r} names another config file")
+            value = value.strip()
+            if value.lower() in ("true", "yes", "on"):
+                tokens.append(flag)
+            elif value.lower() not in ("false", "no", "off"):
+                tokens.append(f"{flag}={value}")
     return rest[:1] + tokens + rest[1:]
 
 
@@ -325,9 +329,7 @@ def _cmd_eval_activations(args) -> int:
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
                             args.n_images)
-    report = robustness_suite(model, testset, args.n_images,
-                              order=model.group_order if model.kind == "group" else 8,
-                              variant=args.variant)
+    report = robustness_suite(model, testset, args.n_images, variant=args.variant)
     emit_reports(report, args.out)
     _write_manifest(args.out, "eval-activations", vars(args), inputs, [args.out])
     for row in report.rows:

@@ -18,6 +18,7 @@ matches ``numpy.rot90`` on the last two axes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,13 @@ def _check_interpolation(method: str, sigma: float, kernel_size: int,
     check_odd_size(size_name, kernel_size)
 
 
+def check_rotation_index(*indices) -> None:
+    """Raise ValueError unless every rotation index is an integer (NumPy integers too)."""
+    for r in indices:
+        if not isinstance(r, numbers.Integral):
+            raise ValueError(f"rotation index must be an integer, got {r!r}")
+
+
 def check_odd_size(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a positive odd int (a window with a center)."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
@@ -214,6 +222,7 @@ class RotationOperators:
         _check_interpolation(self.method, self.sigma, self.kernel_size)
 
     def matrix(self, r: int) -> sparse.csr_matrix:
+        check_rotation_index(r)
         key = (r % self.order, "<f8", False)
         if key not in self._cache:
             self._cache[key] = rotation_matrix(self.size, 2.0 * math.pi * key[0] / self.order,
@@ -233,6 +242,7 @@ class RotationOperators:
     def apply(self, x: np.ndarray, r: int, transpose: bool = False) -> np.ndarray:
         """Rotate the last two axes of ``x`` by index ``r``, or apply that map's transpose
         (for a quarter turn, the inverse turn)."""
+        check_rotation_index(r)
         r = r % self.order
         if x.shape[-1] != self.size or x.shape[-2] != self.size:
             raise ValueError(f"operator built for square {self.size}x{self.size} images, "
@@ -254,22 +264,18 @@ class RotationOperators:
 # -- orientation axis ------------------------------------------------------------
 
 
-def roll_orientations(f: np.ndarray, r: int, order: int | None = None,
-                      axis: int = -3) -> np.ndarray:
-    """Cyclic shift of the orientation axis: output slice s is input slice s - r."""
-    n = f.shape[axis]
+def roll_orientations(f: np.ndarray, r: int, order: int | None = None) -> np.ndarray:
+    """Cyclic shift of the orientation axis -3: output slice s is input slice s - r."""
+    check_rotation_index(r)
+    n = f.shape[-3]
     if order is not None and n != order:
         raise ValueError(f"orientation axis has extent {n}, expected {order}")
-    return np.roll(f, int(r) % n, axis=axis)
+    return np.roll(f, r % n, axis=-3)
 
 
-def act_on_group_feature_map(f: np.ndarray, r: int, ops: RotationOperators,
-                             axis: int = -3) -> np.ndarray:
+def act_on_group_feature_map(f: np.ndarray, r: int, ops: RotationOperators) -> np.ndarray:
     """Induced rotation action: rotate within each slice, then roll the slices."""
-    if f.shape[axis] != ops.order:
-        raise ValueError(f"orientation axis has extent {f.shape[axis]}, "
-                         f"expected {ops.order}")
-    return roll_orientations(ops.apply(f, r), r, axis=axis)
+    return roll_orientations(ops.apply(f, r), r, ops.order)
 
 
 # -- diagnostics ---------------------------------------------------------------

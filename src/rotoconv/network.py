@@ -13,6 +13,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import struct
 
 import numpy as np
@@ -157,6 +158,9 @@ class Layer:
     buffer_names: tuple = ()
     output_kind = None
 
+    def __init__(self, name):
+        self.name = name
+
     def params(self):
         return [(pname, getattr(self, pname)) for pname in self.param_names]
 
@@ -171,6 +175,12 @@ class Layer:
                 **{key: getattr(self, attr) for key, attr in self.fields.items()}}
 
 
+def _uniform_init(rng, shape, dtype, fan_in: int | None = None) -> Tensor:
+    """Trainable U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights; fan_in defaults to prod(shape[1:])."""
+    bound = 1.0 / np.sqrt(math.prod(shape[1:]) if fan_in is None else fan_in)
+    return Tensor(rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True)
+
+
 class Conv2d(Layer):
     spec_type = "conv"
     fields = {"in": "in_channels", "out": "out_channels", "k": "kernel_size"}
@@ -178,15 +188,12 @@ class Conv2d(Layer):
     output_kind = "spatial"
 
     def __init__(self, in_channels, out_channels, kernel_size, rng, dtype, name):
-        self.name = name
+        super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        bound = 1.0 / np.sqrt(in_channels * kernel_size ** 2)
-        self.weight = Tensor(rng.uniform(-bound, bound,
-                                         (out_channels, in_channels,
-                                          kernel_size, kernel_size)).astype(dtype),
-                             requires_grad=True)
+        self.weight = _uniform_init(rng, (out_channels, in_channels, kernel_size, kernel_size),
+                                    dtype)
 
     def forward(self, x, training):
         return T.correlate2d(x, self.weight)
@@ -199,15 +206,12 @@ class GConvInput(Layer):
     output_kind = "group"
 
     def __init__(self, in_channels, out_channels, elements, rng, dtype, name):
-        self.name = name
+        super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.elements = elements.astype(dtype)
         n = elements.shape[1]
-        bound = 1.0 / np.sqrt(in_channels * n)
-        self.coefficients = Tensor(rng.uniform(-bound, bound,
-                                               (out_channels, in_channels, n)).astype(dtype),
-                                   requires_grad=True)
+        self.coefficients = _uniform_init(rng, (out_channels, in_channels, n), dtype)
 
     def forward(self, x, training):
         return gconv(x, self.coefficients, self.elements)
@@ -220,17 +224,13 @@ class GConvIntermediate(Layer):
     output_kind = "group"
 
     def __init__(self, in_channels, out_channels, elements, rng, dtype, name):
-        self.name = name
+        super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.elements = elements.astype(dtype)
         self.element_set = "ones" if elements.shape[1:3] == (1, 1) else "basis"
         order, n = elements.shape[0], elements.shape[1]
-        bound = 1.0 / np.sqrt(in_channels * order * n)
-        self.coefficients = Tensor(rng.uniform(-bound, bound,
-                                               (out_channels, in_channels,
-                                                order, n)).astype(dtype),
-                                   requires_grad=True)
+        self.coefficients = _uniform_init(rng, (out_channels, in_channels, order, n), dtype)
 
     def forward(self, x, training):
         return gconv(x, self.coefficients, self.elements)
@@ -246,7 +246,7 @@ class BatchNorm(Layer):
     momentum = 0.1  # weight of each training batch in the running statistics
 
     def __init__(self, channels, map_kind, dtype, name):
-        self.name = name
+        super().__init__(name)
         self.channels = channels
         self.map_kind = map_kind
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
@@ -280,18 +280,12 @@ class BatchNorm(Layer):
 class ReLU(Layer):
     spec_type = "relu"
 
-    def __init__(self, name):
-        self.name = name
-
     def forward(self, x, training):
         return T.relu(x)
 
 
 class MaxPool2x2(Layer):
     spec_type = "maxpool"
-
-    def __init__(self, name):
-        self.name = name
 
     def forward(self, x, training):
         return T.maxpool2x2(x)
@@ -302,9 +296,6 @@ class GlobalMaxPool(Layer):
 
     spec_type = "global_maxpool"
     output_kind = "vector"
-
-    def __init__(self, name):
-        self.name = name
 
     def forward(self, x, training):
         return T.global_maxpool(x)
@@ -317,13 +308,10 @@ class Dense(Layer):
     output_kind = "vector"
 
     def __init__(self, in_features, out_features, rng, dtype, name):
-        self.name = name
+        super().__init__(name)
         self.in_features = in_features
         self.out_features = out_features
-        bound = 1.0 / np.sqrt(in_features)
-        self.weight = Tensor(rng.uniform(-bound, bound,
-                                         (in_features, out_features)).astype(dtype),
-                             requires_grad=True)
+        self.weight = _uniform_init(rng, (in_features, out_features), dtype, in_features)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     def forward(self, x, training):

@@ -11,14 +11,14 @@ from .tensor import Tensor
 class AMSGrad:
     """Per-parameter adaptive steps; weight decay enters as an L2 gradient term."""
 
-    def __init__(self, params, learning_rate: float = 1e-3, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9  # decay of the first-moment estimate
+    beta2 = 0.999  # decay of the second-moment estimate
+    eps = 1e-8  # added to the root of the largest second moment
+
+    def __init__(self, params, learning_rate: float = 1e-3, weight_decay: float = 0.0):
         self.params: list[Tensor] = list(params)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
         self.v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]

@@ -32,6 +32,7 @@ from .tensor import Tensor
 
 
 _LOSS_FIELDS = ("L_equiv", "L_orth", "L_rec", "L_total")
+_N_PROBE = 200  # images the 45-degree probe runs on
 
 
 class PretrainDivergence(RuntimeError):
@@ -339,16 +340,16 @@ def reconstruction_loss(images, basis: Basis, s: int, r: int,
 
 
 def _probe_equiv(images: np.ndarray, param: Tensor, config: PretrainConfig,
-                 ops: RotationOperators, margin: int, n_probe: int = 200) -> float:
+                 ops: RotationOperators, margin: int) -> float:
     """Sampled 45-degree equivariance loss (s = r = one group step) on the first
-    ``n_probe`` images.
+    ``_N_PROBE`` images.
 
     Like ``equivariance_loss`` it runs only that term, graph-free and
     ``config.batch_size`` images at a time, so the probe holds no more images'
     maps than a training step; the value is bitwise the full-batch graph's.
     """
     slots = _quarter_turn_stack(param.data) if config.partial else param.data
-    return _chunked_terms(images[:n_probe], slots, ops, 1, 1, margin, config.batch_size,
+    return _chunked_terms(images[:_N_PROBE], slots, ops, 1, 1, margin, config.batch_size,
                           ("equiv",))[0]
 
 

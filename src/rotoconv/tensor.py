@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
+_BN_EPS = 1e-5  # BatchNorm: added to every variance before the inverse square root
 FLOAT_DTYPES = ("float32", "float64")
 
 
@@ -635,13 +636,13 @@ def _check_bn_params(x: Tensor, gamma: Tensor, beta: Tensor, axes):
     return kept[0]
 
 
-def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> tuple:
+def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> tuple:
     """Batch statistics and ``gamma * xhat + beta`` -> (out, mean, var, inv_std), keepdims."""
     _check_bn_params(x, gamma, beta, axes)
     pshape = _bn_param_shape(x.data, axes)
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     out = x.data - mu
     out *= inv
     out *= gamma.data.reshape(pshape)
@@ -672,15 +673,14 @@ def _bn_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
         accumulate_grad(x, gx)
 
 
-def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes,
-                    eps: float = 1e-5):
-    """Normalize over ``axes`` with batch statistics.
+def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):
+    """Normalize over ``axes`` with batch statistics, by 1 / sqrt(var + ``_BN_EPS``).
 
     Returns (out, batch_mean, batch_var) with the statistics as plain arrays
     (biased variance) so the caller can maintain running estimates.
     """
     axes = tuple(axes)
-    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes, eps)
+    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
 
     def backward(g):
         _bn_backward(g, x, gamma, beta, axes, mu, inv)
@@ -689,8 +689,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes,
     return out, mu.reshape(-1), var.reshape(-1)
 
 
-def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: bool,
-                         eps: float = 1e-5):
+def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: bool):
     """``relu(batchnorm_train(x))``, then ``maxpool2x2`` when ``pool``, as one op.
 
     The node keeps its output, x (its parent), the per-channel mean and
@@ -701,7 +700,7 @@ def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: boo
     Returns (out, batch_mean, batch_var) like ``batchnorm_train``.
     """
     axes = tuple(axes)
-    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes, eps)
+    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
     np.maximum(out_data, 0, out=out_data)
     idx = None
     if pool:
@@ -725,12 +724,12 @@ def _in_place(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, axes,
-                   mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> Tensor:
-    """Normalize with frozen statistics (per-channel affine map)."""
+                   mean: np.ndarray, var: np.ndarray) -> Tensor:
+    """Normalize with frozen statistics (per-channel affine map), with the same ``_BN_EPS``."""
     axes = tuple(axes)
     _check_bn_params(x, gamma, beta, axes)
     pshape = _bn_param_shape(x.data, axes)
-    inv = (1.0 / np.sqrt(var + eps)).reshape(pshape).astype(x.data.dtype)
+    inv = (1.0 / np.sqrt(var + _BN_EPS)).reshape(pshape).astype(x.data.dtype)
     mu = mean.reshape(pshape).astype(x.data.dtype)
     gb = gamma.data.reshape(pshape)
     # gb * (x - mu) * inv + beta, evaluated in that order into one array

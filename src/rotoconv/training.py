@@ -124,16 +124,15 @@ def _rotate_batch(images: np.ndarray, mode: str, rng: np.random.Generator) -> np
     return out
 
 
-def rotate_images(images: np.ndarray, angle_deg: float,
-                  method: str = "gaussian") -> np.ndarray:
-    """Rotate a whole [..., H, W] stack of square images by one angle.
+def rotate_images(images: np.ndarray, angle_deg: float) -> np.ndarray:
+    """Rotate a whole [..., H, W] stack of square images by one angle (Gaussian).
 
     Quarter turns are exact grid permutations.
     """
     size = images.shape[-1]
     if images.shape[-2] != size:
         raise ValueError(f"rotation needs square images, got {images.shape[-2]}x{size}")
-    m = rotation_matrix(size, math.radians(angle_deg), method)
+    m = rotation_matrix(size, math.radians(angle_deg))
     flat = images.reshape(-1, size * size).T
     return np.ascontiguousarray((m.astype(images.dtype) @ flat).T).reshape(images.shape)
 

@@ -192,6 +192,17 @@ class TestActivationPairError:
         with pytest.raises(ValueError, match="order 8 given for order 4"):
             activation_pair_error(a, a, 0, 3, "spatial", order=4, ops=RotationOperators(9, 8))
 
+    @pytest.mark.parametrize("r, s", [(1.5, 0), (0, 1.5), (1.0, 0), (0, np.float32(2))])
+    def test_non_integer_index_rejected(self, rng, r, s):
+        a = rng.standard_normal((2, 9, 9))
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            activation_pair_error(a, a, r, s, "spatial")
+
+    def test_numpy_integer_indices_accepted(self, rng):
+        a_r, a_s = rng.standard_normal((2, 2, 9, 9))
+        assert activation_pair_error(a_r, a_s, np.int64(0), np.int32(1), "spatial") \
+            == activation_pair_error(a_r, a_s, 0, 1, "spatial")
+
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shapes"):
             activation_pair_error(rng.random((1, 2, 4, 4)), rng.random((1, 2, 5, 5)), 0, 1)
@@ -299,6 +310,38 @@ class TestRobustnessSuite:
         monkeypatch.setattr(type(model), "iter_activations", no_forward)
         with pytest.raises(ValueError, match="angle_indices"):
             robustness_suite(model, rng.random((2, 1, 8, 8)), 2, angle_indices=[])
+
+    @pytest.mark.parametrize("angles", [[1.5], [0, 2.0], [1, np.float64(3.0)]])
+    def test_non_integer_index_rejected_before_any_forward(self, rng, partial_basis,
+                                                           monkeypatch, angles):
+        model = small_group_model(partial_basis, classes=5, seed=2)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(type(model), "iter_activations", no_forward)
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            robustness_suite(model, rng.random((2, 1, 8, 8)), 2, angle_indices=angles)
+
+    def test_numpy_integer_indices_accepted(self, rng, partial_basis):
+        model = small_group_model(partial_basis, seed=1)
+        images = rng.random((2, 1, 8, 8))
+        got = robustness_suite(model, images, 2, angle_indices=[np.int64(1), np.int32(2)])
+        want = robustness_suite(model, images, 2, angle_indices=[1, 2])
+        assert got.per_angle == want.per_angle
+        assert all(type(row["angle_index"]) is int for row in got.per_angle)
+
+    def test_group_order_comes_from_the_model(self, rng):
+        basis = populate_partial(rng.uniform(-1.0, 1.0, (1, 4, 3, 3)), order=4)
+        model = small_group_model(basis, seed=1)
+        report = robustness_suite(model, rng.random((2, 1, 8, 8)), 2)
+        assert sorted({row["angle_index"] for row in report.per_angle}) == [0, 1, 2, 3]
+        assert len(report.per_angle) == 4 * len(model.layers)
+        kinds = layer_kinds(model)
+        for row in report.per_angle:
+            # Every index of an order-4 group is a quarter turn, exact on a partial basis.
+            bound = 1e-6 if kinds[row["layer_index"]] == "vector" else 1e-9
+            assert row["L_equivariance"] <= bound
 
 
 @pytest.mark.slow

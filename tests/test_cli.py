@@ -340,6 +340,35 @@ class TestEvaluationCommands:
         assert vars(joined) == vars(separate)
         assert joined.angles == [0.0, 90.0]
 
+    @pytest.mark.parametrize("form, want", [
+        (["--conf", "{c}"], None),  # an abbreviation argparse would bind: usage error
+        (["--config", "{c}", "--config", "{d}"], [45.0]),  # every file, the later one wins
+    ])
+    def test_every_config_flag_takes_effect_or_is_usage_error(self, tmp_path, capsys,
+                                                               form, want):
+        (tmp_path / "c.txt").write_text("angles=0,90\n")
+        (tmp_path / "d.txt").write_text("angles=45\n")
+        form = [t.format(c=tmp_path / "c.txt", d=tmp_path / "d.txt") for t in form]
+        parser = build_parser()
+        argv = ["eval-rotations", *form, "--checkpoint", "m.ckpt", "--out", "s.csv"]
+        if want is None:
+            with pytest.raises(SystemExit) as exit_info:
+                _load_config_tokens(argv, parser)
+            assert exit_info.value.code == 2
+            assert "--config" in capsys.readouterr().err
+        else:
+            assert parser.parse_args(_load_config_tokens(argv, parser)).angles == want
+
+    def test_config_file_naming_another_is_usage_error(self, tmp_path, capsys):
+        inner, outer = tmp_path / "inner.txt", tmp_path / "outer.txt"
+        inner.write_text("angles=45\n")
+        outer.write_text(f"config={inner}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run("eval-rotations", "--config", str(outer), "--checkpoint", "m.ckpt",
+                "--out", str(tmp_path / "s.csv"))
+        assert exit_info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_angles_help_names_the_equals_form(self, capsys):
         with pytest.raises(SystemExit):
             run("eval-rotations", "--help")

@@ -270,6 +270,21 @@ class TestOperatorFamily:
         ops.matrix(3)
         assert built == [2 * math.pi / 8, 3 * 2 * math.pi / 8]
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(2.0), "1"])
+    def test_non_integer_index_rejected(self, rng, r):
+        ops = RotationOperators(9, 8)
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            ops.matrix(r)
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            ops.apply(rng.random((9, 9)), r)
+
+    def test_numpy_integer_index_accepted(self, rng):
+        ops = RotationOperators(9, 8)
+        x = rng.random((9, 9))
+        for r in (np.int64(1), np.int32(3), np.uint8(2)):
+            assert np.array_equal(ops.apply(x, r), ops.apply(x, int(r)))
+            assert (ops.matrix(r) != ops.matrix(int(r))).nnz == 0
+
 
 class TestRoll:
     def test_zero_identity(self, rng):
@@ -288,6 +303,11 @@ class TestRoll:
     def test_extent_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="extent"):
             roll_orientations(rng.random((4, 2, 2)), 1, order=8)
+
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float32(2.0)])
+    def test_non_integer_index_rejected(self, rng, r):
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            roll_orientations(rng.random((8, 2, 2)), r)
 
 
 class TestInducedAction:
