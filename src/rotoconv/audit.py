@@ -9,6 +9,8 @@ another mod the order, 0 included, reuses its row) and rectifies only the
 cropped interior that the error compares, with the same helpers as the
 one-pair ``activation_pair_error``, so both give the same values bitwise.
 ``quarter_turn_drift`` compares every layer under the exact quarter turns.
+No map is rotated here: every rectification is the action in ``groups``, on
+the interior alone where the error is taken on a crop.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .basis import quarter_stride
 from .datasets import LabeledImageSet
 from .fileio import write_csv
-from .groups import (RotationOperators, check_crop_fraction, check_rotation_index, crop_margin,
-                     rotate_exact90)
+from .groups import (RotationOperators, _act, check_crop_fraction, check_rotation_index,
+                     crop_margin, rotate_exact90)
 from .network import Model
 from .training import evaluate, rotate_images
 
@@ -56,52 +59,16 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).reshape(a.shape[0], -1)
 
 
-def _interior(a: np.ndarray, margin: int) -> np.ndarray:
-    if not margin:
-        return a
-    size = a.shape[-1]
-    return a[..., margin:size - margin, margin:size - margin]
-
-
 def _norms(flat: np.ndarray) -> np.ndarray:
     """Per-channel float64 L2 norm of a [channels, rest] array."""
     return np.sqrt((flat.astype(np.float64) ** 2).sum(axis=1))
 
 
-def _rectified_interior(a_s: np.ndarray, delta: int, kind: str, ops: RotationOperators,
-                        margin: int, row_cache: dict) -> np.ndarray:
-    """``a_s`` moved by rotation index ``delta`` as [channels, rest], on the interior only.
-
-    A quarter turn is ``rot90`` of the centred crop, which equals the crop of the
-    rotation. Another turn applies only the operator rows whose target pixel is
-    in the interior: a CSR row slice in ``a_s``'s dtype, kept in ``row_cache``
-    by (size, index, dtype). Group maps then roll their orientations. Every
-    value is bitwise the one the full rotation gives at that pixel.
-    """
-    if kind == "vector":
-        return _flat(a_s)
-    size, order = ops.size, ops.order
-    delta %= order
-    if kind == "group" and a_s.shape[-3] != order:
-        raise ValueError(f"orientation axis has extent {a_s.shape[-3]}, expected {order}")
-    if a_s.shape[-2:] != (size, size):
-        raise ValueError(f"operator built for square {size}x{size} images, "
-                         f"got {a_s.shape[-2]}x{a_s.shape[-1]}")
-    if ops.is_exact(delta):
-        rect = np.rot90(_interior(a_s, margin), (4 * delta) // order, axes=(-2, -1))
-    else:
-        key = (size, delta, a_s.dtype.str)
-        if key not in row_cache:
-            keep = np.arange(margin, size - margin)
-            rows = (keep[:, None] * size + keep).reshape(-1)
-            row_cache[key] = ops.matrix(delta)[rows].astype(a_s.dtype)
-        columns = a_s.reshape(-1, size * size).T
-        rect = (row_cache[key] @ columns).T
-        rect = rect.reshape(a_s.shape[:-2] + (size - 2 * margin,) * 2)
-    if kind == "group":
-        # np.roll(rect, delta, axis=-3) as one gather into a C-ordered copy
-        rect = np.take(rect, (np.arange(order) - delta) % order, axis=-3)
-    return _flat(rect)
+def _rectified(a: np.ndarray, r: int, kind: str, ops: RotationOperators | None,
+               margin: int) -> np.ndarray:
+    """``a`` moved by rotation index ``r`` on the interior ``margin`` pixels in from each
+    edge, as [channels, rest]; a vector does not move."""
+    return _flat(a if kind == "vector" else _act(a, r, ops, kind == "group", margin))
 
 
 def _pair_value(ref: np.ndarray, norm_ref: np.ndarray, rect: np.ndarray) -> float:
@@ -134,14 +101,14 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
         raise ValueError(f"operators of order {ops.order} given for order {order}")
     if kind not in _KINDS:
         raise ValueError(f"unknown activation kind {kind!r}")
-    margin = 0
+    margin, ref = 0, a_r
     if kind != "vector":
         if ops is None:
             ops = RotationOperators(a_s.shape[-1], order)
         margin = crop_margin(a_r.shape[-1], crop_fraction)
-    ref = _flat(_interior(a_r, margin))
-    rect = _rectified_interior(a_s, (r - s) % order, kind, ops, margin, {})
-    return _pair_value(ref, _norms(ref), rect)
+        ref = a_r[T._crop_slice(a_r.shape, margin)]
+    ref = _flat(ref)
+    return _pair_value(ref, _norms(ref), _rectified(a_s, (r - s) % order, kind, ops, margin))
 
 
 def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
@@ -174,7 +141,6 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
     for ridx in angle_indices:
         row_of.setdefault(int(ridx) % order, len(row_of))
     ops_by_size: dict = {}
-    row_cache: dict = {}
 
     def ops_for(size: int) -> RotationOperators:
         if size not in ops_by_size:
@@ -188,18 +154,18 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
     for image in arr:
         stack = np.stack([image] + [input_ops.apply(image, d) for d in list(row_of)[1:]])
         for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
-            ops, margin = None, 0
+            ops, margin, ref = None, 0, acts[0]
             if kind != "vector":
                 size = acts.shape[-1]
                 ops, margin = ops_for(size), crop_margin(size, crop_fraction)
-            ref = _flat(_interior(acts[0], margin))
+                ref = ref[T._crop_slice(ref.shape, margin)]
+            ref = _flat(ref)
             norm_ref = _norms(ref)
             values: dict = {}
             for a_i, ridx in enumerate(angle_indices):
                 d = int(ridx) % order
                 if d not in values:
-                    rect = _rectified_interior(acts[row_of[d]], -d % order, kind, ops,
-                                               margin, row_cache)
+                    rect = _rectified(acts[row_of[d]], -d % order, kind, ops, margin)
                     values[d] = _pair_value(ref, norm_ref, rect)
                 sums[l_i] += values[d]
                 per_angle_sums[l_i, a_i] += values[d]
@@ -232,15 +198,17 @@ def quarter_turn_drift(model: Model, images) -> dict:
     max |logits_q - logits| / max |logits|. Maxima run over the whole batch;
     denominators floor at 1e-12.
     """
+    order = model.group_order if model.kind == "group" else 4
+    stride = quarter_stride(order)
     passes = [model.iter_activations(rotate_exact90(images, q)) for q in range(4)]
     maps = dict.fromkeys((1, 2, 3), 0.0)
     for (_, kind, a), *turned in zip(*passes):
+        if kind == "vector":
+            continue
+        ops = RotationOperators(a.shape[-1], order)
         for q, (_, _, a_q) in enumerate(turned, 1):
-            if kind != "vector":
-                moved = rotate_exact90(a, q)
-                if kind == "group":
-                    moved = np.roll(moved, q * quarter_stride(a.shape[-3]), axis=-3)
-                maps[q] = max(maps[q], _relative_change(a_q, moved, a))
+            moved = _act(a, q * stride, ops, kind == "group")
+            maps[q] = max(maps[q], _relative_change(a_q, moved, a))
     # the loop leaves the last layer, the logits, in a and turned
     return {q: (maps[q], _relative_change(a_q, a, a)) for q, (_, _, a_q) in enumerate(turned, 1)}
 

@@ -3,7 +3,8 @@
 One executable, subcommand style. Every artifact-producing run drops a
 ``<output>.manifest.json`` beside its outputs with the full configuration and
 content hashes, so a run can be reproduced from the manifest alone. A simple
-``key=value`` config file can seed any subcommand's flags; explicit flags win.
+``key=value`` config file can seed any subcommand's flags; explicit flags win;
+the manifest names and hashes it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _input_hashes(*paths) -> dict:
-    """sha256 of each given input file, taken before the run can overwrite it
-    (``train --init-from x --out x`` resumes in place)."""
+def _input_hashes(args) -> dict:
+    """sha256 of each config file and input file of a run, taken before the run can
+    overwrite it (``train --init-from x --out x`` resumes in place)."""
+    paths = [*(args.config or ()),
+             *(getattr(args, name, None) for name in ("basis", "init_from", "checkpoint"))]
     return {str(p): _sha256_file(p) for p in paths if p and Path(p).exists()}
 
 
@@ -58,7 +61,8 @@ def _write_manifest(out_path, command: str, options: dict, inputs: dict, outputs
 
 def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
     """Expand each ``--config FILE`` or ``--config=FILE`` into ``--key=value`` tokens
-    ahead of explicit flags; a later file's values win over an earlier one's.
+    ahead of explicit flags; a later file's values win over an earlier one's. Each
+    file also stays as a ``--config=FILE`` token, so ``args.config`` lists them in order.
 
     Each line is one token, so a value that starts with ``-`` (``angles=-45,90``)
     is not read as a flag.
@@ -85,6 +89,7 @@ def _load_config_tokens(argv: list, parser: argparse.ArgumentParser) -> list:
             text = Path(cfg_path).read_text()
         except OSError as err:
             parser.error(f"argument --config: cannot read {cfg_path!r}: {err.strerror}")
+        tokens.append(f"--config={cfg_path}")
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -159,7 +164,7 @@ def _angles(text: str) -> list:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--config", default=None,
+    p.add_argument("--config", action="append", default=None,
                    help="key=value file applied before explicit flags")
 
 
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_pretrain(args) -> list:
     config = PretrainConfig(
         n_elements=args.n_elements, kernel_size=args.kernel_size,
         partial=args.partial, epochs=args.epochs, batch_size=args.batch_size,
@@ -266,20 +271,18 @@ def _cmd_pretrain(args) -> int:
     if args.log_csv:
         write_loss_csv(result.epochs, args.log_csv)
         outputs.append(args.log_csv)
-    _write_manifest(args.out, "pretrain-basis", vars(args), {}, outputs)
     print(f"basis {result.basis.kind} saved to {args.out} "
           f"(45deg equiv loss {result.initial_equiv_45:.4f} -> {result.final_equiv_45:.4f})")
-    return 0
+    return outputs
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> list:
     config = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate,
         weight_decay=args.weight_decay, batch_size=args.batch_size,
         flip=args.flip, color_normalize=args.color_normalize,
         max_translate=args.max_translate, rotation_augment=args.rotation_augment,
         seed=args.seed)
-    inputs = _input_hashes(args.basis, args.init_from)
     basis = load_basis(args.basis) if args.basis else None
     train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed, args.n_train)
     val_set = None
@@ -298,11 +301,10 @@ def _cmd_train(args) -> int:
     if args.log_csv:
         write_training_csv(rows, args.log_csv)
         outputs.append(args.log_csv)
-    _write_manifest(args.out, "train", vars(args), inputs, outputs)
     last = rows[-1] if rows else {}
     print(f"checkpoint saved to {args.out} (final train_acc "
           f"{last.get('train_acc', float('nan')):.3f})")
-    return 0
+    return outputs
 
 
 def _load_model(args):
@@ -310,42 +312,36 @@ def _load_model(args):
     return load_checkpoint(args.checkpoint, basis)
 
 
-def _cmd_eval_rotations(args) -> int:
-    inputs = _input_hashes(args.checkpoint, args.basis)
+def _cmd_eval_rotations(args) -> list:
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
                             args.n_images)
     report = rotation_sweep(model, testset, args.angles, args.variant)
     emit_reports(report, args.out)
-    _write_manifest(args.out, "eval-rotations", vars(args), inputs, [args.out])
     for row in report.rows:
         print(f"{row['variant']:>12s}  {row['angle_deg']:7.1f} deg  "
               f"error {row['error']:.4f}")
-    return 0
+    return [args.out]
 
 
-def _cmd_eval_activations(args) -> int:
-    inputs = _input_hashes(args.checkpoint, args.basis)
+def _cmd_eval_activations(args) -> list:
     model = _load_model(args)
     testset = _load_dataset(args.dataset, args.data_dir, args.split, args.seed,
                             args.n_images)
     report = robustness_suite(model, testset, args.n_images, variant=args.variant)
     emit_reports(report, args.out)
-    _write_manifest(args.out, "eval-activations", vars(args), inputs, [args.out])
     for row in report.rows:
         print(f"layer {row['layer_index']:>2d} {row['layer_name']:<16s} "
               f"L_equivariance {row['L_equivariance']:.6f}")
-    return 0
+    return [args.out]
 
 
-def _cmd_inspect_basis(args) -> int:
-    inputs = _input_hashes(args.basis)
+def _cmd_inspect_basis(args) -> list:
     basis = load_basis(args.basis)
     render_basis_pgm(basis, args.out, args.cell_scale)
-    _write_manifest(args.out, "inspect-basis", vars(args), inputs, [args.out])
     print(f"{basis.kind} basis: {basis.order} orientations x {basis.n_elements} "
           f"elements ({basis.kernel_size}x{basis.kernel_size}) -> {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_verify(args) -> int:
@@ -359,16 +355,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = _load_config_tokens(argv, parser)
     args = parser.parse_args(argv)
+    # every command but verify writes artifacts and returns their paths
     handlers = {
         "pretrain-basis": _cmd_pretrain,
         "train": _cmd_train,
         "eval-rotations": _cmd_eval_rotations,
         "eval-activations": _cmd_eval_activations,
         "inspect-basis": _cmd_inspect_basis,
-        "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        inputs = _input_hashes(args)
+        outputs = handlers[args.command](args)
+        _write_manifest(args.out, args.command, vars(args), inputs, outputs)
+        return 0
     except (DatasetError, FingerprintMismatch, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ Covers three layers of machinery:
   3x3 homogeneous-matrix view under which composition is matrix multiplication.
 * grid operators - exact quarter-turn permutations, Gaussian/bilinear
   interpolated rotations (as sparse matrices), orientation rolls, and their
-  composition on orientation-stacked feature maps.
+  composition on orientation-stacked feature maps: the one code that acts on a
+  map with a rotation index, on the whole map or, for the audits, its interior.
 * ``unitarity_defect`` and ``gram_defect`` - measure how far an operator is
   from preserving the inner product that group convolutions are built on.
 
@@ -50,6 +51,7 @@ class GroupElement:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"group order must be >= 1, got {self.order}")
+        check_rotation_index(self.rot)
         object.__setattr__(self, "rot", self.rot % self.order)
         tx, ty = self.translation
         object.__setattr__(self, "translation", (float(tx), float(ty)))
@@ -223,17 +225,24 @@ class RotationOperators:
 
     def matrix(self, r: int) -> sparse.csr_matrix:
         check_rotation_index(r)
-        key = (r % self.order, "<f8", False)
+        key = (r % self.order, "<f8", False, 0)
         if key not in self._cache:
             self._cache[key] = rotation_matrix(self.size, 2.0 * math.pi * key[0] / self.order,
                                                self.method, self.sigma, self.kernel_size)
         return self._cache[key]
 
-    def _cast(self, r: int, dtype, transposed: bool) -> sparse.csr_matrix:
-        key = (r % self.order, np.dtype(dtype).str, transposed)
+    def _cast(self, r: int, dtype, transposed: bool, margin: int = 0) -> sparse.csr_matrix:
+        """The matrix (or its transpose) in ``dtype``; with a margin, only the rows of the
+        target pixels at least ``margin`` pixels inside every edge."""
+        key = (r % self.order, np.dtype(dtype).str, transposed, margin)
         if key not in self._cache:
             m = self.matrix(r)
-            self._cache[key] = (m.T.tocsr() if transposed else m).astype(dtype, copy=False)
+            if transposed:
+                m = m.T.tocsr()
+            if margin:
+                keep = np.arange(margin, self.size - margin)
+                m = m[(keep[:, None] * self.size + keep).reshape(-1)]
+            self._cache[key] = m.astype(dtype, copy=False)
         return self._cache[key]
 
     def is_exact(self, r: int) -> bool:
@@ -241,7 +250,14 @@ class RotationOperators:
 
     def apply(self, x: np.ndarray, r: int, transpose: bool = False) -> np.ndarray:
         """Rotate the last two axes of ``x`` by index ``r``, or apply that map's transpose
-        (for a quarter turn, the inverse turn)."""
+        (for a quarter turn, the inverse turn, returned as a C-ordered copy)."""
+        turned = self._turn(x, r, transpose)
+        return np.ascontiguousarray(turned) if self.is_exact(r) else turned
+
+    def _turn(self, x: np.ndarray, r: int, transpose: bool = False,
+              margin: int = 0) -> np.ndarray:
+        """``apply`` on the pixels at least ``margin`` inside every edge, bitwise: a quarter
+        turn is a view of the turned centred crop, another index applies those rows."""
         check_rotation_index(r)
         r = r % self.order
         if x.shape[-1] != self.size or x.shape[-2] != self.size:
@@ -249,9 +265,11 @@ class RotationOperators:
                              f"got {x.shape[-2]}x{x.shape[-1]}")
         if self.is_exact(r):
             q = (4 * r) // self.order
-            return rotate_exact90(x, -q if transpose else q)
-        apply_flat = self.apply_flat_t if transpose else self.apply_flat
-        return apply_flat(x.reshape(-1, self.size ** 2).T, r).T.reshape(x.shape)
+            crop = x[..., margin:self.size - margin, margin:self.size - margin]
+            return np.rot90(crop, -q if transpose else q, axes=(-2, -1))
+        columns = x.reshape(-1, self.size ** 2).T
+        turned = self._cast(r, x.dtype, transpose, margin) @ columns
+        return turned.T.reshape(x.shape[:-2] + (self.size - 2 * margin,) * 2)
 
     def apply_flat(self, columns: np.ndarray, r: int) -> np.ndarray:
         """Apply to flattened images stacked as columns [n_pixels, n_images]."""
@@ -265,17 +283,26 @@ class RotationOperators:
 
 
 def roll_orientations(f: np.ndarray, r: int, order: int | None = None) -> np.ndarray:
-    """Cyclic shift of the orientation axis -3: output slice s is input slice s - r."""
+    """Cyclic shift of the orientation axis -3: output slice s is input slice s - r,
+    gathered into one C-ordered copy whatever the strides of ``f``."""
     check_rotation_index(r)
     n = f.shape[-3]
     if order is not None and n != order:
         raise ValueError(f"orientation axis has extent {n}, expected {order}")
-    return np.roll(f, r % n, axis=-3)
+    return np.take(f, (np.arange(n) - r % n) % n, axis=-3)
 
 
 def act_on_group_feature_map(f: np.ndarray, r: int, ops: RotationOperators) -> np.ndarray:
     """Induced rotation action: rotate within each slice, then roll the slices."""
-    return roll_orientations(ops.apply(f, r), r, ops.order)
+    return _act(f, r, ops, True)
+
+
+def _act(f: np.ndarray, r: int, ops: RotationOperators, group: bool,
+         margin: int = 0) -> np.ndarray:
+    """Index ``r`` acting on a group map (``group``) or a spatial map, on the pixels at
+    least ``margin`` pixels inside every edge: the turn, then for a group map the roll."""
+    turned = ops._turn(f, r, margin=margin)
+    return roll_orientations(turned, r, ops.order) if group else turned
 
 
 # -- diagnostics ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .basis import Basis
+from .basis import KINDS, Basis
 from .fileio import atomic_write
 from .tensor import Tensor
 
@@ -420,8 +420,6 @@ TRANSLATIONAL_CHANNELS = (96, 96, 96, 192, 192, 192, 192, 192, 192)
 _POOL_AFTER = (2, 5)  # max pooling after the third and sixth conv blocks
 _ONE_BY_ONE = (7, 8)  # the last two conv blocks use 1x1 filters
 
-GROUP_VARIANTS = ("full", "partial", "overcomplete", "random", "gaussian", "bilinear")
-
 
 def _ones_elements(order: int, dtype) -> np.ndarray:
     return np.ones((order, 1, 1, 1), dtype=dtype)
@@ -441,7 +439,7 @@ def build_model(kind: str, variant: str = "none", basis: Basis | None = None,
     group = kind == "group"
     if group and basis is None:
         raise ValueError("group models need a basis")
-    if group and variant in GROUP_VARIANTS and basis.kind != variant:
+    if group and variant in KINDS and basis.kind != variant:
         raise ValueError(f"variant {variant!r} does not match basis kind {basis.kind!r}")
     layers = []
     prev = in_channels

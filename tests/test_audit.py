@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rotoconv import network
+from rotoconv import groups, network
 from rotoconv.audit import (SweepReport, activation_pair_error, emit_reports,
                             quarter_turn_drift, robustness_suite, rotation_sweep)
 from rotoconv.basis import Basis, make_baseline_basis, populate_partial
@@ -342,6 +344,21 @@ class TestRobustnessSuite:
             # Every index of an order-4 group is a quarter turn, exact on a partial basis.
             bound = 1e-6 if kinds[row["layer_index"]] == "vector" else 1e-9
             assert row["L_equivariance"] <= bound
+
+    def test_builds_each_operator_once(self, rng, partial_basis, monkeypatch):
+        builds = []
+        build = groups.rotation_matrix
+
+        def counting(size, angle, *args):
+            builds.append((size, round(math.degrees(angle))))
+            return build(size, angle, *args)
+
+        monkeypatch.setattr(groups, "rotation_matrix", counting)
+        model = small_group_model(partial_basis, seed=1, dtype="float32")
+        robustness_suite(model, rng.random((3, 1, 8, 8)).astype(np.float32), 3)
+        # the input and first maps are 8x8, the pooled ones 4x4; quarter turns build none
+        assert sorted(builds) == [(size, angle) for size in (4, 8)
+                                  for angle in (45, 135, 225, 315)]
 
 
 @pytest.mark.slow

@@ -74,6 +74,18 @@ class TestPretrainBasis:
         manifest = json.loads((tmp_path / "c.rcbs.manifest.json").read_text())
         assert manifest["options"]["n_elements"] == 2
 
+    def test_manifest_names_and_hashes_every_config_file(self, tmp_path):
+        first, second = tmp_path / "run.cfg", tmp_path / "seed.cfg"
+        first.write_text("n_images=16\nepochs=1\nbatch_size=8\nn_elements=2\n")
+        second.write_text("seed=5\n")
+        out = tmp_path / "c.rcbs"
+        assert run("pretrain-basis", f"--config={second}", "--config", str(first),
+                   "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "c.rcbs.manifest.json").read_text())
+        assert manifest["options"]["config"] == [str(second), str(first)]
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (first, second)}
+
     @pytest.mark.parametrize("sigma", ["0", "-0.5"])
     def test_non_positive_sigma_is_clean_error(self, tmp_path, capsys, sigma):
         out = tmp_path / "basis.rcbs"

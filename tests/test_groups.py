@@ -82,6 +82,16 @@ class TestGroupAlgebra:
         with pytest.raises(ValueError, match="group order must be >= 1"):
             GroupElement(0, order=order)
 
+    @pytest.mark.parametrize("rot", [1.5, 2.0, np.float64(3.0), "1"])
+    def test_non_integer_rotation_index_rejected(self, rot):
+        with pytest.raises(ValueError, match="rotation index must be an integer"):
+            GroupElement(rot, (0.0, 0.0), 8)
+
+    def test_numpy_integer_rotation_index_accepted(self):
+        g = GroupElement(np.int64(9), (0.0, 0.0), 8)
+        assert g.rot == 1
+        assert compose(g, g) == GroupElement(2, (0.0, 0.0), 8)
+
 
 class TestExactRotation:
     def test_zero_turns_identity(self, rng):
