@@ -8,8 +8,10 @@ The library splits into:
 * :mod:`rotoconv.pretrain` - offline basis learning from an image corpus
 * :mod:`rotoconv.network` - group-convolution layers and classifier models
 * :mod:`rotoconv.datasets` - MNIST/CIFAR-10 parsing and synthetic corpora
+* :mod:`rotoconv.optim` - AMSGrad and the epoch loop training and pretraining share
 * :mod:`rotoconv.training` - task training and evaluation harness
 * :mod:`rotoconv.audit` - rotation sweeps and activation-robustness audits
+* :mod:`rotoconv.verify` - the property checks behind ``rotoconv verify``
 * :mod:`rotoconv.fileio` - atomic (temp file + rename) writes
 * :mod:`rotoconv.cli` - the ``rotoconv`` command
 """

@@ -114,8 +114,7 @@ def _load_dataset(name: str, data_dir, split: str, seed: int,
         ds = load_cifar10(data_dir, split)
     elif name == "synthetic":
         count = 500 if n_images is None else n_images
-        return synthetic_labeled_set(count, size=16, seed=seed + (0 if split == "train" else 7),
-                                     split=split)
+        return synthetic_labeled_set(count, size=16, seed=seed, split=split)
     else:
         raise ValueError(f"unknown dataset {name!r}")
     if n_images is not None and n_images < len(ds):

@@ -202,8 +202,12 @@ def synthetic_image_corpus(n: int, size: int = 20, seed: int = 0) -> np.ndarray:
 def synthetic_labeled_set(n: int, size: int = 16, n_classes: int = 10,
                           seed: int = 0, channels: int = 1,
                           split: str = "train") -> LabeledImageSet:
-    """Classification toy set: jittered noisy copies of per-class blob templates."""
-    rng = np.random.default_rng(seed)
+    """Classification toy set: jittered noisy copies of per-class blob templates.
+
+    The templates depend on ``seed`` alone, so every split of one seed has the
+    same classes; jitter, noise and order depend on ``seed`` and ``split``.
+    """
+    rng = np.random.default_rng(seed if split == "train" else [seed, *split.encode()])
     templates = synthetic_image_corpus(n_classes, size, seed=seed + 1)
     labels = np.arange(n) % n_classes
     images = np.zeros((n, channels, size, size), dtype=np.float32)

@@ -617,10 +617,14 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
     slots = {name: p for name, p in model.named_parameters()}
     buffers = {name: b for name, b in model.named_buffers()}
     stats = {}
+    seen = set()
     for meta in header["arrays"]:
         raw = _read_array(meta, blob, offset)
         offset += raw.nbytes
         name = meta["name"]
+        if name in seen:
+            raise CheckpointFormatError(f"array {name!r} appears twice")
+        seen.add(name)
         target = slots[name].data if name in slots else buffers.get(name)
         if target is not None and raw.shape != target.shape:
             raise CheckpointFormatError(f"array {name!r} has shape {raw.shape}, "
@@ -636,6 +640,9 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
             stats[name] = raw.copy()
         else:
             raise CheckpointFormatError(f"unexpected array {name!r}")
+    missing = [name for name in (*slots, *buffers) if name not in seen]
+    if missing:
+        raise CheckpointFormatError(f"checkpoint lacks array {missing[0]!r}")
     if stats:
         if len(stats) != 2:
             raise CheckpointFormatError(f"checkpoint carries only {sorted(stats)}")

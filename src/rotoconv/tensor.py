@@ -554,37 +554,36 @@ def _check_even(a: np.ndarray) -> None:
         raise ValueError(f"maxpool2x2 needs even extents, got {h}x{w}")
 
 
-def _pool2x2(a: np.ndarray) -> tuple:
-    """2x2/stride-2 max over the last two axes -> (pooled, uint8 index of the first max)."""
-    _check_even(a)
-    h, w = a.shape[-2:]
-    lead = a.shape[:-2]
-    blocks = a.reshape(lead + (h // 2, 2, w // 2, 2)).swapaxes(-3, -2)
-    blocks = blocks.reshape(lead + (h // 2, w // 2, 4))
-    idx = blocks.argmax(axis=-1)[..., None]
-    return np.take_along_axis(blocks, idx, axis=-1)[..., 0], idx.astype(np.uint8)
-
-
-def _unpool2x2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_pool2x2``: each pooled gradient goes to its block's first max."""
-    gb = np.zeros(g.shape + (4,), dtype=g.dtype)
-    np.put_along_axis(gb, idx, g[..., None], axis=-1)
-    gb = gb.reshape(g.shape + (2, 2)).swapaxes(-3, -2)
-    return gb.reshape(g.shape[:-2] + (2 * g.shape[-2], 2 * g.shape[-1]))
-
-
 def _pool2x2_max(a: np.ndarray) -> np.ndarray:
-    """``_pool2x2``'s pooled values without the index: the max of the four stride-2 phases.
-
+    """2x2/stride-2 max over the last two axes: the max of the four stride-2 phases.
     On a tie numpy's maximum returns its second argument, so each earlier phase
-    goes second and a block of mixed -0.0 and +0.0 keeps its first value's sign,
-    as the index path does.
-    """
+    goes second and a block of mixed -0.0 and +0.0 keeps its first value's sign."""
     _check_even(a)
     out = np.maximum(a[..., 0::2, 1::2], a[..., 0::2, 0::2])
     np.maximum(a[..., 1::2, 0::2], out, out=out)
     np.maximum(a[..., 1::2, 1::2], out, out=out)
     return out
+
+
+def _pool2x2(a: np.ndarray) -> tuple:
+    """``_pool2x2_max`` and the uint8 index of each block's first phase, in block order
+    (0,0), (0,1), (1,0), (1,1), that is its max or NaN: the count of phases before it."""
+    out = _pool2x2_max(a)
+    idx = np.zeros(out.shape, dtype=np.uint8)
+    missed = np.ones(out.shape, dtype=bool)  # no phase so far was the max or NaN
+    for q in range(3):
+        p = a[..., q // 2::2, q % 2::2]
+        missed &= (p != out) & (p == p)
+        idx += missed
+    return out, idx
+
+
+def _unpool2x2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_pool2x2``: each pooled gradient goes to its block's first max."""
+    gx = np.empty(g.shape[:-2] + (2 * g.shape[-2], 2 * g.shape[-1]), dtype=g.dtype)
+    for q in range(4):
+        gx[..., q // 2::2, q % 2::2] = np.where(idx == q, g, 0)
+    return gx
 
 
 def maxpool2x2(a: Tensor) -> Tensor:

@@ -18,7 +18,8 @@ from .audit import quarter_turn_drift
 from .basis import Basis, populate_partial
 from .groups import (GroupElement, RotationOperators, compose, gram_defect, inverse,
                      rotate_exact90, unitarity_defect)
-from .network import Model, model_from_arch
+from .network import Model, gconv, model_from_arch
+from .pretrain import basis_slots, image_terms, orthogonality_term
 from .tensor import check_gradient
 
 
@@ -104,29 +105,58 @@ def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
 
 
 def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
+    """Finite differences against the adjoints that a group train step, a
+    translational one and a pretraining step record, on tiny float64 inputs;
+    gconv and the pretraining terms on a partial basis."""
     rng = np.random.default_rng(seed)
-    x, w, xt, xp = (rng.standard_normal(s) for s in
-                    [(2, 2, 5, 5), (3, 2, 3, 3), (2, 3, 5, 5), (2, 2, 4, 4)])
+    x, w, xp = (rng.standard_normal(s) for s in [(2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 4, 4)])
     g = rng.standard_normal(3) + 1.5
     b = rng.standard_normal(3)
     labels = np.array([0, 2, 4, 1])
+    basis = populate_partial(rng.uniform(-1, 1, (2, 2, 3, 3)))
+    ops = RotationOperators(6, basis.order, "gaussian")
+    images = rng.standard_normal((2, 1, 6, 6))
+
+    def terms(draws):
+        return lambda p: T.l1_norm(image_terms(images, basis_slots(p, True), ops, draws, 1))
+
     cases = [
-        (lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
-        (lambda a, k: T.l1_norm(T.transpose_correlate2d(a, k)), [xt, w]),
-        (lambda a: T.l1_norm(T.maxpool2x2(a)), [xp]),
-        (lambda a, gg, bb: T.l1_norm(T.batchnorm_train(a, gg, bb, (0, 2, 3))[0]),
+        ("correlate2d", lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
+        ("maxpool2x2", lambda a: T.l1_norm(T.maxpool2x2(a)), [xp]),
+        ("batchnorm_train",
+         lambda a, gg, bb: T.l1_norm(T.batchnorm_train(a, gg, bb, (0, 2, 3))[0]),
          [rng.standard_normal((4, 3, 3, 3)), g, b]),
-        (lambda a, gg, bb: T.l1_norm(
+        ("batchnorm_relu_train, pool", lambda a, gg, bb: T.l1_norm(
             T.batchnorm_relu_train(a, gg, bb, (0, 2, 3, 4), True)[0] - 0.5),
          [rng.standard_normal((2, 3, 4, 4, 4)), g, b]),
-        (lambda a: T.softmax_cross_entropy(a, labels), [rng.standard_normal((4, 5))]),
+        ("softmax_cross_entropy",
+         lambda a: T.softmax_cross_entropy(a, labels), [rng.standard_normal((4, 5))]),
+        ("gconv lifting", lambda a, c: T.l1_norm(gconv(a, c, basis)),
+         [rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((2, 2, 2))]),
+        ("gconv intermediate", lambda a, c: T.l1_norm(gconv(a, c, basis)),
+         [rng.standard_normal((1, 2, 8, 4, 4)), rng.standard_normal((2, 2, 8, 2))]),
+        ("batchnorm_relu_train, no pool", lambda a, gg, bb: T.l1_norm(
+            T.batchnorm_relu_train(a, gg, bb, (0, 2, 3), False)[0] - 0.5),
+         [rng.standard_normal((4, 3, 3, 3)), g, b]),
+        ("global_maxpool", lambda a: T.l1_norm(T.global_maxpool(a)),
+         [rng.standard_normal((2, 3, 4, 4))]),
+        ("dense", lambda a, m, c: T.l1_norm(T.matmul(a, m) + c),
+         [rng.standard_normal(s) for s in [(3, 4), (4, 2), 2]]),
+        ("image_terms, one draw", terms([(1, 3)]), [rng.standard_normal((2, 2, 3, 3))]),
+        ("image_terms, two draws", terms([(2, 6), (3, 1)]),
+         [rng.standard_normal((2, 2, 3, 3))]),
+        ("orthogonality_term", lambda p: orthogonality_term(basis_slots(p, True)),
+         [rng.standard_normal((2, 2, 3, 3))]),
     ]
-    try:
-        worst = max(check_gradient(fn, arrays, tol) for fn, arrays in cases)
-    except AssertionError as err:
-        return CheckResult("finite-difference gradient spot checks", False, str(err))
+    worst = 0.0
+    for name, fn, arrays in cases:
+        try:
+            worst = max(worst, check_gradient(fn, arrays, tol))
+        except AssertionError as err:
+            return CheckResult("finite-difference gradient spot checks", False,
+                               f"{name}: {err}")
     return CheckResult("finite-difference gradient spot checks", True,
-                       f"worst relative error {worst:.2e}")
+                       f"worst relative error {worst:.2e} over {len(cases)} cases")
 
 
 def check_partial_model_equivariance(seed: int = 0) -> CheckResult:

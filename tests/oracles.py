@@ -99,6 +99,25 @@ def rotation_dense_matrix(size, angle, method="gaussian", sigma=0.5, kernel_size
     return m
 
 
+def brute_maxpool2x2(x, g):
+    """2x2/stride-2 max pool, block by block -> (pooled, gradient of sum(g * pooled)).
+
+    Each block's cells are read in order (0,0), (0,1), (1,0), (1,1); the pick is
+    the first NaN if the block has one, else the first of its maxima.
+    """
+    out = np.empty(g.shape, dtype=x.dtype)
+    grad = np.zeros(x.shape, dtype=g.dtype)
+    for lead in np.ndindex(*g.shape[:-2]):
+        for i in range(g.shape[-2]):
+            for j in range(g.shape[-1]):
+                cells = [lead + (2 * i + u, 2 * j + v) for u in (0, 1) for v in (0, 1)]
+                nans = [c for c in cells if math.isnan(x[c])]
+                pick = nans[0] if nans else max(cells, key=lambda c: x[c])  # first on ties
+                out[lead + (i, j)] = x[pick]
+                grad[pick] = g[lead + (i, j)]
+    return out, grad
+
+
 # -- p4-style periodic group convolution, fully independent --------------------------
 
 

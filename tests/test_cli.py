@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from rotoconv import network
 from rotoconv.basis import load_basis, populate_partial, save_basis
-from rotoconv.cli import _load_config_tokens, build_parser, main
-from rotoconv.verify import check_partial_model_equivariance, format_table, run_all
+from rotoconv.cli import _load_config_tokens, _load_dataset, build_parser, main
+from rotoconv.groups import RotationOperators
+from rotoconv.verify import (check_gradients, check_partial_model_equivariance, format_table,
+                             run_all)
 
 from formats import read_pgm, write_idx_images, write_idx_labels
 
@@ -39,6 +42,25 @@ class TestVerify:
         assert len(lines) == len(results)
         for line, r in zip(lines, results):
             assert line.startswith(r.name) and line.endswith(f"  PASS  {r.detail}")
+
+    def test_gradient_row_fails_on_a_wrong_gconv_adjoint(self, monkeypatch, capsys):
+        """The bank adjoint gathers with the forward index instead of its inverse."""
+        roll_index = network._roll_index
+        monkeypatch.setattr(network, "_roll_index", lambda *a: (roll_index(*a)[0],) * 2)
+        row = check_gradients(seed=0)
+        assert not row.passed and row.detail.startswith("gconv lifting: ")
+        assert run("verify") == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_gradient_row_fails_on_a_wrong_image_terms_adjoint(self, monkeypatch, capsys):
+        """The image terms' backward applies rot_s where it needs rot_s's transpose."""
+        apply = RotationOperators.apply
+        monkeypatch.setattr(RotationOperators, "apply",
+                            lambda self, x, r, transpose=False: apply(self, x, r))
+        row = check_gradients(seed=0)
+        assert not row.passed and row.detail.startswith("image_terms, one draw: ")
+        assert run("verify") == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_equivariance_row_reads_maps_and_logits(self):
         row = check_partial_model_equivariance(seed=0)
@@ -423,6 +445,17 @@ class TestEvaluationCommands:
 
 
 class TestDatasetWiring:
+    def test_synthetic_test_split_shares_the_train_classes(self):
+        """A nearest-class-mean classifier fit on the train split scores well above
+        chance (0.1) on the test split that ``train --n-val`` and ``eval-*`` read."""
+        train = _load_dataset("synthetic", None, "train", 0, 500)
+        test = _load_dataset("synthetic", None, "test", 0, 500)
+        train_x, test_x = train.images.reshape(500, -1), test.images.reshape(500, -1)
+        means = np.stack([train_x[train.labels == c].mean(axis=0) for c in range(10)])
+        dist = ((test_x[:, None] - means[None]) ** 2).sum(axis=-1)
+        assert (dist.argmin(axis=1) == test.labels).mean() >= 0.5  # 0.786 measured
+        assert not np.array_equal(test_x, train_x)
+
     def test_mnist_via_cli_paths(self, tmp_path, rng):
         data = tmp_path / "data"
         data.mkdir()

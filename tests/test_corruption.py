@@ -8,6 +8,7 @@ damage.
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -105,6 +106,34 @@ def test_checkpoint_array_dtype_must_match_model(tmp_path, tiny_basis, tiny_mode
     path = tmp_path / "tiny.ckpt"
     rewrite_checkpoint(tiny_model, path, widen_coefficients)
     with pytest.raises(CheckpointFormatError, match="coefficients' is float64, .* float32"):
+        load_checkpoint(path, tiny_basis)
+
+
+def drop_array(name):
+    def edit(header, arrays):
+        i = next(i for i, meta in enumerate(header["arrays"]) if meta["name"] == name)
+        del header["arrays"][i]
+        return arrays[:i] + arrays[i + 1:]
+    return edit
+
+
+def repeat_array(name):
+    def edit(header, arrays):
+        i = next(i for i, meta in enumerate(header["arrays"]) if meta["name"] == name)
+        header["arrays"].append(header["arrays"][i])
+        return arrays + [arrays[i]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_array, "lacks array '{}'"), (repeat_array, "array '{}' appears twice")],
+    ids=["missing", "repeated"])
+@pytest.mark.parametrize("name", ["00.gconv_in.coefficients", "01.bn0.running_var"])
+def test_checkpoint_must_carry_each_model_array_once(tmp_path, tiny_basis, tiny_model,
+                                                     edit, message, name):
+    path = tmp_path / "tiny.ckpt"
+    rewrite_checkpoint(tiny_model, path, edit(name))
+    with pytest.raises(CheckpointFormatError, match=re.escape(message.format(name))):
         load_checkpoint(path, tiny_basis)
 
 

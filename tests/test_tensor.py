@@ -9,7 +9,7 @@ from rotoconv.basis import populate_partial
 from rotoconv.network import build_model
 from rotoconv.tensor import GraphError, Tensor
 
-from oracles import brute_correlate2d, conv_dense_matrix
+from oracles import brute_correlate2d, brute_maxpool2x2, conv_dense_matrix
 
 
 def t64(arr, grad=False):
@@ -265,6 +265,26 @@ class TestMaxPool:
         assert out._backward is None and out._parents == ()
         assert np.signbit(want[..., 1, 0]).all() and not np.signbit(want[..., 1, 1]).any()
         assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_max_matches_block_oracle(self, rng, dtype):
+        x = rng.integers(-2, 3, (2, 3, 8, 8)).astype(dtype)
+        x[rng.random(x.shape) < 0.4] *= -0.0  # +-0.0 ties wherever a zero was drawn
+        x[rng.random(x.shape) < 0.05] = np.nan
+        x[..., 0:2, 0:2] = [[np.nan, 1.0], [np.nan, 2.0]]
+        x[..., 0:2, 2:4] = [[3.0, np.nan], [4.0, np.nan]]
+        x[..., 2:4, 0:2] = 7.0
+        x[..., 2:4, 2:4] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[..., 4:6, 0:2] = [[0.0, -0.0], [-0.0, 0.0]]
+        g = rng.standard_normal((2, 3, 4, 4)).astype(dtype)
+        want, want_grad = brute_maxpool2x2(x, g)
+        xt = Tensor(x, requires_grad=True)
+        out = T.maxpool2x2(xt)
+        T.matmul(T.reshape(out, (1, -1)), Tensor(g.reshape(-1, 1))).backward()
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        assert xt.grad.dtype == dtype and xt.grad.tobytes() == want_grad.tobytes()
+        with T.no_grad():
+            assert T.maxpool2x2(Tensor(x)).data.tobytes() == want.tobytes()
 
 
 def closure_arrays(node):
