@@ -194,11 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="task training on a frozen basis")
     _add_common(p)
     p.add_argument("--dataset", default="synthetic", choices=["mnist", "cifar10", "synthetic"])
-    p.add_argument("--model", default="group", choices=["group", "translational"])
+    p.add_argument("--model", default=None, choices=["group", "translational"],
+                   help="default group")
     p.add_argument("--variant", default=None,
                    help="basis flavor tag; defaults to the basis kind")
     p.add_argument("--basis", default=None)
-    p.add_argument("--init-from", default=None, help="checkpoint to resume from")
+    p.add_argument("--init-from", default=None,
+                   help="checkpoint to resume from; the run takes its model, variant, "
+                        "classes and dtype, and a flag that names others exits 2")
     p.add_argument("--n-train", type=_count, default=None)
     p.add_argument("--n-val", type=_count_or_zero, default=None,
                    help="test-split images to validate on; 0 or omitted: no validation set")
@@ -211,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-translate", type=int, default=0)
     p.add_argument("--rotation-augment", default="none",
                    choices=["none", "quarter", "eighth", "full"])
-    p.add_argument("--dtype", default="float32", choices=FLOAT_DTYPES)
-    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--dtype", default=None, choices=FLOAT_DTYPES, help="default float32")
+    p.add_argument("--classes", type=int, default=None, help="default 10")
     p.add_argument("--out", required=True)
     p.add_argument("--log-csv", default=None)
 
@@ -287,13 +290,18 @@ def _cmd_train(args) -> list:
     val_set = None
     if args.n_val is not None and args.n_val > 0:
         val_set = _load_dataset(args.dataset, args.data_dir, "test", args.seed, args.n_val)
-    in_channels = train_set.images.shape[1]
-    variant = args.variant or (basis.kind if basis else "none")
     if args.init_from:
         model = load_checkpoint(args.init_from, basis)
+        _check_resumed_arch(args, model)
     else:
-        model = build_model(args.model, variant, basis, in_channels,
-                            args.classes, args.seed, args.dtype)
+        model = build_model(args.model or "group",
+                            args.variant or (basis.kind if basis else "none"), basis,
+                            train_set.images.shape[1],
+                            10 if args.classes is None else args.classes, args.seed,
+                            args.dtype or "float32")
+    # the manifest records the architecture the run used
+    args.model, args.variant = model.kind, model.variant
+    args.classes, args.dtype = model.classes, model.dtype.name
     rows = train(model, train_set, config, val_set)
     save_checkpoint(model, args.out)
     outputs = [args.out]
@@ -304,6 +312,17 @@ def _cmd_train(args) -> list:
     print(f"checkpoint saved to {args.out} (final train_acc "
           f"{last.get('train_acc', float('nan')):.3f})")
     return outputs
+
+
+def _check_resumed_arch(args, model) -> None:
+    """ValueError naming the first architecture flag that disagrees with the checkpoint
+    ``train --init-from`` resumes: the run trains the checkpoint's model."""
+    for flag, used in (("model", model.kind), ("variant", model.variant),
+                       ("classes", model.classes), ("dtype", model.dtype.name)):
+        given = getattr(args, flag)
+        if given is not None and given != used:
+            raise ValueError(f"--{flag} {given} disagrees with --init-from {args.init_from}, "
+                             f"whose model has {flag} {used}")
 
 
 def _load_model(args):

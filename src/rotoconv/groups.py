@@ -5,15 +5,20 @@ Covers three layers of machinery:
 * ``GroupElement`` - discrete rotation index plus planar translation, with the
   3x3 homogeneous-matrix view under which composition is matrix multiplication.
 * grid operators - exact quarter-turn permutations, Gaussian/bilinear
-  interpolated rotations (as sparse matrices), orientation rolls, and their
-  composition on orientation-stacked feature maps: the one code that acts on a
-  map with a rotation index, on the whole map or, for the audits, its interior.
+  interpolated rotations (as ``scipy.sparse`` CSR matrices), orientation rolls,
+  and their composition on orientation-stacked feature maps: the one code that
+  acts on a map with a rotation index, on the whole map or, for the audits, its
+  interior.
 * ``unitarity_defect`` and ``gram_defect`` - measure how far an operator is
   from preserving the inner product that group convolutions are built on.
 
 Angle convention: rotation index ``r`` of a group of order ``n`` means a
 counter-clockwise turn by ``r * 2*pi/n``; one quarter turn of an ``HxW`` array
 matches ``numpy.rot90`` on the last two axes.
+
+scipy loads with the first rotation matrix (``_csr`` is its one import site):
+importing this module, and code that turns maps by quarter turns only, need
+numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .fileio import atomic_write
 
@@ -125,12 +129,17 @@ def _source_coords(size: int, angle: float) -> np.ndarray:
     return np.stack([sy, sx], axis=-1).reshape(-1, 2)
 
 
-def _permutation_matrix(size: int, quarter_turns: int) -> sparse.csr_matrix:
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n: int):
+    """The ``n x n`` ``scipy.sparse`` CSR matrix of these arrays: scipy's one import site."""
+    from scipy import sparse
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _permutation_matrix(size: int, quarter_turns: int):
     grid = np.arange(size * size).reshape(size, size)
     src = np.rot90(grid, quarter_turns % 4).reshape(-1)
-    data = np.ones(size * size, dtype=np.float64)
-    return sparse.csr_matrix((data, (np.arange(size * size), src)),
-                             shape=(size * size, size * size))
+    n = size * size
+    return _csr(np.ones(n, dtype=np.float64), src, np.arange(n + 1), n)
 
 
 _METHODS = ("gaussian", "bilinear")
@@ -160,8 +169,8 @@ def check_odd_size(name: str, value) -> None:
 
 
 def rotation_matrix(size: int, angle: float, method: str = "gaussian",
-                    sigma: float = 0.5, kernel_size: int = 3) -> sparse.csr_matrix:
-    """Sparse matrix rotating a flattened ``size x size`` image by ``angle`` CCW.
+                    sigma: float = 0.5, kernel_size: int = 3):
+    """CSR matrix rotating a flattened ``size x size`` image by ``angle`` CCW.
 
     ``gaussian``: weights exp(-d^2 / 2 sigma^2) over the ``kernel_size`` square
     integer neighborhood of the rounded inverse-rotated source point.
@@ -199,7 +208,7 @@ def rotation_matrix(size: int, angle: float, method: str = "gaussian",
     cols = (gy * size + gx).astype(np.intp).reshape(size * size, -1)[keep]
     vals = weights[keep] / weights.sum(axis=1)[rows]
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sparse.csr_matrix((vals, cols, indptr), shape=(size * size, size * size))
+    return _csr(vals, cols, indptr, size * size)
 
 
 @dataclass
@@ -223,7 +232,8 @@ class RotationOperators:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_interpolation(self.method, self.sigma, self.kernel_size)
 
-    def matrix(self, r: int) -> sparse.csr_matrix:
+    def matrix(self, r: int):
+        """The float64 CSR matrix of index ``r``, built on first use."""
         check_rotation_index(r)
         key = (r % self.order, "<f8", False, 0)
         if key not in self._cache:
@@ -231,7 +241,7 @@ class RotationOperators:
                                                self.method, self.sigma, self.kernel_size)
         return self._cache[key]
 
-    def _cast(self, r: int, dtype, transposed: bool, margin: int = 0) -> sparse.csr_matrix:
+    def _cast(self, r: int, dtype, transposed: bool, margin: int = 0):
         """The matrix (or its transpose) in ``dtype``; with a margin, only the rows of the
         target pixels at least ``margin`` pixels inside every edge."""
         key = (r % self.order, np.dtype(dtype).str, transposed, margin)
@@ -339,7 +349,7 @@ def gram_defect(ops: RotationOperators, r: int) -> float:
     return float(np.linalg.norm(m.T @ m - np.eye(m.shape[1])) / math.sqrt(m.shape[1]))
 
 
-def export_triplets(matrix: sparse.spmatrix, path) -> None:
+def export_triplets(matrix, path) -> None:
     """Write a sparse matrix as one ``row col value`` line per entry."""
     coo = matrix.tocoo()
     with atomic_write(path, "w", encoding="ascii") as fh:

@@ -505,7 +505,27 @@ _CKPT_MAGIC = b"RCKP"
 _CKPT_VERSION = 1
 
 
+_STATS_NAMES = ("input_mean", "input_std")
+
+
+def _check_input_stats(stats, in_channels: int, error) -> None:
+    """Raise ``error`` unless mean and std each hold ``in_channels`` finite values and
+    every std is > 0: other stats would misshape or NaN every normalized input."""
+    for name, arr in zip(_STATS_NAMES, stats):
+        arr = np.asarray(arr)
+        if arr.shape != (in_channels,):
+            raise error(f"{name} must hold one value per input channel ({in_channels}), "
+                        f"got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise error(f"{name} must be finite, got {arr.tolist()}")
+    if not np.all(np.asarray(stats[1]) > 0):
+        raise error("input_std must be > 0 in every channel")
+
+
 def save_checkpoint(model: Model, path) -> None:
+    """Write ``model``; ValueError for input stats that ``load_checkpoint`` would reject."""
+    if model.input_stats is not None:
+        _check_input_stats(model.input_stats, model.in_channels, ValueError)
     arrays = []
     blobs = []
     for name, p in model.named_parameters():
@@ -515,7 +535,7 @@ def save_checkpoint(model: Model, path) -> None:
         arrays.append({"name": name, "shape": list(b.shape), "dtype": b.dtype.name})
         blobs.append(np.ascontiguousarray(b).tobytes())
     if model.input_stats is not None:
-        for name, arr in zip(("input_mean", "input_std"), model.input_stats):
+        for name, arr in zip(_STATS_NAMES, model.input_stats):
             arr = np.asarray(arr, dtype=np.float64)
             arrays.append({"name": name, "shape": list(arr.shape), "dtype": "float64"})
             blobs.append(arr.tobytes())
@@ -636,7 +656,7 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
             slots[name].data = raw.copy()
         elif name in buffers:
             buffers[name][...] = raw
-        elif name in ("input_mean", "input_std"):
+        elif name in _STATS_NAMES:
             stats[name] = raw.copy()
         else:
             raise CheckpointFormatError(f"unexpected array {name!r}")
@@ -646,5 +666,6 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
     if stats:
         if len(stats) != 2:
             raise CheckpointFormatError(f"checkpoint carries only {sorted(stats)}")
-        model.input_stats = (stats["input_mean"], stats["input_std"])
+        model.input_stats = tuple(stats[name] for name in _STATS_NAMES)
+        _check_input_stats(model.input_stats, model.in_channels, CheckpointFormatError)
     return model

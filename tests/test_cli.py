@@ -307,6 +307,34 @@ class TestTrain:
         assert manifest["inputs"] == {str(ckpt): start}
         assert manifest["outputs"][str(ckpt)] != start
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--model", "group"), ("--variant", "partial"), ("--classes", "5"),
+        ("--dtype", "float64")])
+    def test_resume_rejects_an_architecture_flag_the_checkpoint_disagrees_with(
+            self, tmp_path, capsys, flag, value):
+        start, out = tmp_path / "start.ckpt", tmp_path / "resumed.ckpt"
+        common = ["train", "--dataset", "synthetic", "--n-train", "8", "--epochs", "1",
+                  "--batch-size", "8"]
+        assert run(*common, "--model", "translational", "--out", str(start)) == 0
+        capsys.readouterr()
+        assert run(*common, "--init-from", str(start), flag, value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value} disagrees with --init-from")
+        assert not out.exists()
+        assert not (tmp_path / "resumed.ckpt.manifest.json").exists()
+
+    def test_resume_manifest_records_the_checkpoint_architecture(self, tmp_path):
+        start, out = tmp_path / "start.ckpt", tmp_path / "resumed.ckpt"
+        common = ["train", "--dataset", "synthetic", "--n-train", "8", "--epochs", "1",
+                  "--batch-size", "8"]
+        assert run(*common, "--model", "translational", "--dtype", "float64",
+                   "--out", str(start)) == 0
+        assert run(*common, "--init-from", str(start), "--classes", "10",
+                   "--out", str(out)) == 0
+        options = json.loads((tmp_path / "resumed.ckpt.manifest.json").read_text())["options"]
+        assert {k: options[k] for k in ("model", "variant", "classes", "dtype")} == {
+            "model": "translational", "variant": "none", "classes": 10, "dtype": "float64"}
+
     def test_fingerprint_mismatch_fails_without_checkpoint(self, tmp_path, pretrained):
         first = tmp_path / "first.ckpt"
         assert run("train", "--dataset", "synthetic", "--n-train", "20",

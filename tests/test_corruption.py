@@ -149,3 +149,38 @@ def test_checkpoint_arch_dtype_must_be_float(tmp_path, tiny_basis, tiny_model, d
     rewrite_checkpoint(tiny_model, path, relabel)
     with pytest.raises(CheckpointFormatError, match="dtype"):
         load_checkpoint(path, tiny_basis)
+
+
+def with_input_stats(mean, std):
+    def edit(header, arrays):
+        header["arrays"] += [{"name": name, "shape": list(arr.shape), "dtype": "float64"}
+                             for name, arr in (("input_mean", mean), ("input_std", std))]
+        return arrays + [mean, std]
+    return edit
+
+
+BAD_INPUT_STATS = [
+    pytest.param(np.zeros(5), np.zeros(5), "input_mean must hold one value per input channel",
+                 id="five-channels"),
+    pytest.param(np.zeros(1), np.zeros(1), "input_std must be > 0", id="zero-std"),
+    pytest.param(np.array([np.nan]), np.ones(1), "input_mean must be finite", id="nan-mean"),
+    pytest.param(np.zeros(1), np.array([np.inf]), "input_std must be finite", id="inf-std"),
+]
+
+
+@pytest.mark.parametrize("mean, std, message", BAD_INPUT_STATS)
+def test_checkpoint_input_stats_rejected_on_save(tmp_path, tiny_model, mean, std, message):
+    tiny_model.input_stats = (mean, std)
+    path = tmp_path / "tiny.ckpt"
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(tiny_model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("mean, std, message", BAD_INPUT_STATS)
+def test_checkpoint_input_stats_rejected_on_load(tmp_path, tiny_basis, tiny_model,
+                                                 mean, std, message):
+    path = tmp_path / "tiny.ckpt"
+    rewrite_checkpoint(tiny_model, path, with_input_stats(mean, std))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path, tiny_basis)
