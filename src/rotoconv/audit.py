@@ -15,6 +15,7 @@ the interior alone where the error is taken on a crop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .fileio import write_csv
 from .groups import (RotationOperators, _act, check_crop_fraction, check_rotation_index,
                      crop_margin, rotate_exact90)
 from .network import Model
-from .training import evaluate, rotate_images
+from .training import evaluate, model_input, rotate_images
 
 
 @dataclass
@@ -117,7 +118,8 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
 
     The order is a group model's ``group_order``, else 8, and integer indices default
     to all of it. Reference activations come from the unrotated image, the rotated
-    copies from the index-``R`` Gaussian operator at the input resolution.
+    copies from the index-``R`` Gaussian operator at the input resolution; the
+    model's input statistics, if any, normalize the images after they are rotated.
     One forward per distinct rotation: each image and one copy per distinct
     non-zero ``R mod order`` go through one graph-free forward, and an index
     equal mod ``order`` to one already seen (0 included, which is the image
@@ -140,19 +142,14 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
     row_of = {0: 0}
     for ridx in angle_indices:
         row_of.setdefault(int(ridx) % order, len(row_of))
-    ops_by_size: dict = {}
-
-    def ops_for(size: int) -> RotationOperators:
-        if size not in ops_by_size:
-            ops_by_size[size] = RotationOperators(size, order)
-        return ops_by_size[size]
-
+    ops_for = functools.cache(lambda size: RotationOperators(size, order))  # one per map size
     input_ops = ops_for(arr.shape[-1])
     layer_names = [layer.name for layer in model.layers]
     sums = np.zeros(len(layer_names))
     per_angle_sums = np.zeros((len(layer_names), len(angle_indices)))
     for image in arr:
         stack = np.stack([image] + [input_ops.apply(image, d) for d in list(row_of)[1:]])
+        stack = model_input(model, stack)
         for l_i, (_, kind, acts) in enumerate(model.iter_activations(stack)):
             ops, margin, ref = None, 0, acts[0]
             if kind != "vector":
@@ -191,16 +188,18 @@ def _relative_change(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
 def quarter_turn_drift(model: Model, images) -> dict:
     """``{q: (maps, logits)}``: the worst relative change under q quarter turns of the input.
 
-    ``images`` and its turns by q = 1, 2, 3 take four graph-free forwards run
-    in step, so one layer of each is held at a time. ``maps`` is the worst, over
-    every group and spatial layer, of max |a_q - g_q a| / max |a|, where g_q turns
-    a map and rolls a group map's orientations by q * order / 4; ``logits`` is
+    ``images`` and its turns by q = 1, 2, 3, normalized by the model's input
+    statistics if it has them, take four graph-free forwards run in step, so one
+    layer of each is held at a time. ``maps`` is the worst, over every group and
+    spatial layer, of max |a_q - g_q a| / max |a|, where g_q turns a map and
+    rolls a group map's orientations by q * order / 4; ``logits`` is
     max |logits_q - logits| / max |logits|. Maxima run over the whole batch;
     denominators floor at 1e-12.
     """
     order = model.group_order if model.kind == "group" else 4
     stride = quarter_stride(order)
-    passes = [model.iter_activations(rotate_exact90(images, q)) for q in range(4)]
+    passes = [model.iter_activations(model_input(model, rotate_exact90(images, q)))
+              for q in range(4)]
     maps = dict.fromkeys((1, 2, 3), 0.0)
     for (_, kind, a), *turned in zip(*passes):
         if kind == "vector":

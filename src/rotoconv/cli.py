@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=1e-6)
     p.add_argument("--flip", action="store_true")
-    p.add_argument("--color-normalize", action="store_true")
+    p.add_argument("--color-normalize", action="store_true",
+                   help="compute input stats from the train set if the model has none")
     p.add_argument("--max-translate", type=int, default=0)
     p.add_argument("--rotation-augment", default="none",
                    choices=["none", "quarter", "eighth", "full"])

@@ -496,15 +496,14 @@ def model_from_arch(arch: dict, basis: Basis | None, seed: int = 0) -> Model:
                  arch["classes"], dtype, arch["group_order"], fingerprint)
 
 
-
 # -- checkpoints -----------------------------------------------------------------
-# magic, version u32, header-length u32, header json, raw array blobs in header
-# order, sha256 of everything above.
+# magic, version u32, header-length u32, header json, raw array blobs in the
+# order of the header's array table, sha256 of everything above.
 
 _CKPT_MAGIC = b"RCKP"
 _CKPT_VERSION = 1
-
-
+_HEADER_KEYS = ("arch", "arch_hash", "basis_fingerprint", "arrays")
+_ARRAY_KEYS = ("name", "shape", "dtype")
 _STATS_NAMES = ("input_mean", "input_std")
 
 
@@ -523,38 +522,33 @@ def _check_input_stats(stats, in_channels: int, error) -> None:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write ``model``; ValueError for input stats that ``load_checkpoint`` would reject."""
+    """Write ``model``'s parameters, buffers and input stats as one named array table;
+    ValueError for input stats that ``load_checkpoint`` would reject."""
+    arrays = {name: p.data for name, p in model.named_parameters()} | dict(model.named_buffers())
     if model.input_stats is not None:
         _check_input_stats(model.input_stats, model.in_channels, ValueError)
-    arrays = []
-    blobs = []
-    for name, p in model.named_parameters():
-        arrays.append({"name": name, "shape": list(p.data.shape), "dtype": p.data.dtype.name})
-        blobs.append(np.ascontiguousarray(p.data).tobytes())
-    for name, b in model.named_buffers():
-        arrays.append({"name": name, "shape": list(b.shape), "dtype": b.dtype.name})
-        blobs.append(np.ascontiguousarray(b).tobytes())
-    if model.input_stats is not None:
-        for name, arr in zip(_STATS_NAMES, model.input_stats):
-            arr = np.asarray(arr, dtype=np.float64)
-            arrays.append({"name": name, "shape": list(arr.shape), "dtype": "float64"})
-            blobs.append(arr.tobytes())
+        arrays.update((name, np.asarray(arr, dtype=np.float64))
+                      for name, arr in zip(_STATS_NAMES, model.input_stats))
     header = {
         "arch": model.arch_description(),
         "arch_hash": model.arch_hash(),
         "basis_fingerprint": model.basis_fingerprint,
         "seed_note": "parameters are stored verbatim; seed not required to reload",
-        "arrays": arrays,
+        "arrays": [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name}
+                   for name, arr in arrays.items()],
     }
     hjson = json.dumps(header, sort_keys=True).encode("ascii")
     payload = _CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(hjson)) + hjson
-    payload += b"".join(blobs)
+    payload += b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays.values())
     payload += hashlib.sha256(payload).digest()
     with atomic_write(path) as fh:
         fh.write(payload)
 
 
-def read_checkpoint_header(path) -> dict:
+def read_checkpoint(path) -> tuple:
+    """``(header, {name: array})`` of a checkpoint, after checking the whole file: framing,
+    trailer, header keys, and each array entry's keys, unique name, float dtype, shape and
+    bounds. The arrays are read-only views of the file's bytes, in the file's order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
@@ -564,56 +558,48 @@ def read_checkpoint_header(path) -> dict:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
         raise CheckpointFormatError("checksum mismatch")
-    if 12 + hlen > len(blob) - 32:
+    end = len(blob) - 32
+    offset = 12 + hlen
+    if offset > end:
         raise CheckpointFormatError(f"header length {hlen} runs past the end of the file")
     try:
-        header = json.loads(blob[12:12 + hlen])
+        header = json.loads(blob[12:offset])
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
         raise CheckpointFormatError(f"unreadable checkpoint header: {err}") from None
     if not isinstance(header, dict):
         raise CheckpointFormatError("checkpoint header is not a JSON object")
-    header["_blob"] = blob
-    header["_offset"] = 12 + hlen
-    return header
-
-
-_HEADER_KEYS = ("arch", "arch_hash", "basis_fingerprint", "arrays")
-_ARRAY_KEYS = ("name", "shape", "dtype")
-
-
-def _check_header(header: dict) -> None:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise CheckpointFormatError(f"checkpoint header lacks {missing}")
     if not isinstance(header["arch"], dict) or not isinstance(header["arrays"], list):
         raise CheckpointFormatError("checkpoint header has a malformed arch or arrays entry")
+    arrays = {}
     for meta in header["arrays"]:
         if not isinstance(meta, dict):
             raise CheckpointFormatError(f"array entry {meta!r} is not an object")
         missing = [key for key in _ARRAY_KEYS if key not in meta]
         if missing:
             raise CheckpointFormatError(f"array entry {meta!r} lacks {missing}")
-        if not isinstance(meta["name"], str):
-            raise CheckpointFormatError(f"array entry {meta!r} has a malformed name")
-
-
-def _read_array(meta: dict, blob: bytes, offset: int) -> np.ndarray:
-    """The array ``meta`` describes at ``offset``; the sha256 trailer is out of bounds."""
-    shape = meta["shape"]
-    if meta["dtype"] not in ("float32", "float64") or not isinstance(shape, list) \
-            or not all(isinstance(d, int) and d >= 0 for d in shape):
-        raise CheckpointFormatError(f"array entry {meta!r} has a malformed shape or dtype")
-    dtype = np.dtype(meta["dtype"])
-    count = int(np.prod(shape, dtype=np.int64))
-    if offset + count * dtype.itemsize > len(blob) - 32:
-        raise CheckpointFormatError(f"array {meta['name']!r} runs past the end of the file")
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+        name, shape = meta["name"], meta["shape"]
+        if not isinstance(name, str) or meta["dtype"] not in ("float32", "float64") \
+                or not isinstance(shape, list) \
+                or not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise CheckpointFormatError(f"array entry {meta!r} has a malformed name, "
+                                        "shape or dtype")
+        if name in arrays:
+            raise CheckpointFormatError(f"array {name!r} appears twice")
+        dtype = np.dtype(meta["dtype"])
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > end:
+            raise CheckpointFormatError(f"array {name!r} runs past the end of the file")
+        arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+    return header, arrays
 
 
 def load_checkpoint(path, basis: Basis | None = None) -> Model:
     """Rebuild a model from a checkpoint; group models re-check the basis fingerprint."""
-    header = read_checkpoint_header(path)
-    _check_header(header)
+    header, arrays = read_checkpoint(path)
     arch = header["arch"]
     if arch.get("kind") == "group":
         if basis is None:
@@ -632,40 +618,25 @@ def load_checkpoint(path, basis: Basis | None = None) -> Model:
         raise CheckpointFormatError(f"unusable architecture in checkpoint: {err!r}") from None
     if model.arch_hash() != header["arch_hash"]:
         raise CheckpointFormatError("architecture hash mismatch")
-    blob = header["_blob"]
-    offset = header["_offset"]
-    slots = {name: p for name, p in model.named_parameters()}
-    buffers = {name: b for name, b in model.named_buffers()}
-    stats = {}
-    seen = set()
-    for meta in header["arrays"]:
-        raw = _read_array(meta, blob, offset)
-        offset += raw.nbytes
-        name = meta["name"]
-        if name in seen:
-            raise CheckpointFormatError(f"array {name!r} appears twice")
-        seen.add(name)
-        target = slots[name].data if name in slots else buffers.get(name)
-        if target is not None and raw.shape != target.shape:
+    targets = {name: p.data for name, p in model.named_parameters()} | dict(model.named_buffers())
+    unexpected = [name for name in arrays if name not in targets and name not in _STATS_NAMES]
+    if unexpected:
+        raise CheckpointFormatError(f"unexpected array {unexpected[0]!r}")
+    for name, target in targets.items():
+        raw = arrays.get(name)
+        if raw is None:
+            raise CheckpointFormatError(f"checkpoint lacks array {name!r}")
+        if raw.shape != target.shape:
             raise CheckpointFormatError(f"array {name!r} has shape {raw.shape}, "
                                         f"the model expects {target.shape}")
-        if target is not None and raw.dtype != target.dtype:
+        if raw.dtype != target.dtype:
             raise CheckpointFormatError(f"array {name!r} is {raw.dtype}, "
                                         f"the model expects {target.dtype}")
-        if name in slots:
-            slots[name].data = raw.copy()
-        elif name in buffers:
-            buffers[name][...] = raw
-        elif name in _STATS_NAMES:
-            stats[name] = raw.copy()
-        else:
-            raise CheckpointFormatError(f"unexpected array {name!r}")
-    missing = [name for name in (*slots, *buffers) if name not in seen]
-    if missing:
-        raise CheckpointFormatError(f"checkpoint lacks array {missing[0]!r}")
+        target[...] = raw
+    stats = [name for name in _STATS_NAMES if name in arrays]
     if stats:
         if len(stats) != 2:
-            raise CheckpointFormatError(f"checkpoint carries only {sorted(stats)}")
-        model.input_stats = tuple(stats[name] for name in _STATS_NAMES)
+            raise CheckpointFormatError(f"checkpoint carries only {stats}")
+        model.input_stats = tuple(arrays[name].copy() for name in _STATS_NAMES)
         _check_input_stats(model.input_stats, model.in_channels, CheckpointFormatError)
     return model

@@ -46,11 +46,14 @@ class AMSGrad:
 
 
 def check_run_config(config) -> None:
-    """Raise ValueError unless ``config`` has ``epochs`` and ``batch_size`` >= 1 and a finite
+    """Raise ValueError unless ``config`` has int ``epochs`` and ``batch_size`` >= 1 and a finite
     ``learning_rate`` and ``weight_decay`` >= 0: a negative rate ascends, a NaN one poisons."""
     for name, least in (("epochs", 1), ("batch_size", 1),
                         ("learning_rate", 0), ("weight_decay", 0)):
         value = getattr(config, name)
+        if name in ("epochs", "batch_size") and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise ValueError(f"{name} must be an int, got {value!r}")
         if not (np.isfinite(value) and value >= least):
             raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
 

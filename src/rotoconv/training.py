@@ -33,7 +33,7 @@ class TrainConfig:
     weight_decay: float = 1e-6
     batch_size: int = 100
     flip: bool = False
-    color_normalize: bool = False
+    color_normalize: bool = False  # compute input stats if the model has none
     max_translate: int = 0  # up to 4 pixels each way
     rotation_augment: str = "none"  # none | quarter | eighth | full
     seed: int = 0
@@ -68,7 +68,15 @@ def channel_stats(images: np.ndarray) -> tuple:
 def normalize(images: np.ndarray, stats) -> np.ndarray:
     mean, std = stats
     shape = (1, -1, 1, 1)
-    return ((images - mean.reshape(shape)) / std.reshape(shape)).astype(images.dtype)
+    out = images - mean.reshape(shape)
+    out /= std.reshape(shape)  # in place: one float64 temporary, not two
+    return out.astype(images.dtype)
+
+
+def model_input(model: Model, images: np.ndarray) -> np.ndarray:
+    """``images`` in the model's dtype (a view if already), normalized by its input stats."""
+    x = images.astype(model.dtype, copy=False)
+    return x if model.input_stats is None else normalize(x, model.input_stats)
 
 
 def _translate(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -85,10 +93,10 @@ def _translate(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
             stats=None) -> np.ndarray:
-    """Random flips/translations/rotations, then optional normalization.
+    """Random flips/translations/rotations, then normalization by ``stats`` if given.
 
-    With every flag off this is the identity. Quarter-turn rotation mode only
-    ever applies exact grid permutations.
+    With every flag off and no stats this is the identity. Quarter-turn
+    rotation mode only ever applies exact grid permutations.
     """
     out = images
     b = images.shape[0]
@@ -103,7 +111,7 @@ def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
                         for img, (dy, dx) in zip(out, offsets)])
     if config.rotation_augment != "none":
         out = _rotate_batch(out, config.rotation_augment, rng)
-    if config.color_normalize and stats is not None:
+    if stats is not None:
         out = normalize(out, stats)
     return out
 
@@ -137,9 +145,19 @@ def rotate_images(images: np.ndarray, angle_deg: float) -> np.ndarray:
     return np.ascontiguousarray((m.astype(images.dtype) @ flat).T).reshape(images.shape)
 
 
+def _check_classes(classes: int, dataset: LabeledImageSet) -> None:
+    if classes != dataset.n_classes:
+        raise ValueError(f"the model has classes={classes}, but the {dataset.split} set "
+                         f"has {dataset.n_classes} classes")
+
+
 def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
           val_set: LabeledImageSet | None = None) -> list:
-    """AMSGrad task training; returns per-epoch rows of loss/accuracy."""
+    """AMSGrad task training; returns per-epoch rows of loss/accuracy. ValueError before
+    the first step if either set's class count is not the model's."""
+    _check_classes(model.classes, train_set)
+    if val_set is not None:
+        _check_classes(model.classes, val_set)
     rng = np.random.default_rng(config.seed)
     if config.color_normalize and model.input_stats is None:
         model.input_stats = channel_stats(train_set.images)
@@ -167,19 +185,17 @@ def evaluate(model: Model, dataset: LabeledImageSet, batch_size: int = 200) -> E
 
     Holds one batch at a time: each batch is converted to the model's dtype
     (a view when it already is) and normalized on its own, so the set is never
-    copied or normalized whole.
+    copied or normalized whole. ValueError unless the logits score each class of ``dataset``.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty set")
     k = dataset.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     with T.no_grad():
         for start in range(0, len(dataset), batch_size):
-            x = dataset.images[start:start + batch_size].astype(model.dtype, copy=False)
-            if model.input_stats is not None:
-                x = normalize(x, model.input_stats)
+            x = model_input(model, dataset.images[start:start + batch_size])
             y = dataset.labels[start:start + batch_size]
             logits = model.forward(Tensor(x), training=False)
+            if start == 0:
+                _check_classes(logits.data.shape[1], dataset)
             pred = logits.data.argmax(axis=1)
             np.add.at(confusion, (y, pred), 1)
     accuracy = float(np.trace(confusion)) / len(dataset)

@@ -104,10 +104,9 @@ def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
         f"bilinear {gram_defect(bilinear, 1):.3f}")
 
 
-def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
-    """Finite differences against the adjoints that a group train step, a
-    translational one and a pretraining step record, on tiny float64 inputs;
-    gconv and the pretraining terms on a partial basis."""
+def gradient_cases(seed: int = 0) -> list:
+    """(name, scalar builder, tiny float64 inputs) for each op that a group train step, a
+    translational one and a pretraining step record; gconv and pretraining on a partial basis."""
     rng = np.random.default_rng(seed)
     x, w, xp = (rng.standard_normal(s) for s in [(2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 4, 4)])
     g = rng.standard_normal(3) + 1.5
@@ -120,34 +119,39 @@ def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
     def terms(draws):
         return lambda p: T.l1_norm(image_terms(images, basis_slots(p, True), ops, draws, 1))
 
-    cases = [
-        ("correlate2d", lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
+    return [
+        ("correlate2d_same", lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
         ("maxpool2x2", lambda a: T.l1_norm(T.maxpool2x2(a)), [xp]),
         ("batchnorm_train",
          lambda a, gg, bb: T.l1_norm(T.batchnorm_train(a, gg, bb, (0, 2, 3))[0]),
          [rng.standard_normal((4, 3, 3, 3)), g, b]),
-        ("batchnorm_relu_train, pool", lambda a, gg, bb: T.l1_norm(
+        ("batchnorm_relu_pool_group", lambda a, gg, bb: T.l1_norm(
             T.batchnorm_relu_train(a, gg, bb, (0, 2, 3, 4), True)[0] - 0.5),
          [rng.standard_normal((2, 3, 4, 4, 4)), g, b]),
         ("softmax_cross_entropy",
          lambda a: T.softmax_cross_entropy(a, labels), [rng.standard_normal((4, 5))]),
-        ("gconv lifting", lambda a, c: T.l1_norm(gconv(a, c, basis)),
+        ("gconv_input", lambda a, c: T.l1_norm(gconv(a, c, basis)),
          [rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((2, 2, 2))]),
-        ("gconv intermediate", lambda a, c: T.l1_norm(gconv(a, c, basis)),
+        ("gconv_intermediate", lambda a, c: T.l1_norm(gconv(a, c, basis)),
          [rng.standard_normal((1, 2, 8, 4, 4)), rng.standard_normal((2, 2, 8, 2))]),
-        ("batchnorm_relu_train, no pool", lambda a, gg, bb: T.l1_norm(
+        ("batchnorm_relu_spatial", lambda a, gg, bb: T.l1_norm(
             T.batchnorm_relu_train(a, gg, bb, (0, 2, 3), False)[0] - 0.5),
          [rng.standard_normal((4, 3, 3, 3)), g, b]),
         ("global_maxpool", lambda a: T.l1_norm(T.global_maxpool(a)),
          [rng.standard_normal((2, 3, 4, 4))]),
         ("dense", lambda a, m, c: T.l1_norm(T.matmul(a, m) + c),
          [rng.standard_normal(s) for s in [(3, 4), (4, 2), 2]]),
-        ("image_terms, one draw", terms([(1, 3)]), [rng.standard_normal((2, 2, 3, 3))]),
-        ("image_terms, two draws", terms([(2, 6), (3, 1)]),
+        ("image_terms_one_draw", terms([(1, 3)]), [rng.standard_normal((2, 2, 3, 3))]),
+        ("image_terms_two_draws", terms([(2, 6), (3, 1)]),
          [rng.standard_normal((2, 2, 3, 3))]),
         ("orthogonality_term", lambda p: orthogonality_term(basis_slots(p, True)),
          [rng.standard_normal((2, 2, 3, 3))]),
     ]
+
+
+def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:
+    """Finite differences against the adjoints of every ``gradient_cases`` op."""
+    cases = gradient_cases(seed)
     worst = 0.0
     for name, fn, arrays in cases:
         try:

@@ -7,6 +7,9 @@ the format, not against itself.
 """
 
 import csv
+import hashlib
+import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from scipy import sparse
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 1 + 3 * 32 * 32  # label byte, then 3x32x32 pixels
+CHECKPOINT_MAGIC = b"RCKP"
 
 
 def write_idx_images(images_u8, path) -> None:
@@ -40,6 +44,29 @@ def write_cifar_batch(images_u8, labels, path) -> None:
     records[:, 0] = labels
     records[:, 1:] = images_u8.reshape(m, -1)
     Path(path).write_bytes(records.tobytes())
+
+
+def write_checkpoint_file(path, header: dict, arrays) -> None:
+    """Version-1 checkpoint: magic, little-endian u32 version and header length, the
+    header as key-sorted ASCII JSON, each array's C-order bytes, then the sha256 of
+    everything before it. ``arrays`` need not match the header's array table."""
+    hjson = json.dumps(header, sort_keys=True).encode("ascii")
+    payload = CHECKPOINT_MAGIC + struct.pack("<II", 1, len(hjson)) + hjson
+    payload += b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def read_checkpoint_file(path) -> tuple:
+    """(header, [array, ...]) of a well-formed checkpoint, in its array table's order."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    arrays, offset = [], 12 + hlen
+    for meta in header["arrays"]:
+        count = math.prod(meta["shape"])
+        arrays.append(np.frombuffer(blob, meta["dtype"], count, offset).reshape(meta["shape"]))
+        offset += arrays[-1].nbytes
+    return header, arrays
 
 
 def read_pgm(path) -> np.ndarray:

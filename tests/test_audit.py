@@ -10,7 +10,7 @@ from rotoconv.basis import Basis, make_baseline_basis, populate_partial
 from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import Conv2d, GConvInput, Model
-from rotoconv.training import evaluate
+from rotoconv.training import evaluate, normalize
 from rotoconv.verify import small_group_model
 
 from formats import read_csv_rows
@@ -345,6 +345,20 @@ class TestRobustnessSuite:
             bound = 1e-6 if kinds[row["layer_index"]] == "vector" else 1e-9
             assert row["L_equivariance"] <= bound
 
+    def test_input_stats_normalize_the_rotated_images(self, rng, partial_basis):
+        """Each image and its rotated copies are normalized after the rotation, as
+        ``rotation_sweep`` and ``evaluate`` do."""
+        model = small_group_model(partial_basis, seed=1)
+        model.input_stats = (np.array([5.0]), np.array([2.0]))
+        images = rng.random((1, 1, 8, 8))
+        fed = []
+        iter_activations = model.iter_activations
+        model.iter_activations = lambda x: fed.append(x) or iter_activations(x)
+        robustness_suite(model, images, 1, angle_indices=[1, 2])
+        ops = RotationOperators(8, 8)
+        stack = np.stack([images[0], ops.apply(images[0], 1), ops.apply(images[0], 2)])
+        assert len(fed) == 1 and np.array_equal(fed[0], normalize(stack, model.input_stats))
+
     def test_builds_each_operator_once(self, rng, partial_basis, monkeypatch):
         builds = []
         build = groups.rotation_matrix
@@ -374,6 +388,15 @@ class TestQuarterTurnDrift:
         model = small_group_model(make_baseline_basis("random", n_elements=4), seed=1)
         drift = quarter_turn_drift(model, rng.standard_normal((3, 1, 8, 8)))
         assert all(maps > 1e-3 for maps, _ in drift.values())
+
+    def test_input_stats_normalize_every_turn(self, rng):
+        basis = make_baseline_basis("random", n_elements=4)
+        x = rng.random((3, 1, 8, 8))
+        stats = (np.array([5.0]), np.array([2.0]))
+        plain = quarter_turn_drift(small_group_model(basis, seed=1), normalize(x, stats))
+        model = small_group_model(basis, seed=1)
+        model.input_stats = stats
+        assert quarter_turn_drift(model, x) == plain
 
     def test_logits_figure_is_the_hand_formula(self, rng):
         model = small_group_model(make_baseline_basis("random", n_elements=4), seed=1)

@@ -48,7 +48,7 @@ class TestVerify:
         roll_index = network._roll_index
         monkeypatch.setattr(network, "_roll_index", lambda *a: (roll_index(*a)[0],) * 2)
         row = check_gradients(seed=0)
-        assert not row.passed and row.detail.startswith("gconv lifting: ")
+        assert not row.passed and row.detail.startswith("gconv_input: ")
         assert run("verify") == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -58,7 +58,7 @@ class TestVerify:
         monkeypatch.setattr(RotationOperators, "apply",
                             lambda self, x, r, transpose=False: apply(self, x, r))
         row = check_gradients(seed=0)
-        assert not row.passed and row.detail.startswith("image_terms, one draw: ")
+        assert not row.passed and row.detail.startswith("image_terms_one_draw: ")
         assert run("verify") == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -255,6 +255,15 @@ class TestTrain:
         assert err.startswith("error:") and err.count("\n") == 1 and field in err
         assert not out.exists()
         assert not (tmp_path / "model.ckpt.manifest.json").exists()
+
+    def test_class_count_other_than_the_dataset_is_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        assert run("train", "--dataset", "synthetic", "--model", "translational",
+                   "--classes", "4", "--n-train", "8", "--epochs", "1", "--batch-size", "8",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the model has classes=4, but the train set has 10 classes\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
     def test_diverged_run_is_clean_error(self, tmp_path, capsys):
@@ -464,6 +473,16 @@ class TestEvaluationCommands:
         assert capsys.readouterr().err == ""
         rows = robust.read_text().strip().splitlines()
         assert rows[0].startswith("variant,layer_index,layer_name") and len(rows) > 1
+
+    def test_class_count_other_than_the_dataset_is_clean_error(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "sweep.csv"
+        network.save_checkpoint(network.build_model("translational", in_channels=1,
+                                                    classes=40, seed=2), ckpt)
+        assert run("eval-rotations", "--checkpoint", str(ckpt), "--dataset", "synthetic",
+                   "--n-images", "50", "--angles", "0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the model has classes=40, but the test set has 10 classes\n"
+        assert not out.exists()
 
     def test_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         code = run("eval-rotations", "--checkpoint", str(tmp_path / "nope.ckpt"),

@@ -9,15 +9,16 @@ damage.
 import hashlib
 import json
 import re
-import struct
 
 import numpy as np
 import pytest
 
 from rotoconv.basis import BasisFormatError, load_basis, populate_partial, save_basis
-from rotoconv.network import (CheckpointFormatError, FingerprintMismatch,
-                              load_checkpoint, read_checkpoint_header, save_checkpoint)
+from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, load_checkpoint,
+                              save_checkpoint)
 from rotoconv.verify import small_group_model
+
+from formats import read_checkpoint_file, write_checkpoint_file
 
 DOCUMENTED = (BasisFormatError, CheckpointFormatError, FingerprintMismatch)
 BASIS_HEADER_BYTES = 68  # magic, four u32 fields, kind tag, config fingerprint
@@ -81,14 +82,8 @@ def test_checkpoint_damage_raises_documented_types(tmp_path, tiny_basis):
 def rewrite_checkpoint(model, path, edit) -> None:
     """Save ``model`` to ``path`` with header and arrays passed through ``edit``, re-hashed."""
     save_checkpoint(model, path)
-    header = {k: v for k, v in read_checkpoint_header(path).items() if not k.startswith("_")}
-    arrays = [p.data for _, p in model.named_parameters()] + \
-        [b for _, b in model.named_buffers()]
-    arrays = edit(header, arrays)
-    hjson = json.dumps(header, sort_keys=True).encode("ascii")
-    payload = b"RCKP" + struct.pack("<II", 1, len(hjson)) + hjson
-    payload += b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    header, arrays = read_checkpoint_file(path)
+    write_checkpoint_file(path, header, edit(header, arrays))
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import struct
 
 import numpy as np
@@ -12,10 +11,11 @@ from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvI
                               GConvIntermediate, GlobalMaxPool, Model, _filter_bank,
                               _filter_bank_adjoint, build_model, count_parameters,
                               gconv_input, gconv_intermediate, load_checkpoint,
-                              read_checkpoint_header, save_checkpoint)
+                              read_checkpoint, save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
+from formats import read_checkpoint_file, write_checkpoint_file
 from oracles import brute_correlate2d
 
 
@@ -402,17 +402,13 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(CheckpointFormatError):
-            read_checkpoint_header(path)
+            read_checkpoint(path)
 
     @staticmethod
     def _rewrite_header(path, edit):
         """Apply ``edit`` to the parsed header and re-hash, so the trailer stays valid."""
-        blob = path.read_bytes()
-        _, hlen = struct.unpack("<II", blob[4:12])
-        header = edit(json.loads(blob[12:12 + hlen]))
-        hjson = json.dumps(header).encode("ascii")
-        payload = b"RCKP" + struct.pack("<II", 1, len(hjson)) + hjson + blob[12 + hlen:-32]
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        header, arrays = read_checkpoint_file(path)
+        write_checkpoint_file(path, edit(header), arrays)
 
     def test_empty_header_rejected(self, tmp_path, partial_basis):
         path = tmp_path / "model.ckpt"
@@ -451,6 +447,18 @@ class TestCheckpoints:
             return header
         self._rewrite_header(path, reshape)
         with pytest.raises(CheckpointFormatError, match="shape"):
+            load_checkpoint(path, partial_basis)
+
+    def test_array_size_past_int64_rejected(self, tmp_path, partial_basis):
+        """2**32 x 2**32 elements wrap to 0 in int64; the bounds check must still see them."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_group_model(partial_basis, seed=3), path)
+
+        def enlarge(header):
+            header["arrays"][0]["shape"] = [2**32, 2**32]
+            return header
+        self._rewrite_header(path, enlarge)
+        with pytest.raises(CheckpointFormatError, match="runs past the end of the file"):
             load_checkpoint(path, partial_basis)
 
     def test_translational_round_trip(self, rng, tmp_path):

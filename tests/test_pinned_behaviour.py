@@ -18,11 +18,14 @@ import pytest
 from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.datasets import synthetic_image_corpus, synthetic_labeled_set
-from rotoconv.network import GConvInput, GConvIntermediate, build_model, load_checkpoint
+from rotoconv.network import (GConvInput, GConvIntermediate, build_model, load_checkpoint,
+                              save_checkpoint)
 from rotoconv.pretrain import PretrainConfig, pretrain, total_loss
 from rotoconv.tensor import Tensor
 from rotoconv.training import TrainConfig, train
 from rotoconv.verify import small_group_model
+
+from formats import read_checkpoint_file, write_checkpoint_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,6 +56,16 @@ def test_v1_checkpoint_loads_with_bitwise_equal_logits(partial_basis):
     assert np.array_equal(logits, pinned["logits"])
     mean, std = model.input_stats
     assert np.array_equal(mean, [0.25]) and np.array_equal(std, [1.5])
+
+
+def test_v1_checkpoint_saves_back_byte_for_byte(tmp_path, partial_basis):
+    """Loading the fixture and saving it again gives its bytes, through the library and
+    through the tests' own format writer."""
+    fixture = FIXTURES / "small_group_v1.ckpt"
+    save_checkpoint(load_checkpoint(fixture, partial_basis), tmp_path / "library.ckpt")
+    write_checkpoint_file(tmp_path / "formats.ckpt", *read_checkpoint_file(fixture))
+    assert (tmp_path / "library.ckpt").read_bytes() == fixture.read_bytes()
+    assert (tmp_path / "formats.ckpt").read_bytes() == fixture.read_bytes()
 
 
 @pytest.mark.parametrize("kind, dtype, arch_hash, digest", [

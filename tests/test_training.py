@@ -115,6 +115,7 @@ class TestRotateImages:
 class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("batch_size", 0),
+        ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", True),
         ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
     def test_config_range_checked(self, field, value):
@@ -179,6 +180,31 @@ class TestTrain:
         train(model, ds, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert alive == [[], [False]]
 
+    def test_input_stats_normalize_batches_without_color_normalize(self, partial_basis):
+        """A model that brings input statistics (a resumed checkpoint's) trains on
+        normalized batches, as ``evaluate`` reads them, with the flag off."""
+        ds = synthetic_labeled_set(8, 8, 4, seed=0)
+        model = small_group_model(partial_basis, classes=4, seed=1, dtype="float32")
+        model.input_stats = (np.array([5.0]), np.array([2.0]))
+        batches = []
+        forward = model.forward
+        model.forward = lambda x, training=False: batches.append(x.data) or forward(x, training)
+        train(model, ds, TrainConfig(epochs=1, batch_size=8, seed=0))
+        want = normalize(ds.images, model.input_stats)
+        assert np.array_equal(np.sort(batches[0], axis=None), np.sort(want, axis=None))
+
+    @pytest.mark.parametrize("train_classes, val_classes, split", [(10, 4, "train"),
+                                                                   (4, 10, "test")])
+    def test_class_count_checked_before_the_first_step(self, partial_basis, train_classes,
+                                                       val_classes, split):
+        train_set = synthetic_labeled_set(8, 8, train_classes, seed=0)
+        val_set = synthetic_labeled_set(8, 8, val_classes, seed=0, split="test")
+        model = small_group_model(partial_basis, classes=4, seed=1, dtype="float32")
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match=f"classes=4, but the {split} set has 10 classes"):
+            train(model, train_set, TrainConfig(epochs=1, batch_size=8, seed=0), val_set)
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+
     def test_log_csv(self, tmp_path, partial_basis):
         ds = synthetic_labeled_set(20, 8, 4, seed=0)
         model = small_group_model(partial_basis, classes=4, seed=1, dtype="float32")
@@ -223,6 +249,11 @@ class TestEvaluate:
         shifted = evaluate(model, ds)
         assert not np.array_equal(plain.confusion, shifted.confusion) or \
             plain.accuracy == shifted.accuracy
+
+    def test_logits_of_another_class_count_rejected(self):
+        ds = LabeledImageSet(np.zeros((4, 1, 2, 2), np.float32), np.arange(4), "test", 4)
+        with pytest.raises(ValueError, match="classes=10, but the test set has 4 classes"):
+            evaluate(self.StubModel("float32", None), ds)
 
     class StubModel:
         """What ``evaluate`` reads of a model: its dtype, input statistics and a forward
