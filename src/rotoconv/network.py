@@ -4,7 +4,7 @@ A group layer never owns filters, only rotation-invariant coefficients. Its
 filter bank for all orientations (synthesis from the frozen basis, then the
 orientation roll as an index gather) is applied as one standard correlation,
 and the whole group convolution is one graph node that keeps no bank: the
-backward builds the bank again rather than store it.
+backward gathers it again, as its grad-x kernel, rather than store it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def _synthesis_matrix(elements: np.ndarray, dtype) -> np.ndarray:
         elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
 
 
+def _synthesized(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
+    """The synthesized filters of ``_filter_bank``, f[O, C*slots*order, k*k]."""
+    order, n, k, _ = elements.shape
+    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
+    return f.reshape(coefficients.shape[0], -1, k * k)
+
+
 def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
     """Every orientation's filters: coefficients [O,C,(slots,)n] -> bank [O*order, C*slots, k, k].
 
@@ -62,13 +69,28 @@ def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.nd
     the coefficient block that lands on input orientation s when the filter
     sits at orientation r (no slot axis: one slot, plain lifting).
     """
-    order, n, k, _ = elements.shape
+    order, _, k, _ = elements.shape
     out_ch, in_ch = coefficients.shape[:2]
     (slots,) = coefficients.shape[2:-1] or (1,)
     index, _ = _roll_index(in_ch, order, slots)
-    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
-    f = f.reshape(out_ch, -1, k * k)
+    f = _synthesized(coefficients, elements, dtype)
     return np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
+
+
+def _adjoint_filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
+    """``_filter_bank``'s bank with its channel axes swapped and flipped in both spatial
+    axes, [C*slots, O*order, k, k]: the kernel of its correlation's grad-x.
+
+    One gather from the synthesized filters: flipping both spatial axes reverses
+    the flattened k*k axis.
+    """
+    order, _, k, _ = elements.shape
+    out_ch, in_ch = coefficients.shape[:2]
+    (slots,) = coefficients.shape[2:-1] or (1,)
+    index, _ = _roll_index(in_ch, order, slots)
+    f = _synthesized(coefficients, elements, dtype)[:, :, ::-1]
+    rows = index.reshape(order, in_ch * slots).T[:, None, :]
+    return f[np.arange(out_ch)[:, None], rows].reshape(in_ch * slots, out_ch * order, k, k)
 
 
 def _filter_bank_adjoint(g: np.ndarray, elements: np.ndarray, dtype, shape) -> np.ndarray:
@@ -92,7 +114,8 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     sums, over input slots s, correlations with the filter at coefficient
     slot (s - r) mod order synthesized in the orientation-r basis; lifting is
     the case of one input slot. The node keeps no filter bank: the forward
-    drops it once it has correlated, and the backward builds it again.
+    drops it once it has correlated, and the backward gathers it again as the
+    grad-x kernel (``_adjoint_filter_bank``).
     """
     elements = basis.elements if isinstance(basis, Basis) else np.asarray(basis)
     if elements.ndim != 4:
@@ -120,13 +143,13 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
 
     def backward(g):
         g = g.reshape(b, -1, h, w)
-        # The bank goes before grad-w, so no more than two bank-sized arrays are
-        # alive at once: the bank and grad-x's flipped copy of it, then the bank
-        # gradient and the adjoint's gathered copy.
+        # The adjoint bank goes before grad-w, so no more than two bank-sized
+        # arrays are alive at once: the synthesized filters and the adjoint bank
+        # gathered from them, then the bank gradient and the adjoint's gathered copy.
         if x.requires_grad:
-            bank = _filter_bank(coefficients.data, elements, dtype)
-            T.accumulate_grad(x, T._correlate_grad_x(g, bank).reshape(x.data.shape))
-            del bank
+            adjoint = _adjoint_filter_bank(coefficients.data, elements, dtype)
+            T.accumulate_grad(x, T._correlate(g, adjoint).reshape(x.data.shape))
+            del adjoint
         if coefficients.requires_grad:
             gw = T._correlate_grad_w(g, x.data.reshape(b, -1, h, w), k)
             T.accumulate_grad(coefficients, _filter_bank_adjoint(gw, elements, dtype, shape))

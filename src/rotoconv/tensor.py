@@ -426,10 +426,28 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-# Upper bound on one im2col column buffer. A batch whose columns would exceed
-# it is processed in chunks of whole samples (at least one per chunk), so the
-# transient buffer stays the same size however large the batch grows.
+# Bounds on the im2col columns one GEMM reads. grad-w (``_correlate_grad_w``)
+# and pretraining's kept columns come in chunks of whole samples of up to
+# ``_COLUMN_BYTES``: grad-w sums over each chunk's columns, so the chunking
+# fixes the bits of its result. A forward or grad-x (``_correlate`` building
+# its own columns) sums over none of them, so it takes smaller blocks of whole
+# samples, built in one column buffer and one padded buffer per call: equal
+# blocks of at least ``_BLOCK_COLUMNS`` columns, which is one sample on maps of
+# that many pixels, and then the GEMM writes straight into the output. A GEMM
+# packs its whole weight matrix once a call, so the fewer columns a block has,
+# the more of its time goes to packing; the more it has, the more it holds.
+# Two kinds of forward keep the chunks: convolutions with under
+# ``_SMALL_SAMPLE_BYTES`` of columns a sample (pretraining's 1- and 9-channel
+# maps), whose blocks would be many tiny GEMMs; and
+# GEMMs of fewer than ``_MIN_BLOCK_ROWS`` output rows, which BLAS may run as
+# matrix-vector or small-matrix products whose rounding depends on the column
+# count (OpenBLAS does so at one row, or at up to 100**3 multiply-adds, which
+# 8 rows of 1 MB of columns exceed). Either way a call holds one block or one
+# chunk of columns however large the batch grows.
 _COLUMN_BYTES = 32 << 20
+_BLOCK_COLUMNS = 392
+_SMALL_SAMPLE_BYTES = 1 << 20
+_MIN_BLOCK_ROWS = 8
 
 
 def _sample_chunks(n: int, sample_bytes: int) -> list:
@@ -437,15 +455,18 @@ def _sample_chunks(n: int, sample_bytes: int) -> list:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _padded_chunks(x: np.ndarray, k: int):
-    """Yield (sample slice, same-padded samples) in chunks whose columns fit ``_COLUMN_BYTES``;
-    each chunk is padded on its own, so the batch is never padded whole."""
+def _padded(x: np.ndarray, k: int) -> np.ndarray:
+    """x[n,C,H,W] zero padded to [n,C,H+k-1,W+k-1]."""
     n, c, h, w = x.shape
     p = k // 2
-    for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
-        xp = np.zeros((sl.stop - sl.start, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p:p + h, p:p + w] = x[sl]
-        yield sl, xp
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    return xp
+
+
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """The im2col view [C,k,k,n,H,W] of padded xp[n,C,H+k-1,W+k-1]."""
+    return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
 
 
 def _columns(xp: np.ndarray, k: int) -> np.ndarray:
@@ -454,30 +475,59 @@ def _columns(xp: np.ndarray, k: int) -> np.ndarray:
     Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
     (sample, row, col).
     """
-    c = xp.shape[1]
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
+    return np.ascontiguousarray(_windows(xp, k)).reshape(xp.shape[1] * k * k, -1)
 
 
 def _column_chunks(x: np.ndarray, k: int):
-    """Yield (sample slice, im2col columns) of x[B,C,H,W] per ``_padded_chunks`` chunk.
+    """Yield (sample slice, im2col columns) of x[B,C,H,W] in chunks of ``_COLUMN_BYTES``.
 
-    A caller that drops each chunk's columns before taking the next keeps one
-    column buffer alive; ``list`` of it keeps them all, for reuse as ``columns``.
+    Each chunk is padded on its own, and its padded copy is dropped before the
+    columns are yielded. A caller that drops each chunk's columns before taking
+    the next keeps one column buffer alive; ``list`` of it keeps them all, for
+    reuse as ``columns``.
     """
-    for sl, xp in _padded_chunks(x, k):
-        yield sl, _columns(xp, k)
+    n, c, h, w = x.shape
+    for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
+        yield sl, _columns(_padded(x[sl], k), k)
+
+
+def _column_blocks(x: np.ndarray, k: int):
+    """Yield (sample slice, im2col columns) of x[B,C,H,W] in equal blocks of whole samples,
+    each of at least ``_BLOCK_COLUMNS`` columns or one sample (and within a chunk).
+
+    Every block is built in the same padded buffer and column buffer, so each
+    yielded array is overwritten by the next block's columns.
+    """
+    n, c, h, w = x.shape
+    p = k // 2
+    rows = c * k * k
+    blocks = max(1, min(n, n * h * w // _BLOCK_COLUMNS))
+    step = max(1, min(-(-n // blocks), _COLUMN_BYTES // (rows * h * w * x.itemsize)))
+    xp = np.zeros((step, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    buf = np.empty(rows * step * h * w, dtype=x.dtype)
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        xp[:m, :, p:p + h, p:p + w] = x[start:start + m]
+        cols = buf[:rows * m * h * w].reshape(c, k, k, m, h, w)
+        np.copyto(cols, _windows(xp[:m], k))
+        yield slice(start, start + m), cols.reshape(rows, m * h * w)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, columns=None) -> np.ndarray:
     """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k], over x's
     kept ``columns`` when given."""
-    o = w.shape[0]
+    o, c, k, _ = w.shape
     n, _, h, wd = x.shape
     w2 = w.reshape(o, -1)
     out = np.empty((n, o, h, wd), dtype=x.dtype)
-    for sl, cols in columns if columns is not None else _column_chunks(x, w.shape[2]):
-        out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+    if columns is None:
+        chunked = o < _MIN_BLOCK_ROWS or c * k * k * h * wd * x.itemsize < _SMALL_SAMPLE_BYTES
+        columns = _column_chunks(x, k) if chunked else _column_blocks(x, k)
+    for sl, cols in columns:
+        if sl.stop - sl.start == 1:
+            np.matmul(w2, cols, out=out[sl.start].reshape(o, -1))
+        else:
+            out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
         del cols  # a rebuilt chunk's columns go before the next chunk's are built
     return out
 

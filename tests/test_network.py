@@ -8,8 +8,8 @@ from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
-                              GConvIntermediate, GlobalMaxPool, Model, _filter_bank,
-                              _filter_bank_adjoint, build_model, count_parameters,
+                              GConvIntermediate, GlobalMaxPool, Model, _adjoint_filter_bank,
+                              _filter_bank, _filter_bank_adjoint, build_model, count_parameters,
                               gconv_input, gconv_intermediate, load_checkpoint,
                               read_checkpoint, save_checkpoint)
 from rotoconv.tensor import Tensor
@@ -170,6 +170,19 @@ class TestRolledBank:
         lhs = float(np.vdot(bank, g))
         rhs = float(np.vdot(a, _filter_bank_adjoint(g, elements, np.float64, a.shape)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("slots", [(), (8,)], ids=["lift", "rolled"])
+    def test_adjoint_bank_is_the_flipped_transposed_bank(self, rng, partial_basis, slots, dtype):
+        """The one gather of the grad-x kernel gives bitwise the bank with its channel axes
+        swapped and both spatial axes flipped."""
+        elements = partial_basis.elements
+        a = rng.standard_normal((3, 2, *slots, elements.shape[1])).astype(dtype)
+        want = _filter_bank(a, elements, dtype).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        got = _adjoint_filter_bank(a, elements, dtype)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 class TestGConvGraph:

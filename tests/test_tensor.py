@@ -6,7 +6,7 @@ import pytest
 
 from rotoconv import tensor as T
 from rotoconv.basis import populate_partial
-from rotoconv.network import build_model
+from rotoconv.network import build_model, gconv
 from rotoconv.tensor import GraphError, Tensor
 
 from oracles import brute_correlate2d, brute_maxpool2x2, conv_dense_matrix
@@ -159,6 +159,109 @@ class TestCorrelate2dAgainstOracles:
         for arr, want in zip(got, (want_out, want_gx, want_gw)):
             assert arr.dtype == np.float32
             assert np.abs(arr - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _forward_and_grad_x(op, x, w, g):
+    """op(x, w) and the gradient it sends back to x for the upstream gradient ``g``."""
+    xt = Tensor(x, requires_grad=True)
+    out = op(xt, Tensor(w))
+    out._backward(g.reshape(out.data.shape))
+    return out.data, xt.grad
+
+
+class TestColumnBuffers:
+    """Forwards and grad-x build their columns in blocks of whole samples (``_column_blocks``),
+    grad-w in chunks (``_column_chunks``)."""
+
+    def test_chunk_padding_dropped_before_its_columns_are_yielded(self, rng, monkeypatch):
+        padded = []
+        columns = T._columns
+
+        def tracked(xp, k):
+            padded.append(weakref.ref(xp))
+            return columns(xp, k)
+
+        monkeypatch.setattr(T, "_columns", tracked)
+        monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * 9 * 6 * 6 * 8)
+        for _ in T._column_chunks(rng.standard_normal((3, 2, 6, 6)), 3):
+            assert padded[-1]() is None
+        assert len(padded) == 3
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """Record the sample slices of every block ``_column_blocks`` yields."""
+        slices = []
+        blocks = T._column_blocks
+
+        def spied(x, k):
+            for sl, cols in blocks(x, k):
+                slices.append(sl)
+                yield sl, cols
+
+        monkeypatch.setattr(T, "_column_blocks", spied)
+        return slices
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("block_columns, blocks", [(256, [1] * 7), (512, [3, 3, 1]),
+                                                       (768, [4, 3])], ids=["1", "3", "4"])
+    @pytest.mark.parametrize("op", ["correlate2d", "gconv"])
+    def test_bitwise_equal_at_any_block_size(self, rng, monkeypatch, op, block_columns, blocks,
+                                             dtype):
+        """A batch of 7 in blocks of 1, 3 or 4 samples (the last one short) gives the bytes
+        of one chunk of all 7, forward and grad-x. Either way each sample's columns are
+        1.2 MB and 256 wide, so the block path runs. The products map columns, so only
+        the split of the GEMM's columns changes. Under OpenBLAS that moves bits for
+        one-row products, for products of up to 100**3 multiply-adds and at some column
+        counts; blocks of whole 16x16 samples with 64 or more output rows are none of these."""
+        batch, hw = 7, 16
+        channels = 64 if dtype == "float64" else 128  # in and out: 1.2 MB of columns a sample
+        if op == "correlate2d":
+            x = rng.standard_normal((batch, channels, hw, hw)).astype(dtype)
+            w = rng.standard_normal((channels, channels, 3, 3)).astype(dtype)
+            run = T.correlate2d
+        else:
+            x = rng.standard_normal((batch, channels // 8, 8, hw, hw)).astype(dtype)
+            w = rng.standard_normal((channels // 8, channels // 8, 8, 4)).astype(dtype)
+            elements = rng.standard_normal((8, 4, 3, 3))
+            run = lambda xt, wt: gconv(xt, wt, elements)  # noqa: E731
+        g = rng.standard_normal((batch, channels, hw, hw)).astype(dtype)
+
+        monkeypatch.setattr(T, "_SMALL_SAMPLE_BYTES", 1 << 40)
+        want = _forward_and_grad_x(run, x, w, g)
+        monkeypatch.undo()
+        monkeypatch.setattr(T, "_BLOCK_COLUMNS", block_columns)
+        slices = self.spy_blocks(monkeypatch)
+        got = _forward_and_grad_x(run, x, w, g)
+        assert [sl.stop - sl.start for sl in slices] == blocks * 2  # forward, then grad-x
+        for arr, ref in zip(got, want):
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
+
+    def test_graph_free_group_forward_holds_one_block(self, rng):
+        """Beyond its input, output and filter bank, a graph-free group forward on 28x28
+        maps allocates one sample's columns and one padded sample, at batch 2 as at
+        batch 16. One chunk of 16 samples would be 16 samples' columns (22 MB here)."""
+        channels, order, hw, k = 3, 8, 28, 3
+        elements = rng.standard_normal((order, 4, k, k))
+        coefficients = Tensor(rng.standard_normal((2, channels, order, 4)))
+        bank_bytes = 2 * order * channels * order * k * k * 8
+
+        def transient(batch):
+            x = Tensor(rng.standard_normal((batch, channels, order, hw, hw)))
+            tracemalloc.start()
+            try:
+                with T.no_grad():
+                    out = gconv(x, coefficients, elements)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.data.nbytes - bank_bytes
+
+        sample_columns = channels * order * k * k * hw * hw * 8
+        padded_sample = channels * order * (hw + k - 1) ** 2 * 8
+        assert sample_columns >= T._SMALL_SAMPLE_BYTES and hw * hw >= T._BLOCK_COLUMNS
+        small, large = transient(2), transient(16)
+        assert large <= sample_columns + padded_sample + bank_bytes
+        assert large <= small + 4096
 
 
 class TestTransposeCorrelate2d:
