@@ -81,16 +81,19 @@ def _adjoint_filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) 
     """``_filter_bank``'s bank with its channel axes swapped and flipped in both spatial
     axes, [C*slots, O*order, k, k]: the kernel of its correlation's grad-x.
 
-    One gather from the synthesized filters: flipping both spatial axes reverses
-    the flattened k*k axis.
+    Flipping both spatial axes reverses the flattened k*k axis, so the synthesis
+    reverses it, and one gather of whole k*k rows, in (C*slots, O, order) order,
+    takes the rolled filters.
     """
-    order, _, k, _ = elements.shape
+    order, n, k, _ = elements.shape
     out_ch, in_ch = coefficients.shape[:2]
     (slots,) = coefficients.shape[2:-1] or (1,)
     index, _ = _roll_index(in_ch, order, slots)
-    f = _synthesized(coefficients, elements, dtype)[:, :, ::-1]
-    rows = index.reshape(order, in_ch * slots).T[:, None, :]
-    return f[np.arange(out_ch)[:, None], rows].reshape(in_ch * slots, out_ch * order, k, k)
+    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements[:, :, ::-1, ::-1], dtype)
+    rows = index.reshape(order, in_ch * slots).T[:, None, :] \
+        + (np.arange(out_ch) * len(index))[:, None]
+    return np.take(f.reshape(-1, k * k), rows.ravel(), axis=0).reshape(
+        in_ch * slots, out_ch * order, k, k)
 
 
 def _filter_bank_adjoint(g: np.ndarray, elements: np.ndarray, dtype, shape) -> np.ndarray:
@@ -142,16 +145,20 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
                             _filter_bank(coefficients.data, elements, dtype))
 
     def backward(g):
-        g = g.reshape(b, -1, h, w)
-        # The adjoint bank goes before grad-w, so no more than two bank-sized
-        # arrays are alive at once: the synthesized filters and the adjoint bank
-        # gathered from them, then the bank gradient and the adjoint's gathered copy.
-        if x.requires_grad:
-            adjoint = _adjoint_filter_bank(coefficients.data, elements, dtype)
-            T.accumulate_grad(x, T._correlate(g, adjoint).reshape(x.data.shape))
-            del adjoint
-        if coefficients.requires_grad:
-            gw = T._correlate_grad_w(g, x.data.reshape(b, -1, h, w), k)
+        # The grad-x kernel is gathered again (``_adjoint_filter_bank``) rather than
+        # kept. No more than two bank-sized arrays are alive at once: the synthesized
+        # filters and the adjoint bank gathered from them; on the block path, the
+        # adjoint bank and grad-w's accumulator during the one pass, then the
+        # accumulator and the bank gradient unflipped from it; then the bank
+        # gradient and the copy that its gather takes.
+        gx, gw = T._correlate_backward(
+            g.reshape(b, -1, h, w), x.data.reshape(b, -1, h, w),
+            lambda: _adjoint_filter_bank(coefficients.data, elements, dtype), k,
+            x.requires_grad, coefficients.requires_grad)
+        if gx is not None:
+            T.accumulate_grad(x, gx.reshape(x.data.shape))
+        del gx
+        if gw is not None:
             T.accumulate_grad(coefficients, _filter_bank_adjoint(gw, elements, dtype, shape))
 
     return Tensor.from_op(out_data.reshape(b, shape[0], order, h, w), (x, coefficients),

@@ -426,28 +426,41 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-# Bounds on the im2col columns one GEMM reads. grad-w (``_correlate_grad_w``)
-# and pretraining's kept columns come in chunks of whole samples of up to
-# ``_COLUMN_BYTES``: grad-w sums over each chunk's columns, so the chunking
-# fixes the bits of its result. A forward or grad-x (``_correlate`` building
-# its own columns) sums over none of them, so it takes smaller blocks of whole
-# samples, built in one column buffer and one padded buffer per call: equal
-# blocks of at least ``_BLOCK_COLUMNS`` columns, which is one sample on maps of
-# that many pixels, and then the GEMM writes straight into the output. A GEMM
-# packs its whole weight matrix once a call, so the fewer columns a block has,
-# the more of its time goes to packing; the more it has, the more it holds.
-# Two kinds of forward keep the chunks: convolutions with under
-# ``_SMALL_SAMPLE_BYTES`` of columns a sample (pretraining's 1- and 9-channel
-# maps), whose blocks would be many tiny GEMMs; and
-# GEMMs of fewer than ``_MIN_BLOCK_ROWS`` output rows, which BLAS may run as
+# Bounds on the im2col columns one GEMM reads. Chunks (``_column_chunks``) are
+# runs of whole samples of up to ``_COLUMN_BYTES``. Blocks (``_column_blocks``)
+# are smaller equal runs of whole samples, of at least ``_BLOCK_COLUMNS``
+# columns (one sample on maps of that many pixels), built in one column buffer
+# and one padded buffer per call; a one-sample block's GEMM writes straight
+# into the output. A GEMM packs its whole weight matrix once a call, so the
+# fewer columns a block has, the more of its time goes to packing; the more it
+# has, the more it holds.
+#
+# A GEMM of at least ``_MIN_BLOCK_ROWS`` output rows over at least
+# ``_SMALL_SAMPLE_BYTES`` of columns a sample takes the block path
+# (``_takes_blocks``), and there forward, grad-x and grad-w all come from
+# blocks. A forward or grad-x sums over no columns, so the split leaves its
+# bits alone. A backward that needs both gradients takes grad-w from the same
+# blocks of the output gradient's columns that grad-x builds
+# (``_correlate_grads``), blocks of at most ``_BLOCK_COLUMNS`` columns there.
+# It adds each block's product into one accumulator in row slabs of at most
+# ``_SLAB_BYTES``, so the product's temporary stays small. That sum is grouped
+# by block, so its bits differ from a chunk's.
+#
+# Everything else keeps the chunks, with grad-w summed chunk by chunk over x's
+# columns (``_correlate_grad_w``), a grouping that fixes the bits of every
+# pinned gradient. That covers maps with small per-sample columns
+# (pretraining's 1- and 9-channel maps, the 1x1 layers), whose blocks would be
+# many tiny GEMMs; GEMMs of fewer output rows, which BLAS may run as
 # matrix-vector or small-matrix products whose rounding depends on the column
 # count (OpenBLAS does so at one row, or at up to 100**3 multiply-adds, which
-# 8 rows of 1 MB of columns exceed). Either way a call holds one block or one
-# chunk of columns however large the batch grows.
+# 8 rows of 1 MB of columns exceed); grad-w without grad-x (the lifting layer,
+# whose input needs no gradient); and pretraining's kept columns. Either way a
+# call holds one block or one chunk of columns however large the batch grows.
 _COLUMN_BYTES = 32 << 20
 _BLOCK_COLUMNS = 392
 _SMALL_SAMPLE_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 8
+_SLAB_BYTES = 3 << 20
 
 
 def _sample_chunks(n: int, sample_bytes: int) -> list:
@@ -491,9 +504,10 @@ def _column_chunks(x: np.ndarray, k: int):
         yield sl, _columns(_padded(x[sl], k), k)
 
 
-def _column_blocks(x: np.ndarray, k: int):
-    """Yield (sample slice, im2col columns) of x[B,C,H,W] in equal blocks of whole samples,
-    each of at least ``_BLOCK_COLUMNS`` columns or one sample (and within a chunk).
+def _column_blocks(x: np.ndarray, k: int, at_most: bool = False):
+    """Yield (sample slice, im2col columns) of x[B,C,H,W] in blocks of whole samples, within
+    a chunk: equal blocks of at least ``_BLOCK_COLUMNS`` columns or one sample, or with
+    ``at_most``, blocks of at most ``_BLOCK_COLUMNS`` columns or one sample.
 
     Every block is built in the same padded buffer and column buffer, so each
     yielded array is overwritten by the next block's columns.
@@ -501,8 +515,11 @@ def _column_blocks(x: np.ndarray, k: int):
     n, c, h, w = x.shape
     p = k // 2
     rows = c * k * k
-    blocks = max(1, min(n, n * h * w // _BLOCK_COLUMNS))
-    step = max(1, min(-(-n // blocks), _COLUMN_BYTES // (rows * h * w * x.itemsize)))
+    if at_most:
+        step = _BLOCK_COLUMNS // (h * w)
+    else:
+        step = -(-n // max(1, min(n, n * h * w // _BLOCK_COLUMNS)))
+    step = max(1, min(step, n, _COLUMN_BYTES // (rows * h * w * x.itemsize)))
     xp = np.zeros((step, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
     buf = np.empty(rows * step * h * w, dtype=x.dtype)
     for start in range(0, n, step):
@@ -513,6 +530,23 @@ def _column_blocks(x: np.ndarray, k: int):
         yield slice(start, start + m), cols.reshape(rows, m * h * w)
 
 
+def _takes_blocks(x: np.ndarray, rows: int, k: int) -> bool:
+    """Whether a GEMM of ``rows`` output rows over the columns of x[B,C,H,W] builds them
+    in ``_column_blocks`` (else in ``_column_chunks``)."""
+    _, c, h, w = x.shape
+    return rows >= _MIN_BLOCK_ROWS and c * k * k * h * w * x.itemsize >= _SMALL_SAMPLE_BYTES
+
+
+def _block_product(w2: np.ndarray, cols: np.ndarray, out: np.ndarray, sl: slice) -> None:
+    """``w2 @ cols`` for the samples ``sl`` of out[B,O,H,W]; one sample's GEMM writes
+    straight into ``out``."""
+    o = w2.shape[0]
+    if sl.stop - sl.start == 1:
+        np.matmul(w2, cols, out=out[sl.start].reshape(o, -1))
+    else:
+        out[sl] = (w2 @ cols).reshape(o, -1, *out.shape[2:]).transpose(1, 0, 2, 3)
+
+
 def _correlate(x: np.ndarray, w: np.ndarray, columns=None) -> np.ndarray:
     """Same-padded stride-1 correlation of arrays x[B,C,H,W] and w[O,C,k,k], over x's
     kept ``columns`` when given."""
@@ -521,13 +555,9 @@ def _correlate(x: np.ndarray, w: np.ndarray, columns=None) -> np.ndarray:
     w2 = w.reshape(o, -1)
     out = np.empty((n, o, h, wd), dtype=x.dtype)
     if columns is None:
-        chunked = o < _MIN_BLOCK_ROWS or c * k * k * h * wd * x.itemsize < _SMALL_SAMPLE_BYTES
-        columns = _column_chunks(x, k) if chunked else _column_blocks(x, k)
+        columns = _column_blocks(x, k) if _takes_blocks(x, o, k) else _column_chunks(x, k)
     for sl, cols in columns:
-        if sl.stop - sl.start == 1:
-            np.matmul(w2, cols, out=out[sl.start].reshape(o, -1))
-        else:
-            out[sl] = (w2 @ cols).reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+        _block_product(w2, cols, out, sl)
         del cols  # a rebuilt chunk's columns go before the next chunk's are built
     return out
 
@@ -543,10 +573,15 @@ def _check_conv_args(x: Tensor, kernel: Tensor):
                          f"kernel expects {kernel.data.shape[1]}")
 
 
+def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
+    """The grad-x kernel [C,O,k,k] of ``_correlate(x, w)``: w spatially flipped, channel
+    axes swapped."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
 def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """grad-x of ``_correlate(x, w)``: the same kernel run on g with the adjoint filter
-    (spatially flipped, channel axes swapped)."""
-    return _correlate(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    """grad-x of ``_correlate(x, w)``: the same kernel run on g with the adjoint filter."""
+    return _correlate(g, _adjoint_kernel(w))
 
 
 def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int, columns=None) -> np.ndarray:
@@ -561,24 +596,78 @@ def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int, columns=None) -> np.
     return gw
 
 
+def _correlate_grads(g: np.ndarray, x: np.ndarray, adjoint, k: int) -> tuple:
+    """grad-x [B,C,H,W] and grad-w [O, C*k*k] of ``_correlate(x, w)`` in one pass over the
+    column blocks of g[B,O,H,W]. ``adjoint()`` builds the grad-x kernel [C,O,k,k]
+    (``_adjoint_kernel``); it is dropped before grad-w is unflipped. The pass
+    holds that kernel and grad-w's accumulator beside its columns, two arrays the
+    size of w, so its blocks are at most ``_BLOCK_COLUMNS`` columns (or one sample)
+    rather than at least.
+
+    With p = k // 2, row (o, u, v) of a block's columns holds g[., o] shifted by
+    (u - p, v - p). So ``adjoint @ cols`` is grad-x, the product that
+    ``_correlate(g, adjoint())`` splits into other blocks, and ``cols @ x_block.T``
+    is grad-w[o, :, k-1-u, k-1-v] over the block's samples: the flip that makes
+    grad-x a correlation with the flipped kernel. The blocks' sums collect in one
+    [O*k*k, C] array.
+    """
+    n, c, h, wd = x.shape
+    a2 = adjoint().reshape(c, -1)
+    o = a2.shape[1] // (k * k)
+    gx = np.empty((n, c, h, wd), dtype=g.dtype)
+    flipped = np.zeros((o * k * k, c), dtype=x.dtype)
+    slab = -(-len(flipped) // -(-flipped.nbytes // _SLAB_BYTES))  # rows of equal slabs
+    part = np.empty((slab, c), dtype=x.dtype)
+    for sl, cols in _column_blocks(g, k, at_most=True):
+        _block_product(a2, cols, gx, sl)
+        xt = x[sl].transpose(1, 0, 2, 3).reshape(c, -1).T  # a copy unless one sample
+        for r in range(0, len(flipped), slab):
+            rows = flipped[r:r + slab]
+            np.matmul(cols[r:r + slab], xt, out=part[:len(rows)])
+            rows += part[:len(rows)]
+        del cols, xt
+    del a2, part
+    gw = flipped.reshape(o, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2).reshape(o, -1)
+    return gx, gw
+
+
+def _correlate_backward(g: np.ndarray, x: np.ndarray, adjoint, k: int,
+                        grad_x: bool, grad_w: bool) -> tuple:
+    """(grad-x, grad-w as [O, C*k*k]) of ``_correlate(x, w)`` for the output gradient g,
+    each None unless asked for; ``adjoint()`` builds the grad-x kernel [C,O,k,k].
+
+    When both are asked for and grad-x takes the block path, one pass over g's
+    column blocks gives both (``_correlate_grads``). Otherwise grad-x is
+    ``_correlate(g, adjoint())`` and grad-w ``_correlate_grad_w`` over chunks of x.
+    """
+    if grad_x and grad_w and _takes_blocks(g, x.shape[1], k):
+        return _correlate_grads(g, x, adjoint, k)
+    gx = _correlate(g, adjoint()) if grad_x else None
+    gw = _correlate_grad_w(g, x, k) if grad_w else None
+    return gx, gw
+
+
 def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k], zero padded to [B,O,H,W].
 
-    im2col + GEMM: each chunk of samples becomes a column matrix
-    [C*k*k, n*H*W]; the forward pass is ``W @ cols`` and grad-w is
-    ``g @ cols.T``, with the columns rebuilt in backward rather than kept on
-    the graph. grad-x is the same kernel run on ``g`` with the adjoint filter
-    (spatially flipped, channel axes swapped).
+    im2col + GEMM: each block or chunk of samples becomes a column matrix
+    [C*k*k, n*H*W] and the forward pass is ``W @ cols``. grad-x is the same
+    kernel run on ``g`` with the adjoint filter (spatially flipped, channel
+    axes swapped); grad-w is ``g @ cols.T`` with x's columns rebuilt in
+    backward rather than kept on the graph, or, when grad-x takes the block
+    path, comes from the same blocks of g's columns (``_correlate_backward``).
     """
     _check_conv_args(x, kernel)
     k = kernel.data.shape[2]
     out_data = _correlate(x.data, kernel.data)
 
     def backward(g):
-        if kernel.requires_grad:
-            accumulate_grad(kernel, _correlate_grad_w(g, x.data, k).reshape(kernel.data.shape))
-        if x.requires_grad:
-            accumulate_grad(x, _correlate_grad_x(g, kernel.data))
+        gx, gw = _correlate_backward(g, x.data, lambda: _adjoint_kernel(kernel.data), k,
+                                     x.requires_grad, kernel.requires_grad)
+        if gw is not None:
+            accumulate_grad(kernel, gw.reshape(kernel.data.shape))
+        if gx is not None:
+            accumulate_grad(x, gx)
 
     return Tensor.from_op(out_data, (x, kernel), backward, "correlate2d")
 

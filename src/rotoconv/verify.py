@@ -9,6 +9,7 @@ ReLU and pooling (``audit.quarter_turn_drift``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,13 @@ def check_unitarity(size: int = 9, seed: int = 0) -> CheckResult:
 
 def gradient_cases(seed: int = 0) -> list:
     """(name, scalar builder, tiny float64 inputs) for each op that a group train step, a
-    translational one and a pretraining step record; gconv and pretraining on a partial basis."""
+    translational one and a pretraining step record; gconv and pretraining on a partial basis.
+
+    Every convolution takes the chunk path, except in the two ``_blocks`` cases
+    (``on_blocks``): their output gradients have over
+    ``tensor._SMALL_SAMPLE_BYTES`` of columns a sample and span two column blocks, so
+    one pass over those blocks gives grad-x and grad-w (``tensor._correlate_grads``).
+    """
     rng = np.random.default_rng(seed)
     x, w, xp = (rng.standard_normal(s) for s in [(2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 4, 4)])
     g = rng.standard_normal(3) + 1.5
@@ -118,6 +125,25 @@ def gradient_cases(seed: int = 0) -> list:
 
     def terms(draws):
         return lambda p: T.l1_norm(image_terms(images, basis_slots(p, True), ops, draws, 1))
+
+    def on_blocks(op, x_shape, w_shape, out_shape):
+        """A builder and its inputs for ``op(x, w)`` at block-path shapes. Its loss is the
+        inner product with a fixed random array, with no kink for a step to cross. Its
+        inputs move x and w along 8 fixed random directions each, so the finite
+        differences take two evaluations a direction, not two an element."""
+        directions = 8
+        weights = T.Tensor(rng.standard_normal((1, math.prod(out_shape))))
+        moves = []
+        for shape in (x_shape, w_shape):
+            base = T.Tensor(rng.standard_normal(shape))
+            along = T.Tensor(rng.standard_normal((math.prod(shape), directions)))
+            moves.append(lambda z, base=base, along=along:
+                         base + T.reshape(T.matmul(along, z), base.shape))
+
+        def build(zx, zw):
+            out = op(moves[0](zx), moves[1](zw))
+            return T.matmul(weights, T.reshape(out, (-1, 1)))
+        return build, [rng.standard_normal((directions, 1)) for _ in range(2)]
 
     return [
         ("correlate2d_same", lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
@@ -146,6 +172,10 @@ def gradient_cases(seed: int = 0) -> list:
          [rng.standard_normal((2, 2, 3, 3))]),
         ("orthogonality_term", lambda p: orthogonality_term(basis_slots(p, True)),
          [rng.standard_normal((2, 2, 3, 3))]),
+        ("correlate2d_blocks",
+         *on_blocks(T.correlate2d, (2, 8, 20, 20), (40, 8, 3, 3), (2, 40, 20, 20))),
+        ("gconv_blocks", *on_blocks(lambda a, c: gconv(a, c, basis), (2, 1, 8, 20, 20),
+                                    (5, 1, 8, 2), (2, 5, 8, 20, 20))),
     ]
 
 

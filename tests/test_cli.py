@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from rotoconv import network
+from rotoconv import tensor as T
 from rotoconv.basis import load_basis, populate_partial, save_basis
 from rotoconv.cli import _load_config_tokens, _load_dataset, build_parser, main
 from rotoconv.groups import RotationOperators
+from rotoconv.tensor import check_gradient
 from rotoconv.verify import (check_gradients, check_partial_model_equivariance, format_table,
-                             run_all)
+                             gradient_cases, run_all)
 
 from formats import read_pgm, write_idx_images, write_idx_labels
 
@@ -59,6 +61,24 @@ class TestVerify:
                             lambda self, x, r, transpose=False: apply(self, x, r))
         row = check_gradients(seed=0)
         assert not row.passed and row.detail.startswith("image_terms_one_draw: ")
+        assert run("verify") == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_gradient_row_fails_on_an_unflipped_one_pass_grad_w(self, monkeypatch, capsys):
+        """The one-pass backward leaves grad-w in the spatially flipped order it sums in.
+        Only the two ``_blocks`` cases reach that kernel."""
+        grads = T._correlate_grads
+
+        def unflipped(g, x, adjoint, k):
+            gx, gw = grads(g, x, adjoint, k)
+            return gx, gw.reshape(len(gw), -1, k, k)[..., ::-1, ::-1].reshape(gw.shape)
+
+        monkeypatch.setattr(T, "_correlate_grads", unflipped)
+        row = check_gradients(seed=0)
+        assert not row.passed and row.detail.startswith("correlate2d_blocks: ")
+        _, builder, arrays = gradient_cases(seed=0)[-1]
+        with pytest.raises(AssertionError, match="on input 1"):  # the coefficients
+            check_gradient(builder, arrays)
         assert run("verify") == 1
         assert "FAIL" in capsys.readouterr().out
 

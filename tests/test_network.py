@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,41 @@ class TestGConvGraph:
                     shapes.add(cell.cell_contents.shape)
             stack.extend(node._parents)
         assert not shapes & bank_shapes
+
+
+    def test_recorded_backward_holds_one_block_and_two_banks(self, rng):
+        """Beyond its inputs and the gradients it hands back, a recorded gconv backward on
+        block-path maps allocates one block of the output gradient's columns, one
+        padded block, two bank-sized arrays and grad-w's row slab, at batch 2 as at
+        batch 16. Over chunks of x, grad-w would hold every sample's columns."""
+        channels, out_channels, order, hw, k = 2, 5, 8, 20, 3
+        elements = rng.standard_normal((order, 4, k, k))
+        bank_bytes = out_channels * order * channels * order * k * k * 8
+
+        def transient(batch):
+            x = Tensor(rng.standard_normal((batch, channels, order, hw, hw)), requires_grad=True)
+            c = Tensor(rng.standard_normal((out_channels, channels, order, 4)),
+                       requires_grad=True)
+            x.grad, c.grad = np.zeros_like(x.data), np.zeros_like(c.data)
+            out = gconv_intermediate(x, c, elements)
+            g = rng.standard_normal(out.data.shape)
+            tracemalloc.start()
+            try:
+                out._backward(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - x.data.nbytes  # grad-x, before it is added into x.grad
+
+        block_columns = out_channels * order * k * k * hw * hw * 8  # one sample a block
+        padded_block = out_channels * order * (hw + k - 1) ** 2 * 8
+        assert block_columns >= T._SMALL_SAMPLE_BYTES and hw * hw >= T._BLOCK_COLUMNS
+        assert channels * order >= T._MIN_BLOCK_ROWS
+        small, large = transient(2), transient(16)
+        slab = min(bank_bytes, T._SLAB_BYTES)
+        small_arrays = 16 << 10  # index arrays, the synthesis matrix, array headers
+        assert large <= block_columns + padded_block + 2 * bank_bytes + slab + small_arrays
+        assert large <= small + 16384  # each block leaves under 200 bytes of view objects
 
 
 class TestBuildModel:

@@ -170,8 +170,8 @@ def _forward_and_grad_x(op, x, w, g):
 
 
 class TestColumnBuffers:
-    """Forwards and grad-x build their columns in blocks of whole samples (``_column_blocks``),
-    grad-w in chunks (``_column_chunks``)."""
+    """On the block path, forwards, grad-x and grad-w take their columns in blocks of whole
+    samples (``_column_blocks``); elsewhere in chunks (``_column_chunks``)."""
 
     def test_chunk_padding_dropped_before_its_columns_are_yielded(self, rng, monkeypatch):
         padded = []
@@ -235,6 +235,61 @@ class TestColumnBuffers:
         assert [sl.stop - sl.start for sl in slices] == blocks * 2  # forward, then grad-x
         for arr, ref in zip(got, want):
             assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
+
+    @pytest.mark.parametrize("dtype, grad_w_rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("block_columns, blocks, backward_blocks",
+                             [(256, [1] * 7, [1] * 7), (512, [3, 3, 1], [2, 2, 2, 1]),
+                              (768, [4, 3], [3, 3, 1])], ids=["1", "3", "4"])
+    @pytest.mark.parametrize("op", ["correlate2d", "gconv"])
+    def test_one_pass_backward_matches_the_chunk_path(self, rng, monkeypatch, op, block_columns,
+                                                       blocks, backward_blocks, dtype,
+                                                       grad_w_rtol):
+        """With both gradients asked for, the backward makes one pass over blocks of g's
+        columns, of at most ``_BLOCK_COLUMNS`` columns, and builds no chunk. At the
+        shapes of ``test_bitwise_equal_at_any_block_size``, forward and grad-x are
+        bitwise those of the chunk path, and grad-w, whose sum the blocks group
+        differently, is equal to rounding."""
+        batch, hw = 7, 16
+        channels = 64 if dtype == "float64" else 128
+        if op == "correlate2d":
+            x = rng.standard_normal((batch, channels, hw, hw)).astype(dtype)
+            w = rng.standard_normal((channels, channels, 3, 3)).astype(dtype)
+            run = T.correlate2d
+        else:
+            x = rng.standard_normal((batch, channels // 8, 8, hw, hw)).astype(dtype)
+            w = rng.standard_normal((channels // 8, channels // 8, 8, 4)).astype(dtype)
+            elements = rng.standard_normal((8, 4, 3, 3))
+            run = lambda xt, wt: gconv(xt, wt, elements)  # noqa: E731
+        g = rng.standard_normal((batch, channels, hw, hw)).astype(dtype)
+
+        def forward_and_grads():
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = run(xt, wt)
+            out._backward(g.reshape(out.data.shape))
+            return out.data, xt.grad, wt.grad
+
+        monkeypatch.setattr(T, "_SMALL_SAMPLE_BYTES", 1 << 40)
+        want = forward_and_grads()
+        monkeypatch.undo()
+        monkeypatch.setattr(T, "_BLOCK_COLUMNS", block_columns)
+        slices, column_blocks = [], T._column_blocks
+
+        def spied(a, k, **kwargs):
+            for sl, cols in column_blocks(a, k, **kwargs):
+                slices.append(sl)
+                yield sl, cols
+
+        monkeypatch.setattr(T, "_column_blocks", spied)
+        chunks, column_chunks = [], T._column_chunks
+        monkeypatch.setattr(T, "_column_chunks",
+                            lambda a, k: chunks.append(a.shape) or column_chunks(a, k))
+        got = forward_and_grads()
+        assert [sl.stop - sl.start for sl in slices] == blocks + backward_blocks
+        assert chunks == []
+        for arr, ref in zip(got[:2], want[:2]):
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
+        assert got[2].dtype == want[2].dtype
+        assert np.abs(got[2] - want[2]).max() <= grad_w_rtol * np.abs(want[2]).max()
 
     def test_graph_free_group_forward_holds_one_block(self, rng):
         """Beyond its input, output and filter bank, a graph-free group forward on 28x28
