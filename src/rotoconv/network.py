@@ -143,6 +143,8 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     dtype = x.data.dtype
     out_data = T._correlate(x.data.reshape(b, -1, h, w),
                             _filter_bank(coefficients.data, elements, dtype))
+    parents, maps, adjoint_x = T._conv_operand(x, (b, -1, h, w))
+    grad_x = x.requires_grad
 
     def backward(g):
         # The grad-x kernel is gathered again (``_adjoint_filter_bank``) rather than
@@ -150,18 +152,18 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
         # filters and the adjoint bank gathered from them; on the block path, the
         # adjoint bank and grad-w's accumulator during the one pass, then the
         # accumulator and the bank gradient unflipped from it; then the bank
-        # gradient and the copy that its gather takes.
+        # gradient and the copy that its gather takes. grad-x goes last, once none is.
         gx, gw = T._correlate_backward(
-            g.reshape(b, -1, h, w), x.data.reshape(b, -1, h, w),
+            g.reshape(b, -1, h, w), maps,
             lambda: _adjoint_filter_bank(coefficients.data, elements, dtype), k,
-            x.requires_grad, coefficients.requires_grad)
-        if gx is not None:
-            T.accumulate_grad(x, gx.reshape(x.data.shape))
-        del gx
+            grad_x, coefficients.requires_grad)
         if gw is not None:
             T.accumulate_grad(coefficients, _filter_bank_adjoint(gw, elements, dtype, shape))
+        del gw
+        if gx is not None:
+            adjoint_x(gx)
 
-    return Tensor.from_op(out_data.reshape(b, shape[0], order, h, w), (x, coefficients),
+    return Tensor.from_op(out_data.reshape(b, shape[0], order, h, w), parents + (coefficients,),
                           backward, "gconv")
 
 
@@ -300,9 +302,17 @@ class BatchNorm(Layer):
         return T.batchnorm_eval(x, self.gamma, self.beta, axes,
                                 self.running_mean, self.running_var)
 
-    def forward_relu(self, x, pool):
-        """Training forward of this layer, a ReLU and, with ``pool``, a MaxPool2x2, as one op."""
-        out, mean, var = T.batchnorm_relu_train(x, self.gamma, self.beta, self._axes(x), pool)
+    def forward_relu(self, x, then):
+        """Training forward of this layer and a ReLU as one op, with what follows the ReLU
+        (``_training_plan``): "pool" fuses a MaxPool2x2 in; "conv" hands the output to the
+        next layer, a convolution, which records both ops as one node that rebuilds this
+        output in its backward rather than keep it (``T.batchnorm_relu_conv_input``)."""
+        if then == "conv":
+            out, mean, var = T.batchnorm_relu_conv_input(x, self.gamma, self.beta,
+                                                         self._axes(x))
+        else:
+            out, mean, var = T.batchnorm_relu_train(x, self.gamma, self.beta, self._axes(x),
+                                                    then == "pool")
         self._track(mean, var)
         return out
 
@@ -380,15 +390,16 @@ class Model:
                 for i, layer in enumerate(self.layers) for bname, b in layer.buffers()]
 
     def forward(self, x, training: bool = False) -> Tensor:
-        """Logits; a training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op."""
+        """Logits; a training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op,
+        and one that feeds a convolution as one node with that convolution."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         if not training:
             for layer in self.layers:
                 x = layer.forward(x, False)
             return x
-        for layer, pool in _training_plan(self.layers):
-            x = layer.forward(x, True) if pool is None else layer.forward_relu(x, pool)
+        for layer, then in _training_plan(self.layers):
+            x = layer.forward(x, True) if then is None else layer.forward_relu(x, then)
         return x
 
     def iter_activations(self, x):
@@ -428,16 +439,24 @@ class Model:
         return hashlib.sha256(payload).hexdigest()
 
 
+_CONVOLUTIONS = (Conv2d, GConvInput, GConvIntermediate)
+
+
 def _training_plan(layers):
-    """(layer, pool) steps of a training forward: pool is None for a layer run on
-    its own, else the BatchNorm of a fused BatchNorm -> ReLU (-> MaxPool2x2) run."""
+    """(layer, then) steps of a training forward: then is None for a layer run on its
+    own, else the BatchNorm of a fused BatchNorm -> ReLU run says what follows the ReLU:
+    "pool" for a MaxPool2x2, run in the same op; "conv" for a convolution, which takes
+    the run's output over and rebuilds it in its backward; "" for anything else, such as
+    the global max pool, which keeps the output."""
     plan, i = [], 0
     while i < len(layers):
         fused = isinstance(layers[i], BatchNorm) and i + 1 < len(layers) \
             and isinstance(layers[i + 1], ReLU)
-        pool = fused and i + 2 < len(layers) and isinstance(layers[i + 2], MaxPool2x2)
-        plan.append((layers[i], pool if fused else None))
-        i += 1 + fused + pool
+        after = layers[i + 2] if fused and i + 2 < len(layers) else None
+        then = "pool" if isinstance(after, MaxPool2x2) else \
+            "conv" if isinstance(after, _CONVOLUTIONS) else ""
+        plan.append((layers[i], then if fused else None))
+        i += 1 + fused + (then == "pool")
     return plan
 
 

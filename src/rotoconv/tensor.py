@@ -99,7 +99,10 @@ class Tensor:
 
         ``backward_fn(grad)`` must accumulate into each requiring parent via
         ``accumulate_grad``. The closure is dropped when no parent needs it or
-        inside ``no_grad()``.
+        inside ``no_grad()``. The node keeps ``data``; what else the op needs in
+        backward its closure keeps, which need not be every input it read: a
+        convolution fed a ``BatchNormReLUMap`` keeps that map's BatchNorm input and
+        statistics instead, and rebuilds the map.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -114,8 +117,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into each leaf's ``grad``, freeing the graph as it goes.
 
         Each non-leaf drops its closure, parents and ``grad`` once its adjoint has
-        run; leaves keep ``grad`` and every node keeps ``data``. A second backward
-        through a released node raises ``GraphError``.
+        run; leaves keep ``grad`` and every node keeps ``data``. A map that an op reads
+        but its node does not keep (a ``BatchNormReLUMap``) is rebuilt by that node's
+        adjoint. A second backward through a released node raises ``GraphError``.
         """
         if self.data.size != 1:
             raise GraphError("backward() expects a scalar loss tensor")
@@ -584,9 +588,10 @@ def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _correlate(g, _adjoint_kernel(w))
 
 
-def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int, columns=None) -> np.ndarray:
+def _correlate_grad_w(g: np.ndarray, x, k: int, columns=None) -> np.ndarray:
     """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, over x's kept
-    ``columns`` when given, else with the columns rebuilt chunk by chunk."""
+    ``columns`` when given, else with the columns rebuilt chunk by chunk (from x's
+    samples rebuilt chunk by chunk too when x is a ``_RebuiltMap``)."""
     o = g.shape[1]
     gw = np.zeros((o, x.shape[1] * k * k), dtype=x.dtype)
     for sl, cols in columns if columns is not None else _column_chunks(x, k):
@@ -596,7 +601,13 @@ def _correlate_grad_w(g: np.ndarray, x: np.ndarray, k: int, columns=None) -> np.
     return gw
 
 
-def _correlate_grads(g: np.ndarray, x: np.ndarray, adjoint, k: int) -> tuple:
+def _slab_rows(rows: int, nbytes: int) -> int:
+    """The rows of each of the equal slabs of at most ``_SLAB_BYTES`` that split an array of
+    ``rows`` rows and ``nbytes`` bytes (the last slab may be shorter)."""
+    return -(-rows // -(-nbytes // _SLAB_BYTES))
+
+
+def _correlate_grads(g: np.ndarray, x, adjoint, k: int) -> tuple:
     """grad-x [B,C,H,W] and grad-w [O, C*k*k] of ``_correlate(x, w)`` in one pass over the
     column blocks of g[B,O,H,W]. ``adjoint()`` builds the grad-x kernel [C,O,k,k]
     (``_adjoint_kernel``); it is dropped before grad-w is unflipped. The pass
@@ -609,14 +620,15 @@ def _correlate_grads(g: np.ndarray, x: np.ndarray, adjoint, k: int) -> tuple:
     ``_correlate(g, adjoint())`` splits into other blocks, and ``cols @ x_block.T``
     is grad-w[o, :, k-1-u, k-1-v] over the block's samples: the flip that makes
     grad-x a correlation with the flipped kernel. The blocks' sums collect in one
-    [O*k*k, C] array.
+    [O*k*k, C] array. x is an array or a ``_RebuiltMap``, read one block's samples
+    at a time.
     """
     n, c, h, wd = x.shape
     a2 = adjoint().reshape(c, -1)
     o = a2.shape[1] // (k * k)
     gx = np.empty((n, c, h, wd), dtype=g.dtype)
     flipped = np.zeros((o * k * k, c), dtype=x.dtype)
-    slab = -(-len(flipped) // -(-flipped.nbytes // _SLAB_BYTES))  # rows of equal slabs
+    slab = _slab_rows(len(flipped), flipped.nbytes)
     part = np.empty((slab, c), dtype=x.dtype)
     for sl, cols in _column_blocks(g, k, at_most=True):
         _block_product(a2, cols, gx, sl)
@@ -631,10 +643,11 @@ def _correlate_grads(g: np.ndarray, x: np.ndarray, adjoint, k: int) -> tuple:
     return gx, gw
 
 
-def _correlate_backward(g: np.ndarray, x: np.ndarray, adjoint, k: int,
+def _correlate_backward(g: np.ndarray, x, adjoint, k: int,
                         grad_x: bool, grad_w: bool) -> tuple:
     """(grad-x, grad-w as [O, C*k*k]) of ``_correlate(x, w)`` for the output gradient g,
-    each None unless asked for; ``adjoint()`` builds the grad-x kernel [C,O,k,k].
+    each None unless asked for; ``adjoint()`` builds the grad-x kernel [C,O,k,k]. x
+    is the input array or a ``_RebuiltMap`` of it: only grad-w reads it, by samples.
 
     When both are asked for and grad-x takes the block path, one pass over g's
     column blocks gives both (``_correlate_grads``). Otherwise grad-x is
@@ -647,7 +660,7 @@ def _correlate_backward(g: np.ndarray, x: np.ndarray, adjoint, k: int,
     return gx, gw
 
 
-def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
+def correlate2d(x, kernel: Tensor) -> Tensor:
     """Sliding inner products of x[B,C,H,W] with kernel[O,C,k,k], zero padded to [B,O,H,W].
 
     im2col + GEMM: each block or chunk of samples becomes a column matrix
@@ -656,20 +669,27 @@ def correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
     axes swapped); grad-w is ``g @ cols.T`` with x's columns rebuilt in
     backward rather than kept on the graph, or, when grad-x takes the block
     path, comes from the same blocks of g's columns (``_correlate_backward``).
+    x is a Tensor or a ``BatchNormReLUMap``, whose map the node rebuilds
+    rather than keeps (``_conv_operand``).
     """
     _check_conv_args(x, kernel)
     k = kernel.data.shape[2]
     out_data = _correlate(x.data, kernel.data)
+    parents, maps, adjoint_x = _conv_operand(x, x.data.shape)
+    grad_x = x.requires_grad
 
     def backward(g):
-        gx, gw = _correlate_backward(g, x.data, lambda: _adjoint_kernel(kernel.data), k,
-                                     x.requires_grad, kernel.requires_grad)
+        gx, gw = _correlate_backward(g, maps, lambda: _adjoint_kernel(kernel.data), k,
+                                     grad_x, kernel.requires_grad)
         if gw is not None:
             accumulate_grad(kernel, gw.reshape(kernel.data.shape))
+        del gw
         if gx is not None:
-            accumulate_grad(x, gx)
+            adjoint_x(gx)
 
-    return Tensor.from_op(out_data, (x, kernel), backward, "correlate2d")
+    # A correlation node's parents are (x, kernel) unless it took over a BatchNorm-ReLU.
+    op = "correlate2d" if isinstance(x, Tensor) else "batchnorm_relu_correlate2d"
+    return Tensor.from_op(out_data, parents + (kernel,), backward, op)
 
 
 def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -774,6 +794,16 @@ def _check_bn_params(x: Tensor, gamma: Tensor, beta: Tensor, axes):
     return kept[0]
 
 
+def _normalize(x: np.ndarray, mu: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+               beta: np.ndarray) -> np.ndarray:
+    """``(x - mu) * inv * gamma + beta``, in that order, into one new array."""
+    out = x - mu
+    out *= inv
+    out *= gamma
+    out += beta
+    return out
+
+
 def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> tuple:
     """Batch statistics and ``gamma * xhat + beta`` -> (out, mean, var, inv_std), keepdims."""
     _check_bn_params(x, gamma, beta, axes)
@@ -781,10 +811,7 @@ def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> tuple:
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + _BN_EPS)
-    out = x.data - mu
-    out *= inv
-    out *= gamma.data.reshape(pshape)
-    out += beta.data.reshape(pshape)
+    out = _normalize(x.data, mu, inv, gamma.data.reshape(pshape), beta.data.reshape(pshape))
     return out, mu, var, inv
 
 
@@ -830,12 +857,15 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):
 def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: bool):
     """``relu(batchnorm_train(x))``, then ``maxpool2x2`` when ``pool``, as one op.
 
-    The node keeps its output, x (its parent), the per-channel mean and
-    inverse std, and with ``pool`` a uint8 index per pooled value; backward
-    recomputes ``xhat`` and reads the ReLU mask off the output, since a pooled
-    value is positive exactly when the ReLU input at its first max is.
-    Results, gradients and statistics are bitwise those of the three ops.
-    Returns (out, batch_mean, batch_var) like ``batchnorm_train``.
+    The node keeps its output, and its closure x (its parent), the per-channel
+    mean and inverse std, and with ``pool`` a uint8 index per pooled value;
+    backward recomputes ``xhat`` and reads the ReLU mask off the output, since a
+    pooled value is positive exactly when the ReLU input at its first max is.
+    Results, gradients and statistics are bitwise those of the three ops. A
+    training forward runs it where the output is pooled or read by something
+    other than a convolution; an unpooled output that a convolution reads is a
+    ``batchnorm_relu_conv_input`` instead, which no node keeps. Returns (out,
+    batch_mean, batch_var) like ``batchnorm_train``.
     """
     axes = tuple(axes)
     out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
@@ -852,6 +882,91 @@ def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: boo
 
     out = Tensor.from_op(out_data, (x, gamma, beta), backward, "batchnorm_relu")
     return out, mu.reshape(-1), var.reshape(-1)
+
+
+class _RebuiltMap:
+    """A training BatchNorm-ReLU output that is rebuilt by samples rather than kept: the
+    map ``relu(batchnorm_train(x))``, viewed as ``shape``, of which ``self[sl]`` rebuilds
+    samples ``sl`` from the BatchNorm input x and statistics with ``_bn_forward``'s
+    ``_normalize``, then the ReLU. Those are elementwise, so the rows are bitwise those
+    of the whole map. The convolution backward kernels read it like an
+    array (``shape``, ``dtype``, ``itemsize``, sample slices); each rebuilt block leaves
+    its ReLU mask behind for the BatchNorm-ReLU adjoint (``relu_mask``)."""
+
+    def __init__(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mu: np.ndarray,
+                 inv: np.ndarray, shape: tuple):
+        self._x, self._mu, self._inv = x, mu, inv
+        self._gamma, self._beta = gamma.reshape(mu.shape), beta.reshape(mu.shape)
+        self.shape, self.dtype, self.itemsize = shape, x.dtype, x.itemsize
+        self._mask = None
+        self._rebuilt = 0  # samples rebuilt so far
+
+    def __getitem__(self, sl: slice) -> np.ndarray:
+        out = _normalize(self._x[sl], self._mu, self._inv, self._gamma, self._beta)
+        np.maximum(out, 0, out=out)
+        out = out.reshape((-1,) + self.shape[1:])
+        if self._mask is None:
+            self._mask = np.empty(self.shape, dtype=bool)
+        np.greater(out, 0, out=self._mask[sl])
+        self._rebuilt += len(out)
+        return out
+
+    def relu_mask(self) -> np.ndarray:
+        """``map > 0``, as the blocks read so far left it; a backward that read no block
+        (no grad-w asked for) rebuilds the map here."""
+        if self._rebuilt < self.shape[0]:
+            self[:]
+        return self._mask
+
+
+class BatchNormReLUMap:
+    """``relu(batchnorm_train(x))`` on its way into the one convolution that reads it
+    (``correlate2d`` or ``gconv``), from ``batchnorm_relu_conv_input``. That
+    convolution's node keeps x and the statistics in place of this map: its forward
+    reads ``data``, which goes with this object once the forward has run, and its
+    backward rebuilds the map block by block (``_RebuiltMap``) and runs the
+    BatchNorm-ReLU adjoint on its grad-x (``_conv_operand``)."""
+
+    def __init__(self, data: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
+                 mu: np.ndarray, inv: np.ndarray):
+        self.data = data
+        self.requires_grad = any(t.requires_grad for t in (x, gamma, beta))
+        self._batchnorm = (x, gamma, beta, axes, mu, inv)
+
+
+def batchnorm_relu_conv_input(x: Tensor, gamma: Tensor, beta: Tensor, axes):
+    """``relu(batchnorm_train(x))`` as the input of a convolution that records both ops
+    as one node, keeping x (the BatchNorm input, already on the graph) and the per-channel
+    mean and inverse std rather than this map: a ``BatchNormReLUMap``. Its values, and
+    the gradients and statistics of the two ops, are bitwise those of
+    ``batchnorm_relu_train`` followed by the convolution. Returns (map, batch_mean,
+    batch_var) like ``batchnorm_train``.
+    """
+    axes = tuple(axes)
+    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
+    np.maximum(out_data, 0, out=out_data)
+    return (BatchNormReLUMap(out_data, x, gamma, beta, axes, mu, inv),
+            mu.reshape(-1), var.reshape(-1))
+
+
+def _conv_operand(x, shape) -> tuple:
+    """(parents, input viewed as ``shape`` for the backward, grad-x adjoint) of a
+    convolution's input x, once its forward has read ``x.data``. A Tensor is its own
+    parent, read as it is, and takes grad-x. A ``BatchNormReLUMap`` gives its BatchNorm's
+    input and parameters as parents and a ``_RebuiltMap`` to read; its adjoint masks
+    grad-x with the ReLU mask that the rebuilt blocks left and runs the BatchNorm
+    adjoint, in place of the two separate nodes' adjoints."""
+    if isinstance(x, Tensor):
+        return (x,), x.data.reshape(shape), lambda gx: accumulate_grad(
+            x, gx.reshape(x.data.shape))
+    source, gamma, beta, axes, mu, inv = x._batchnorm
+    maps = _RebuiltMap(source.data, gamma.data, beta.data, mu, inv, x.data.reshape(shape).shape)
+
+    def adjoint(gx):
+        gx *= maps.relu_mask()
+        _bn_backward(gx.reshape(source.data.shape), source, gamma, beta, axes, mu, inv)
+
+    return (source, gamma, beta), maps, adjoint
 
 
 def _in_place(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:

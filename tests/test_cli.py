@@ -76,9 +76,37 @@ class TestVerify:
         monkeypatch.setattr(T, "_correlate_grads", unflipped)
         row = check_gradients(seed=0)
         assert not row.passed and row.detail.startswith("correlate2d_blocks: ")
-        _, builder, arrays = gradient_cases(seed=0)[-1]
+        builder, arrays = {name: case for name, *case in gradient_cases(seed=0)}["gconv_blocks"]
         with pytest.raises(AssertionError, match="on input 1"):  # the coefficients
             check_gradient(builder, arrays)
+        assert run("verify") == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zeroed", [
+        lambda rows, slab: slice(slab, None),
+        lambda rows, slab: slice((rows - 1) // slab * slab if rows > slab else rows, None),
+    ], ids=["first_slab_only", "last_of_several_slabs_skipped"])
+    def test_gradient_row_fails_on_a_one_pass_grad_w_that_drops_row_slabs(
+            self, monkeypatch, capsys, zeroed):
+        """The one-pass backward sums grad-w's flipped [O*k*k, C] accumulator in row slabs
+        of at most ``_SLAB_BYTES``; a loop that adds only the first slab, or skips the
+        last of several, leaves the other rows zero and every one-slab grad-w right.
+        Only layers of over 3 MB of grad-w take more than one slab: of the checked ops,
+        the 33- and 67-channel layers of the group model."""
+        grads = T._correlate_grads
+
+        def dropped(g, x, adjoint, k):
+            gx, gw = grads(g, x, adjoint, k)
+            o, c = len(gw), gw.shape[1] // (k * k)
+            flipped = gw.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
+                o * k * k, c)
+            flipped[zeroed(len(flipped), T._slab_rows(len(flipped), flipped.nbytes))] = 0
+            return gx, flipped.reshape(o, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2).reshape(
+                o, -1)
+
+        monkeypatch.setattr(T, "_correlate_grads", dropped)
+        row = check_gradients(seed=0)
+        assert not row.passed and row.detail.startswith("group_model: ")
         assert run("verify") == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
-                              GConvIntermediate, GlobalMaxPool, Model, _adjoint_filter_bank,
-                              _filter_bank, _filter_bank_adjoint, build_model, count_parameters,
-                              gconv_input, gconv_intermediate, load_checkpoint,
+                              GConvIntermediate, GlobalMaxPool, Model, _CONVOLUTIONS,
+                              _adjoint_filter_bank, _filter_bank, _filter_bank_adjoint,
+                              _training_plan, build_model, count_parameters, gconv_input,
+                              gconv_intermediate, load_checkpoint, model_from_arch,
                               read_checkpoint, save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
@@ -265,6 +268,186 @@ class TestGConvGraph:
         small_arrays = 16 << 10  # index arrays, the synthesis matrix, array headers
         assert large <= block_columns + padded_block + 2 * bank_bytes + slab + small_arrays
         assert large <= small + 16384  # each block leaves under 200 bytes of view objects
+
+
+def small_translational_model(seed=0, dtype="float64"):
+    """Three plain conv blocks, the last two fed by unpooled BatchNorm-ReLU maps."""
+    layers = []
+    for i, (c_in, c_out, k) in enumerate([(1, 4, 3), (4, 6, 3), (6, 6, 1)]):
+        layers += [{"type": "conv", "name": f"conv{i}", "in": c_in, "out": c_out, "k": k},
+                   {"type": "batchnorm", "name": f"bn{i}", "channels": c_out, "kind": "spatial"},
+                   {"type": "relu", "name": f"relu{i}"}]
+    layers += [{"type": "maxpool", "name": "pool"},
+               {"type": "global_maxpool", "name": "global_pool"},
+               {"type": "dense", "name": "classifier", "in": 6, "out": 3}]
+    arch = {"kind": "translational", "variant": "none", "in_channels": 1, "classes": 3,
+            "dtype": dtype, "group_order": 1, "layers": layers}
+    return model_from_arch(arch, None, seed)
+
+
+class TestRebuiltBatchNormReLU:
+    """A training forward hands each unpooled BatchNorm-ReLU output that a convolution reads
+    to that convolution, whose node keeps the BatchNorm input and statistics in its place
+    and rebuilds the map in backward."""
+
+    @staticmethod
+    def model(kind, partial_basis, dtype="float64"):
+        if kind == "group":
+            return small_group_model(partial_basis, seed=5, dtype=dtype)
+        return small_translational_model(seed=5, dtype=dtype)
+
+    @pytest.mark.parametrize("kind, alive", [
+        ("group", [[], [], [True], [False], [False], [False]]),
+        ("translational", [[], [], [True], [False], [False, True], [False, False],
+                           [False, False], [False, False]]),
+    ])
+    def test_each_map_dead_once_its_convolution_has_run(self, partial_basis, monkeypatch,
+                                                        kind, alive):
+        """At each layer call of a training forward, which of the maps handed on so far
+        are alive: only the one whose convolution is running."""
+        model = self.model(kind, partial_basis)
+        handed, seen = [], []
+        conv_input = T.batchnorm_relu_conv_input
+
+        def spy_input(*args):
+            out = conv_input(*args)
+            handed.append(weakref.ref(out[0].data))
+            return out
+
+        monkeypatch.setattr(T, "batchnorm_relu_conv_input", spy_input)
+        for layer in model.layers:
+            for name in [name for name in ("forward", "forward_relu") if hasattr(layer, name)]:
+                def spy(*args, inner=getattr(layer, name)):
+                    seen.append([ref() is not None for ref in handed])
+                    return inner(*args)
+                monkeypatch.setattr(layer, name, spy)
+        logits = model.forward(np.random.default_rng(1).standard_normal((3, 1, 8, 8)),
+                               training=True)
+        assert seen == alive
+        assert len(handed) == alive[-1].count(False) and logits.requires_grad
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind, fused_ops, separate_ops", [
+        ("group", {"gconv": 2, "batchnorm_relu": 1}, {"gconv": 2, "batchnorm_relu": 2}),
+        ("translational", {"correlate2d": 1, "batchnorm_relu_correlate2d": 2,
+                           "batchnorm_relu": 1},
+         {"correlate2d": 3, "batchnorm_relu": 3}),
+    ])
+    def test_bitwise_those_of_the_separate_ops(self, partial_basis, monkeypatch, kind, dtype,
+                                               fused_ops, separate_ops):
+        """Logits, every parameter gradient and the running statistics equal those of
+        ``batchnorm_relu_train`` followed by the convolution as two nodes, and the graph
+        keeps the unpooled maps' bytes less."""
+        x = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(dtype)
+        runs = []
+        for separate in (False, True):
+            if separate:
+                monkeypatch.setattr(T, "batchnorm_relu_conv_input", lambda a, g, b, axes:
+                                    T.batchnorm_relu_train(a, g, b, axes, False))
+            model = self.model(kind, partial_basis, dtype)
+            logits = model.forward(x, training=True)
+            ops, kept, stack, seen = collections.Counter(), 0, [logits], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    ops[node._op] += 1
+                    kept += node.data.nbytes
+                    stack.extend(node._parents)
+            T.softmax_cross_entropy(logits, np.array([0, 2, 1])).backward()
+            runs.append((ops, kept, [logits.data] + [p.grad for p in model.parameters()]
+                         + [b for _, b in model.named_buffers()]))
+        (ops, kept, got), (separate_ops_seen, separate_kept, want) = runs
+        assert {op: ops[op] for op in fused_ops} == fused_ops
+        assert {op: separate_ops_seen[op] for op in separate_ops} == separate_ops
+        maps = 3 * (4 * 8 * 8 * 8 if kind == "group" else (4 + 6) * 8 * 8) * x.itemsize
+        assert separate_kept - kept == maps
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _model(kind, dtype):
+    basis = populate_partial(np.random.default_rng(0).uniform(-1.0, 1.0, (2, 9, 3, 3)))
+    group = kind == "group"
+    return build_model(kind, "partial" if group else "none", basis if group else None,
+                       in_channels=3, dtype=dtype)
+
+
+def _model_conv_shapes():
+    """pytest params (kind, dtype, layer index, map size, rebuilt input, block path) for
+    each distinct conv layer shape of the two models at 3x32x32, with the path that layer's
+    backward takes in the id: the number of grad-w row slabs on the block path, else
+    "chunks"."""
+    params, done = [], set()
+    for kind in ("group", "translational"):
+        for dtype in ("float32", "float64"):
+            model, x_bytes = _model(kind, dtype), np.dtype(dtype).itemsize
+            hw, rebuilt = 32, False
+            for layer, then in _training_plan(model.layers):
+                if isinstance(layer, _CONVOLUTIONS):
+                    order = model.group_order
+                    c_in = layer.in_channels * (order if isinstance(layer, GConvIntermediate)
+                                                else 1)
+                    c_out = layer.out_channels * order
+                    k = getattr(layer, "kernel_size", None) or layer.elements.shape[-1]
+                    if (kind, dtype, c_in, c_out, k, hw, rebuilt) not in done:
+                        done.add((kind, dtype, c_in, c_out, k, hw, rebuilt))
+                        blocks = T._takes_blocks(np.empty((0, c_out, hw, hw), dtype), c_in, k)
+                        rows, nbytes = c_out * k * k, c_out * k * k * c_in * x_bytes
+                        slabs = -(-rows // T._slab_rows(rows, nbytes))
+                        params.append(pytest.param(
+                            kind, dtype, model.layers.index(layer), hw, rebuilt, blocks,
+                            id=f"{kind}-{c_in}to{c_out}-k{k}-{hw}px-"
+                               f"{'rebuilt' if rebuilt else 'kept'}-{dtype}-"
+                               f"{f'{slabs}slab' if blocks else 'chunks'}"))
+                hw //= 2 if then == "pool" else 1
+                rebuilt = then == "conv"
+    return params
+
+
+class TestModelLayerBackward:
+    """The block path against the chunk path at the model's own conv layer shapes, where
+    grad-w's accumulator takes up to 7 row slabs (``test_one_pass_backward_matches_the_
+    chunk_path`` in test_tensor.py runs one)."""
+
+    @pytest.mark.parametrize("kind, dtype, index, hw, rebuilt, blocks", _model_conv_shapes())
+    def test_one_pass_backward_matches_the_chunk_path(self, monkeypatch, kind, dtype, index,
+                                                      hw, rebuilt, blocks):
+        """A batch of 2 through one conv layer of ``build_model`` (fed a rebuilt
+        BatchNorm-ReLU map where the training forward feeds it one) and back: forward and
+        the input's gradients bitwise, and grad-w equal to rounding (the tolerances of
+        the one-pass test), whether the backward takes blocks or is forced onto chunks."""
+        model = _model(kind, dtype)
+        conv, batchnorm = model.layers[index], model.layers[index - 2]
+        kernel = conv.params()[0][1]
+        slots = (model.group_order,) if isinstance(conv, GConvIntermediate) else ()
+        x = np.random.default_rng(index).standard_normal(
+            (2, conv.in_channels) + slots + (hw, hw)).astype(dtype)
+        one_pass = []
+        grads = T._correlate_grads
+        monkeypatch.setattr(T, "_correlate_grads", lambda g, a, *args: one_pass.append(
+            isinstance(a, T._RebuiltMap)) or grads(g, a, *args))
+
+        def step():
+            params = [kernel] + ([batchnorm.gamma, batchnorm.beta] if rebuilt else [])
+            for p in params:
+                p.grad = None
+            xt = Tensor(x, requires_grad=True)
+            out = conv.forward(batchnorm.forward_relu(xt, "conv") if rebuilt else xt, True)
+            g = np.random.default_rng(7).standard_normal(out.data.shape).astype(dtype)
+            out._backward(g)
+            return [out.data, xt.grad] + [p.grad for p in params[1:]], kernel.grad
+
+        got, gw = step()
+        assert one_pass == ([rebuilt] if blocks else [])
+        monkeypatch.setattr(T, "_SMALL_SAMPLE_BYTES", 1 << 40)
+        want, gw_chunks = step()
+        assert len(one_pass) == blocks
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        rtol = 1e-5 if dtype == "float32" else 1e-12
+        assert gw.dtype == gw_chunks.dtype
+        assert np.abs(gw - gw_chunks).max() <= rtol * np.abs(gw_chunks).max()
 
 
 class TestBuildModel:
