@@ -366,6 +366,27 @@ class TestRebuiltBatchNormReLU:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_op_level_bitwise_and_mask_without_grad_w(self, rng, frozen):
+        """``batchnorm_relu_conv_input`` into ``correlate2d`` against ``batchnorm_relu_train``
+        then ``correlate2d``. With the kernel frozen no grad-w reads the rebuilt map, so
+        the ReLU mask comes from a rebuild of its own."""
+        x = rng.standard_normal((3, 4, 6, 6))
+        gamma, beta = rng.random(4) + 0.5, 0.3 * rng.standard_normal(4)
+        w = rng.standard_normal((5, 4, 3, 3))
+        runs = []
+        for op in (T.batchnorm_relu_conv_input,
+                   lambda a, g, b, axes: T.batchnorm_relu_train(a, g, b, axes, False)):
+            xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            wt = Tensor(w, requires_grad=not frozen)
+            out = T.correlate2d(op(xt, gt, bt, (0, 2, 3))[0], wt)
+            T.l1_norm(out).backward()
+            runs.append([out.data, xt.grad, gt.grad, bt.grad] + ([] if frozen else [wt.grad]))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        assert (runs[0][1] != 0).any()
+
+
 def _model(kind, dtype):
     basis = populate_partial(np.random.default_rng(0).uniform(-1.0, 1.0, (2, 9, 3, 3)))
     group = kind == "group"
