@@ -262,3 +262,39 @@ def test_gconv_layers_pinned(partial_basis, layer, dtype):
     for arr in (out.data, x.grad, conv.coefficients.grad):
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == PINNED_GCONV[layer, dtype]
+
+
+# -- one training step of the paper's models ---------------------------------------
+# sha256 over the logits, the input gradient, every parameter gradient and every
+# BatchNorm buffer (49 arrays for the group model) after one training-mode forward and
+# backward of ``build_model`` at 3x32x32 under a cross-entropy loss. At these shapes
+# the conv layers run the column-block path and grad-w sums in several row slabs, so
+# a change of ``tensor._BLOCK_COLUMNS``, ``_COLUMN_BYTES`` or of how a map is split
+# into GEMMs shows here even where it raises no error. Taken under OpenBLAS 0.3.31
+# (Haswell kernels, 2 threads) on x86_64; another BLAS may round the GEMMs otherwise.
+
+PINNED_STEP = {
+    ("group", "float32", 8): "a14888bd8c0bdc425a8b13de41b33ce25637bf26e5182fccd0f7f45cbcad1b19",
+    ("group", "float64", 2): "9ed6c889ddfa7a181f7009b2300c264cc9edce958336e68f37021ff59f9ab7da",
+    ("translational", "float64", 2):
+        "c7f87b26a40f20191303783e83d31d27f10739bfd7f2a6366c9b10ba98d14834",
+}
+
+
+@pytest.mark.parametrize("kind, dtype, batch", sorted(PINNED_STEP))
+def test_build_model_training_step_pinned(kind, dtype, batch):
+    rng = np.random.default_rng(17)
+    group = kind == "group"
+    basis = populate_partial(rng.uniform(-1.0, 1.0, (2, 9, 3, 3)))
+    model = build_model(kind, "partial" if group else "none", basis if group else None,
+                        in_channels=3, seed=3, dtype=dtype)
+    x = Tensor(rng.standard_normal((batch, 3, 32, 32)).astype(dtype), requires_grad=True)
+    logits = model.forward(x, training=True)
+    T.softmax_cross_entropy(logits, rng.integers(0, model.classes, batch)).backward()
+    arrays = [logits.data, x.grad] + [p.grad for p in model.parameters()] \
+        + [b for _, b in model.named_buffers()]
+    assert len(arrays) == 49
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == PINNED_STEP[kind, dtype, batch]
