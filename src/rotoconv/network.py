@@ -143,7 +143,7 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     dtype = x.data.dtype
     out_data = T._correlate(x.data.reshape(b, -1, h, w),
                             _filter_bank(coefficients.data, elements, dtype))
-    parents, maps, adjoint_x = T._conv_operand(x, (b, -1, h, w))
+    parents, maps, adjoint_x = T._operand(x, (b, -1, h, w))
     grad_x = x.requires_grad
 
     def backward(g):
@@ -302,17 +302,12 @@ class BatchNorm(Layer):
         return T.batchnorm_eval(x, self.gamma, self.beta, axes,
                                 self.running_mean, self.running_var)
 
-    def forward_relu(self, x, then):
-        """Training forward of this layer and a ReLU as one op, with what follows the ReLU
-        (``_training_plan``): "pool" fuses a MaxPool2x2 in; "conv" hands the output to the
-        next layer, a convolution, which records both ops as one node that rebuilds this
-        output in its backward rather than keep it (``T.batchnorm_relu_conv_input``)."""
-        if then == "conv":
-            out, mean, var = T.batchnorm_relu_conv_input(x, self.gamma, self.beta,
-                                                         self._axes(x))
-        else:
-            out, mean, var = T.batchnorm_relu_train(x, self.gamma, self.beta, self._axes(x),
-                                                    then == "pool")
+    def forward_relu(self, x):
+        """Training forward of this layer and a ReLU as one op, whose output the next layer,
+        a convolution or a pool, takes over (``_training_plan``): it records the three ops
+        as one node that rebuilds this output in its backward rather than keep it
+        (``T.batchnorm_relu_train``)."""
+        out, mean, var = T.batchnorm_relu_train(x, self.gamma, self.beta, self._axes(x))
         self._track(mean, var)
         return out
 
@@ -390,16 +385,16 @@ class Model:
                 for i, layer in enumerate(self.layers) for bname, b in layer.buffers()]
 
     def forward(self, x, training: bool = False) -> Tensor:
-        """Logits; a training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op,
-        and one that feeds a convolution as one node with that convolution."""
+        """Logits; a training forward runs each BatchNorm -> ReLU that feeds a convolution or
+        a pool as one node with that layer."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         if not training:
             for layer in self.layers:
                 x = layer.forward(x, False)
             return x
-        for layer, then in _training_plan(self.layers):
-            x = layer.forward(x, True) if then is None else layer.forward_relu(x, then)
+        for layer, fused in _training_plan(self.layers):
+            x = layer.forward_relu(x) if fused else layer.forward(x, True)
         return x
 
     def iter_activations(self, x):
@@ -443,20 +438,17 @@ _CONVOLUTIONS = (Conv2d, GConvInput, GConvIntermediate)
 
 
 def _training_plan(layers):
-    """(layer, then) steps of a training forward: then is None for a layer run on its
-    own, else the BatchNorm of a fused BatchNorm -> ReLU run says what follows the ReLU:
-    "pool" for a MaxPool2x2, run in the same op; "conv" for a convolution, which takes
-    the run's output over and rebuilds it in its backward; "" for anything else, such as
-    the global max pool, which keeps the output."""
+    """(layer, fused) steps of a training forward. A BatchNorm followed by a ReLU and then
+    a convolution or a pool is fused: it runs ``forward_relu`` in place of both, and the
+    reader takes its output over and rebuilds it in its backward. Every other layer runs
+    on its own."""
     plan, i = [], 0
     while i < len(layers):
-        fused = isinstance(layers[i], BatchNorm) and i + 1 < len(layers) \
-            and isinstance(layers[i + 1], ReLU)
-        after = layers[i + 2] if fused and i + 2 < len(layers) else None
-        then = "pool" if isinstance(after, MaxPool2x2) else \
-            "conv" if isinstance(after, _CONVOLUTIONS) else ""
-        plan.append((layers[i], then if fused else None))
-        i += 1 + fused + (then == "pool")
+        fused = isinstance(layers[i], BatchNorm) and i + 2 < len(layers) \
+            and isinstance(layers[i + 1], ReLU) \
+            and isinstance(layers[i + 2], _CONVOLUTIONS + (MaxPool2x2, GlobalMaxPool))
+        plan.append((layers[i], fused))
+        i += 1 + fused
     return plan
 
 

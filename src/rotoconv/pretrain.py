@@ -221,12 +221,14 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
     budget = [T._COLUMN_BYTES if record else 0]
 
     def columns(x):
-        """x's column chunks, kept while they fit the budget; None to rebuild them."""
+        """x's columns as one chunk, kept while they fit the budget; None to rebuild them."""
         size = x.size * k * k * x.itemsize
         if size > budget[0]:
             return None
         budget[0] -= size
-        return list(T._column_chunks(x, k))
+        chunks = list(T._column_blocks(x, k, len(x)))
+        assert len(chunks) == 1  # a kept block is not overwritten by a next one
+        return chunks
 
     sl = T._crop_slice(images.shape, margin)
     batch, _, h, w = images[sl].shape

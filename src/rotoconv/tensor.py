@@ -101,8 +101,8 @@ class Tensor:
         ``accumulate_grad``. The closure is dropped when no parent needs it or
         inside ``no_grad()``. The node keeps ``data``; what else the op needs in
         backward its closure keeps, which need not be every input it read: a
-        convolution fed a ``BatchNormReLUMap`` keeps that map's BatchNorm input and
-        statistics instead, and rebuilds the map.
+        convolution or pool fed a ``BatchNormReLUMap`` keeps that map's BatchNorm input
+        and statistics instead, and rebuilds the map.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -118,8 +118,9 @@ class Tensor:
 
         Each non-leaf drops its closure, parents and ``grad`` once its adjoint has
         run; leaves keep ``grad`` and every node keeps ``data``. A map that an op reads
-        but its node does not keep (a ``BatchNormReLUMap``) is rebuilt by that node's
-        adjoint. A second backward through a released node raises ``GraphError``.
+        but its node does not keep (a ``BatchNormReLUMap``, which a convolution or a pool
+        reads) is rebuilt by that node's adjoint. A second backward through a released
+        node raises ``GraphError``.
         """
         if self.data.size != 1:
             raise GraphError("backward() expects a scalar loss tensor")
@@ -430,36 +431,37 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-# Bounds on the im2col columns one GEMM reads. Chunks (``_column_chunks``) are
-# runs of whole samples of up to ``_COLUMN_BYTES``. Blocks (``_column_blocks``)
-# are smaller equal runs of whole samples, of at least ``_BLOCK_COLUMNS``
-# columns (one sample on maps of that many pixels), built in one column buffer
-# and one padded buffer per call; a one-sample block's GEMM writes straight
-# into the output. A GEMM packs its whole weight matrix once a call, so the
-# fewer columns a block has, the more of its time goes to packing; the more it
-# has, the more it holds.
+# Bounds on the im2col columns one GEMM reads. ``_column_blocks`` builds them in runs
+# of whole samples, capped at ``_COLUMN_BYTES`` of columns, in one column buffer and
+# (for k > 1) one padded buffer per call; a one-sample block's GEMM writes straight
+# into the output. A GEMM packs its whole weight matrix once a call, so the fewer
+# columns a block has, the more of its time goes to packing; the more it has, the
+# more it holds. Its callers pass the run's length by one of three rules:
+# - chunks: the whole batch, so only the cap splits it;
+# - the forward rule (``_correlate``): equal blocks of at least ``_BLOCK_COLUMNS``
+#   columns, or one sample on maps of that many pixels;
+# - the one-pass rule (``_correlate_grads``): blocks of at most ``_BLOCK_COLUMNS``
+#   columns, or one sample.
 #
 # A GEMM of at least ``_MIN_BLOCK_ROWS`` output rows over at least
 # ``_SMALL_SAMPLE_BYTES`` of columns a sample takes the block path
-# (``_takes_blocks``), and there forward, grad-x and grad-w all come from
-# blocks. A forward or grad-x sums over no columns, so the split leaves its
-# bits alone. A backward that needs both gradients takes grad-w from the same
-# blocks of the output gradient's columns that grad-x builds
-# (``_correlate_grads``), blocks of at most ``_BLOCK_COLUMNS`` columns there.
-# It adds each block's product into one accumulator in row slabs of at most
-# ``_SLAB_BYTES``, so the product's temporary stays small. That sum is grouped
-# by block, so its bits differ from a chunk's.
+# (``_takes_blocks``): the forward and grad-x take the forward rule. A forward or
+# grad-x sums over no columns, so the split leaves its bits alone. A backward that
+# needs both gradients takes grad-w from the same blocks of the output gradient's
+# columns that grad-x builds, by the one-pass rule (``_correlate_grads``). It adds
+# each block's product into one accumulator in row slabs of at most ``_SLAB_BYTES``,
+# so the product's temporary stays small. That sum is grouped by block, so its bits
+# differ from a chunk's.
 #
-# Everything else keeps the chunks, with grad-w summed chunk by chunk over x's
-# columns (``_correlate_grad_w``), a grouping that fixes the bits of every
-# pinned gradient. That covers maps with small per-sample columns
-# (pretraining's 1- and 9-channel maps, the 1x1 layers), whose blocks would be
-# many tiny GEMMs; GEMMs of fewer output rows, which BLAS may run as
-# matrix-vector or small-matrix products whose rounding depends on the column
-# count (OpenBLAS does so at one row, or at up to 100**3 multiply-adds, which
-# 8 rows of 1 MB of columns exceed); grad-w without grad-x (the lifting layer,
-# whose input needs no gradient); and pretraining's kept columns. Either way a
-# call holds one block or one chunk of columns however large the batch grows.
+# Everything else takes chunks, with grad-w summed chunk by chunk over x's columns
+# (``_correlate_grad_w``), a grouping that fixes the bits of every pinned gradient.
+# That covers maps with small per-sample columns (pretraining's 1- and 9-channel
+# maps, the 1x1 layers), whose blocks would be many tiny GEMMs; GEMMs of fewer output
+# rows, which BLAS may run as matrix-vector or small-matrix products whose rounding
+# depends on the column count (OpenBLAS does so at one row, or at up to 100**3
+# multiply-adds, which 8 rows of 1 MB of columns exceed); grad-w without grad-x (the
+# lifting layer, whose input needs no gradient); and pretraining's kept columns, one
+# chunk. Either way a call holds one block of columns however large the batch grows.
 _COLUMN_BYTES = 32 << 20
 _BLOCK_COLUMNS = 392
 _SMALL_SAMPLE_BYTES = 1 << 20
@@ -467,76 +469,38 @@ _MIN_BLOCK_ROWS = 8
 _SLAB_BYTES = 3 << 20
 
 
-def _sample_chunks(n: int, sample_bytes: int) -> list:
-    step = max(1, _COLUMN_BYTES // max(sample_bytes, 1))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _padded(x: np.ndarray, k: int) -> np.ndarray:
-    """x[n,C,H,W] zero padded to [n,C,H+k-1,W+k-1]."""
-    n, c, h, w = x.shape
-    p = k // 2
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
-    return xp
-
-
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
     """The im2col view [C,k,k,n,H,W] of padded xp[n,C,H+k-1,W+k-1]."""
     return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
 
 
-def _columns(xp: np.ndarray, k: int) -> np.ndarray:
-    """im2col: padded [n,C,H+k-1,W+k-1] -> [C*k*k, n*H*W].
+def _column_blocks(x, k: int, step: int):
+    """Yield (sample slice, im2col columns [C*k*k, m*H*W]) of x[B,C,H,W] in runs of ``step``
+    whole samples, or fewer where ``_COLUMN_BYTES`` caps a run's columns (the last run may
+    be shorter). Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
+    (sample, row, col). x is an array or a ``_RebuiltMap``, read one run at a time.
 
-    Rows run over (c, u, v) like ``kernel.reshape(O, -1)``; columns over
-    (sample, row, col).
-    """
-    return np.ascontiguousarray(_windows(xp, k)).reshape(xp.shape[1] * k * k, -1)
-
-
-def _column_chunks(x: np.ndarray, k: int):
-    """Yield (sample slice, im2col columns) of x[B,C,H,W] in chunks of ``_COLUMN_BYTES``.
-
-    Each chunk is padded on its own, and its padded copy is dropped before the
-    columns are yielded. A caller that drops each chunk's columns before taking
-    the next keeps one column buffer alive; ``list`` of it keeps them all, for
-    reuse as ``columns``.
-    """
-    n, c, h, w = x.shape
-    for sl in _sample_chunks(n, c * k * k * h * w * x.itemsize):
-        yield sl, _columns(_padded(x[sl], k), k)
-
-
-def _column_blocks(x: np.ndarray, k: int, at_most: bool = False):
-    """Yield (sample slice, im2col columns) of x[B,C,H,W] in blocks of whole samples, within
-    a chunk: equal blocks of at least ``_BLOCK_COLUMNS`` columns or one sample, or with
-    ``at_most``, blocks of at most ``_BLOCK_COLUMNS`` columns or one sample.
-
-    Every block is built in the same padded buffer and column buffer, so each
-    yielded array is overwritten by the next block's columns.
+    Every block is built in the same column buffer, through the same zero-padded buffer
+    when k > 1, so each yielded array is overwritten by the next block's columns.
     """
     n, c, h, w = x.shape
     p = k // 2
     rows = c * k * k
-    if at_most:
-        step = _BLOCK_COLUMNS // (h * w)
-    else:
-        step = -(-n // max(1, min(n, n * h * w // _BLOCK_COLUMNS)))
-    step = max(1, min(step, n, _COLUMN_BYTES // (rows * h * w * x.itemsize)))
-    xp = np.zeros((step, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    step = max(1, min(step, n, _COLUMN_BYTES // max(1, rows * h * w * x.itemsize)))
+    xp = np.zeros((step, c, h + 2 * p, w + 2 * p), dtype=x.dtype) if p else None
     buf = np.empty(rows * step * h * w, dtype=x.dtype)
     for start in range(0, n, step):
         m = min(step, n - start)
-        xp[:m, :, p:p + h, p:p + w] = x[start:start + m]
+        if p:
+            xp[:m, :, p:p + h, p:p + w] = x[start:start + m]
         cols = buf[:rows * m * h * w].reshape(c, k, k, m, h, w)
-        np.copyto(cols, _windows(xp[:m], k))
+        np.copyto(cols, _windows(xp[:m] if p else x[start:start + m], k))
         yield slice(start, start + m), cols.reshape(rows, m * h * w)
 
 
 def _takes_blocks(x: np.ndarray, rows: int, k: int) -> bool:
     """Whether a GEMM of ``rows`` output rows over the columns of x[B,C,H,W] builds them
-    in ``_column_blocks`` (else in ``_column_chunks``)."""
+    in blocks (else in chunks of the whole batch)."""
     _, c, h, w = x.shape
     return rows >= _MIN_BLOCK_ROWS and c * k * k * h * w * x.itemsize >= _SMALL_SAMPLE_BYTES
 
@@ -559,10 +523,10 @@ def _correlate(x: np.ndarray, w: np.ndarray, columns=None) -> np.ndarray:
     w2 = w.reshape(o, -1)
     out = np.empty((n, o, h, wd), dtype=x.dtype)
     if columns is None:
-        columns = _column_blocks(x, k) if _takes_blocks(x, o, k) else _column_chunks(x, k)
+        blocks = -(-n // max(1, min(n, n * h * wd // _BLOCK_COLUMNS)))  # the forward rule
+        columns = _column_blocks(x, k, blocks if _takes_blocks(x, o, k) else n)
     for sl, cols in columns:
         _block_product(w2, cols, out, sl)
-        del cols  # a rebuilt chunk's columns go before the next chunk's are built
     return out
 
 
@@ -594,10 +558,9 @@ def _correlate_grad_w(g: np.ndarray, x, k: int, columns=None) -> np.ndarray:
     samples rebuilt chunk by chunk too when x is a ``_RebuiltMap``)."""
     o = g.shape[1]
     gw = np.zeros((o, x.shape[1] * k * k), dtype=x.dtype)
-    for sl, cols in columns if columns is not None else _column_chunks(x, k):
+    for sl, cols in columns if columns is not None else _column_blocks(x, k, x.shape[0]):
         g2 = np.ascontiguousarray(g[sl].transpose(1, 0, 2, 3)).reshape(o, -1)
         gw += g2 @ cols.T
-        del cols
     return gw
 
 
@@ -630,14 +593,14 @@ def _correlate_grads(g: np.ndarray, x, adjoint, k: int) -> tuple:
     flipped = np.zeros((o * k * k, c), dtype=x.dtype)
     slab = _slab_rows(len(flipped), flipped.nbytes)
     part = np.empty((slab, c), dtype=x.dtype)
-    for sl, cols in _column_blocks(g, k, at_most=True):
+    for sl, cols in _column_blocks(g, k, _BLOCK_COLUMNS // (h * wd)):  # the one-pass rule
         _block_product(a2, cols, gx, sl)
         xt = x[sl].transpose(1, 0, 2, 3).reshape(c, -1).T  # a copy unless one sample
         for r in range(0, len(flipped), slab):
             rows = flipped[r:r + slab]
             np.matmul(cols[r:r + slab], xt, out=part[:len(rows)])
             rows += part[:len(rows)]
-        del cols, xt
+        del xt
     del a2, part
     gw = flipped.reshape(o, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2).reshape(o, -1)
     return gx, gw
@@ -670,12 +633,12 @@ def correlate2d(x, kernel: Tensor) -> Tensor:
     backward rather than kept on the graph, or, when grad-x takes the block
     path, comes from the same blocks of g's columns (``_correlate_backward``).
     x is a Tensor or a ``BatchNormReLUMap``, whose map the node rebuilds
-    rather than keeps (``_conv_operand``).
+    rather than keeps (``_operand``).
     """
     _check_conv_args(x, kernel)
     k = kernel.data.shape[2]
     out_data = _correlate(x.data, kernel.data)
-    parents, maps, adjoint_x = _conv_operand(x, x.data.shape)
+    parents, maps, adjoint_x = _operand(x, x.data.shape)
     grad_x = x.requires_grad
 
     def backward(g):
@@ -745,35 +708,41 @@ def _unpool2x2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return gx
 
 
-def maxpool2x2(a: Tensor) -> Tensor:
-    """2x2/stride-2 max over the last two axes; gradient to the first max.
+def maxpool2x2(a) -> Tensor:
+    """2x2/stride-2 max over the last two axes; gradient to the first max. a is a Tensor
+    or a ``BatchNormReLUMap``, whose map the node rebuilds rather than keeps (``_operand``).
 
     Only a recorded backward needs the uint8 index of each block's first max;
     without one (``no_grad`` or no input requiring gradients) no index is made.
     """
+    parents, _, adjoint = _operand(a, a.data.shape)
+    op = "maxpool2x2" if isinstance(a, Tensor) else "batchnorm_relu_maxpool2x2"
     if not (_GRAD_ENABLED and a.requires_grad):
-        return Tensor.from_op(_pool2x2_max(a.data), (a,), None, "maxpool2x2")
+        return Tensor.from_op(_pool2x2_max(a.data), parents, None, op)
     out_data, idx = _pool2x2(a.data)
 
     def backward(g):
-        accumulate_grad(a, _unpool2x2(g, idx))
+        adjoint(_unpool2x2(g, idx))
 
-    return Tensor.from_op(out_data, (a,), backward, "maxpool2x2")
+    return Tensor.from_op(out_data, parents, backward, op)
 
 
-def global_maxpool(a: Tensor) -> Tensor:
-    """Max over all axes past the first two (gradient to first max)."""
-    lead = a.data.shape[:2]
-    flat = a.data.reshape(lead + (-1,))
+def global_maxpool(a) -> Tensor:
+    """Max over all axes past the first two (gradient to first max). a is a Tensor or a
+    ``BatchNormReLUMap``, as for ``maxpool2x2``."""
+    shape, dtype = a.data.shape, a.data.dtype
+    parents, _, adjoint = _operand(a, shape)
+    flat = a.data.reshape(shape[:2] + (-1,))  # a view of the map: no closure holds it
     idx = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        gf = np.zeros_like(flat)
-        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
-        accumulate_grad(a, gf.reshape(a.data.shape))
+        gx = np.zeros(shape, dtype)
+        np.put_along_axis(gx.reshape(idx.shape + (-1,)), idx[..., None], g[..., None], axis=-1)
+        adjoint(gx)
 
-    return Tensor.from_op(out_data, (a,), backward, "global_maxpool")
+    op = "global_maxpool" if isinstance(a, Tensor) else "batchnorm_relu_global_maxpool"
+    return Tensor.from_op(out_data, parents, backward, op)
 
 
 # -- normalization -----------------------------------------------------------
@@ -854,44 +823,14 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):
     return out, mu.reshape(-1), var.reshape(-1)
 
 
-def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes, pool: bool):
-    """``relu(batchnorm_train(x))``, then ``maxpool2x2`` when ``pool``, as one op.
-
-    The node keeps its output, and its closure x (its parent), the per-channel
-    mean and inverse std, and with ``pool`` a uint8 index per pooled value;
-    backward recomputes ``xhat`` and reads the ReLU mask off the output, since a
-    pooled value is positive exactly when the ReLU input at its first max is.
-    Results, gradients and statistics are bitwise those of the three ops. A
-    training forward runs it where the output is pooled or read by something
-    other than a convolution; an unpooled output that a convolution reads is a
-    ``batchnorm_relu_conv_input`` instead, which no node keeps. Returns (out,
-    batch_mean, batch_var) like ``batchnorm_train``.
-    """
-    axes = tuple(axes)
-    out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
-    np.maximum(out_data, 0, out=out_data)
-    idx = None
-    if pool:
-        out_data, idx = _pool2x2(out_data)
-
-    def backward(g):
-        g = g * (out_data > 0)
-        if pool:
-            g = _unpool2x2(g, idx)
-        _bn_backward(g, x, gamma, beta, axes, mu, inv)
-
-    out = Tensor.from_op(out_data, (x, gamma, beta), backward, "batchnorm_relu")
-    return out, mu.reshape(-1), var.reshape(-1)
-
-
 class _RebuiltMap:
     """A training BatchNorm-ReLU output that is rebuilt by samples rather than kept: the
     map ``relu(batchnorm_train(x))``, viewed as ``shape``, of which ``self[sl]`` rebuilds
     samples ``sl`` from the BatchNorm input x and statistics with ``_bn_forward``'s
     ``_normalize``, then the ReLU. Those are elementwise, so the rows are bitwise those
-    of the whole map. The convolution backward kernels read it like an
-    array (``shape``, ``dtype``, ``itemsize``, sample slices); each rebuilt block leaves
-    its ReLU mask behind for the BatchNorm-ReLU adjoint (``relu_mask``)."""
+    of the whole map. The convolution backward kernels read it like an array (``shape``,
+    ``dtype``, ``itemsize``, sample slices); each rebuilt block leaves its ReLU mask
+    behind for the BatchNorm-ReLU adjoint (``relu_mask``)."""
 
     def __init__(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mu: np.ndarray,
                  inv: np.ndarray, shape: tuple):
@@ -912,20 +851,20 @@ class _RebuiltMap:
         return out
 
     def relu_mask(self) -> np.ndarray:
-        """``map > 0``, as the blocks read so far left it; a backward that read no block
-        (no grad-w asked for) rebuilds the map here."""
+        """``map > 0``, as the blocks read so far left it; a backward that read no block (a
+        pool's, or a convolution's with no grad-w asked for) rebuilds the map here."""
         if self._rebuilt < self.shape[0]:
             self[:]
         return self._mask
 
 
 class BatchNormReLUMap:
-    """``relu(batchnorm_train(x))`` on its way into the one convolution that reads it
-    (``correlate2d`` or ``gconv``), from ``batchnorm_relu_conv_input``. That
-    convolution's node keeps x and the statistics in place of this map: its forward
-    reads ``data``, which goes with this object once the forward has run, and its
-    backward rebuilds the map block by block (``_RebuiltMap``) and runs the
-    BatchNorm-ReLU adjoint on its grad-x (``_conv_operand``)."""
+    """``relu(batchnorm_train(x))`` on its way into the one op that reads it (a convolution
+    or a pool), from ``batchnorm_relu_train``. That op records both as one node, which
+    keeps x and the statistics in place of this map: its forward reads ``data``, which
+    goes with this object once the forward has run, and its backward rebuilds the map
+    (``_RebuiltMap``) and runs the BatchNorm-ReLU adjoint on its input gradient
+    (``_operand``)."""
 
     def __init__(self, data: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
                  mu: np.ndarray, inv: np.ndarray):
@@ -934,13 +873,13 @@ class BatchNormReLUMap:
         self._batchnorm = (x, gamma, beta, axes, mu, inv)
 
 
-def batchnorm_relu_conv_input(x: Tensor, gamma: Tensor, beta: Tensor, axes):
-    """``relu(batchnorm_train(x))`` as the input of a convolution that records both ops
-    as one node, keeping x (the BatchNorm input, already on the graph) and the per-channel
-    mean and inverse std rather than this map: a ``BatchNormReLUMap``. Its values, and
-    the gradients and statistics of the two ops, are bitwise those of
-    ``batchnorm_relu_train`` followed by the convolution. Returns (map, batch_mean,
-    batch_var) like ``batchnorm_train``.
+def batchnorm_relu_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):
+    """``relu(batchnorm_train(x))`` as the input of the op that reads it, which records both
+    ops and itself as one node that keeps x (the BatchNorm input, already on the graph) and
+    the per-channel mean and inverse std rather than this map: a ``BatchNormReLUMap``. Its
+    values, and every gradient and statistic, are bitwise those of ``batchnorm_train``,
+    ``relu`` and the reader as three nodes. Returns (map, batch_mean, batch_var) like
+    ``batchnorm_train``.
     """
     axes = tuple(axes)
     out_data, mu, var, inv = _bn_forward(x, gamma, beta, axes)
@@ -949,13 +888,13 @@ def batchnorm_relu_conv_input(x: Tensor, gamma: Tensor, beta: Tensor, axes):
             mu.reshape(-1), var.reshape(-1))
 
 
-def _conv_operand(x, shape) -> tuple:
-    """(parents, input viewed as ``shape`` for the backward, grad-x adjoint) of a
-    convolution's input x, once its forward has read ``x.data``. A Tensor is its own
-    parent, read as it is, and takes grad-x. A ``BatchNormReLUMap`` gives its BatchNorm's
-    input and parameters as parents and a ``_RebuiltMap`` to read; its adjoint masks
-    grad-x with the ReLU mask that the rebuilt blocks left and runs the BatchNorm
-    adjoint, in place of the two separate nodes' adjoints."""
+def _operand(x, shape) -> tuple:
+    """(parents, input viewed as ``shape`` for the backward, input-gradient adjoint) of the
+    input x of a convolution or pool. A Tensor is its own parent, read as it is, and takes
+    the gradient. A ``BatchNormReLUMap`` gives its BatchNorm's input and parameters as
+    parents and a ``_RebuiltMap`` to read; its adjoint masks the gradient with the ReLU
+    mask of the rebuilt map and runs the BatchNorm adjoint, in place of the two separate
+    nodes' adjoints."""
     if isinstance(x, Tensor):
         return (x,), x.data.reshape(shape), lambda gx: accumulate_grad(
             x, gx.reshape(x.data.shape))

@@ -292,12 +292,12 @@ def gradcheck_catalog(seed=0):
         return T.spatial_linear_map(x, lambda m: ops.apply_flat(m, 1),
                                     lambda m: ops.apply_flat_t(m, 1), (6, 6))
 
-    def bn_relu(axes, pool, out_shape):
-        """Fused BatchNorm-ReLU(-pool) under an L1 loss about a fixed random offset,
-        so that every output, active or not, has its own gradient."""
-        offset = T.Tensor(r(out_shape))
+    def bn_relu(axes, reader, offset):
+        """A training BatchNorm-ReLU handed to ``reader`` (a pool), under an L1 loss about
+        a fixed offset, so that every output, active or not, has its own gradient."""
+        offset = T.Tensor(offset)
         return lambda a, g, b: T.l1_norm(
-            T.batchnorm_relu_train(a, g, b, axes, pool)[0] - offset)
+            reader(T.batchnorm_relu_train(a, g, b, axes)[0]) - offset)
 
     return gradient_cases(seed) + [
         ("add_broadcast", lambda a, b: T.l1_norm(a + b), [r((3, 4)), r(4)]),
@@ -333,9 +333,11 @@ def gradcheck_catalog(seed=0):
          [r((1, 3, 3, 3)), r((2, 3, 3, 3))]),
         ("matmul_batched_both", lambda a, b: T.l1_norm(T.matmul(a, b)),
          [r((2, 1, 3, 4)), r((3, 4, 2))]),
-        ("batchnorm_relu_pool_spatial", bn_relu((0, 2, 3), True, (3, 3, 2, 2)),
+        ("batchnorm_relu_pool_spatial", bn_relu((0, 2, 3), T.maxpool2x2, r((3, 3, 2, 2))),
          [r((3, 3, 4, 4)), r(3) + 1.5, r(3)]),
-        ("batchnorm_relu_group", bn_relu((0, 2, 3, 4), False, (2, 2, 8, 3, 3)),
+        # the offset is the max of a map-shaped draw, so it lies among the pooled values
+        ("batchnorm_relu_group", bn_relu((0, 2, 3, 4), T.global_maxpool,
+                                         r((2, 2, 8, 3, 3)).reshape(2, 2, -1).max(axis=-1)),
          [r((2, 2, 8, 3, 3)), r(2) + 1.5, r(2)]),
         ("filter_bank_lift", lambda a: T.l1_norm(filter_bank_op(a, elements)),
          [r((2, 2, 3))]),

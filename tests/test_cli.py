@@ -110,6 +110,22 @@ class TestVerify:
         assert run("verify") == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_gradient_row_fails_on_a_relu_mask_that_clips_nothing(self, monkeypatch, capsys):
+        """A rebuilt BatchNorm-ReLU map whose ReLU mask lets every gradient through. Each
+        reader of a handed-over map (the 2x2 pool, the global pool, gconv, correlate2d)
+        takes its mask from there, and each of their cases fails on its own."""
+        monkeypatch.setattr(T._RebuiltMap, "relu_mask",
+                            lambda self: np.ones(self.shape, dtype=bool))
+        row = check_gradients(seed=0)
+        assert not row.passed and row.detail.startswith("batchnorm_relu_pool_group: ")
+        cases = {name: case for name, *case in gradient_cases(seed=0)}
+        for name in ("batchnorm_relu_pool_group", "batchnorm_relu_spatial",
+                     "batchnorm_relu_gconv", "batchnorm_relu_correlate2d_blocks"):
+            with pytest.raises(AssertionError, match="on input 0"):  # the BatchNorm input
+                check_gradient(*cases[name])
+        assert run("verify") == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_equivariance_row_reads_maps_and_logits(self):
         row = check_partial_model_equivariance(seed=0)
         assert row.detail.startswith("worst relative change: maps ")

@@ -11,11 +11,12 @@ from rotoconv import tensor as T
 from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
-                              GConvIntermediate, GlobalMaxPool, Model, _CONVOLUTIONS,
-                              _adjoint_filter_bank, _filter_bank, _filter_bank_adjoint,
-                              _training_plan, build_model, count_parameters, gconv_input,
-                              gconv_intermediate, load_checkpoint, model_from_arch,
-                              read_checkpoint, save_checkpoint)
+                              GConvIntermediate, GlobalMaxPool, MaxPool2x2, Model,
+                              _CONVOLUTIONS, _adjoint_filter_bank, _filter_bank,
+                              _filter_bank_adjoint, _training_plan, build_model,
+                              count_parameters, gconv_input, gconv_intermediate,
+                              load_checkpoint, model_from_arch, read_checkpoint,
+                              save_checkpoint)
 from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
@@ -271,14 +272,16 @@ class TestGConvGraph:
 
 
 def small_translational_model(seed=0, dtype="float64"):
-    """Three plain conv blocks, the last two fed by unpooled BatchNorm-ReLU maps."""
+    """Three plain conv blocks whose BatchNorm-ReLU maps go to each kind of reader: a pool,
+    a convolution and the global pool."""
     layers = []
     for i, (c_in, c_out, k) in enumerate([(1, 4, 3), (4, 6, 3), (6, 6, 1)]):
         layers += [{"type": "conv", "name": f"conv{i}", "in": c_in, "out": c_out, "k": k},
                    {"type": "batchnorm", "name": f"bn{i}", "channels": c_out, "kind": "spatial"},
                    {"type": "relu", "name": f"relu{i}"}]
-    layers += [{"type": "maxpool", "name": "pool"},
-               {"type": "global_maxpool", "name": "global_pool"},
+        if i == 0:
+            layers.append({"type": "maxpool", "name": "pool"})
+    layers += [{"type": "global_maxpool", "name": "global_pool"},
                {"type": "dense", "name": "classifier", "in": 6, "out": 3}]
     arch = {"kind": "translational", "variant": "none", "in_channels": 1, "classes": 3,
             "dtype": dtype, "group_order": 1, "layers": layers}
@@ -286,9 +289,9 @@ def small_translational_model(seed=0, dtype="float64"):
 
 
 class TestRebuiltBatchNormReLU:
-    """A training forward hands each unpooled BatchNorm-ReLU output that a convolution reads
-    to that convolution, whose node keeps the BatchNorm input and statistics in its place
-    and rebuilds the map in backward."""
+    """A training forward hands each BatchNorm-ReLU output that a convolution or a pool reads
+    to that layer, whose node keeps the BatchNorm input and statistics in its place and
+    rebuilds the map in backward."""
 
     @staticmethod
     def model(kind, partial_basis, dtype="float64"):
@@ -296,25 +299,35 @@ class TestRebuiltBatchNormReLU:
             return small_group_model(partial_basis, seed=5, dtype=dtype)
         return small_translational_model(seed=5, dtype=dtype)
 
+    @staticmethod
+    def layer_path(model, x):
+        """The logits of a training forward that runs every layer on its own: BatchNorm,
+        ReLU and the reader as three nodes."""
+        out = Tensor(x)
+        for layer in model.layers:
+            out = layer.forward(out, True)
+        return out
+
     @pytest.mark.parametrize("kind, alive", [
-        ("group", [[], [], [True], [False], [False], [False]]),
-        ("translational", [[], [], [True], [False], [False, True], [False, False],
-                           [False, False], [False, False]]),
+        ("group", [[], [], [True], [False], [False, True], [False, False], [False, False]]),
+        ("translational", [[], [], [True], [False], [False], [False, True], [False, False],
+                           [False, False, True], [False, False, False]]),
     ])
     def test_each_map_dead_once_its_convolution_has_run(self, partial_basis, monkeypatch,
                                                         kind, alive):
         """At each layer call of a training forward, which of the maps handed on so far
-        are alive: only the one whose convolution is running."""
+        are alive: only the one whose reader (a convolution, the 2x2 pool or the global
+        pool) is running."""
         model = self.model(kind, partial_basis)
         handed, seen = [], []
-        conv_input = T.batchnorm_relu_conv_input
+        handed_over = T.batchnorm_relu_train
 
         def spy_input(*args):
-            out = conv_input(*args)
+            out = handed_over(*args)
             handed.append(weakref.ref(out[0].data))
             return out
 
-        monkeypatch.setattr(T, "batchnorm_relu_conv_input", spy_input)
+        monkeypatch.setattr(T, "batchnorm_relu_train", spy_input)
         for layer in model.layers:
             for name in [name for name in ("forward", "forward_relu") if hasattr(layer, name)]:
                 def spy(*args, inner=getattr(layer, name)):
@@ -328,24 +341,23 @@ class TestRebuiltBatchNormReLU:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("kind, fused_ops, separate_ops", [
-        ("group", {"gconv": 2, "batchnorm_relu": 1}, {"gconv": 2, "batchnorm_relu": 2}),
-        ("translational", {"correlate2d": 1, "batchnorm_relu_correlate2d": 2,
-                           "batchnorm_relu": 1},
-         {"correlate2d": 3, "batchnorm_relu": 3}),
+        ("group", {"gconv": 2, "batchnorm_relu_maxpool2x2": 1},
+         {"gconv": 2, "batchnorm_train": 2, "relu": 2, "maxpool2x2": 1}),
+        ("translational", {"correlate2d": 2, "batchnorm_relu_correlate2d": 1,
+                           "batchnorm_relu_maxpool2x2": 1, "batchnorm_relu_global_maxpool": 1},
+         {"correlate2d": 3, "batchnorm_train": 3, "relu": 3, "maxpool2x2": 1,
+          "global_maxpool": 1}),
     ])
-    def test_bitwise_those_of_the_separate_ops(self, partial_basis, monkeypatch, kind, dtype,
-                                               fused_ops, separate_ops):
-        """Logits, every parameter gradient and the running statistics equal those of
-        ``batchnorm_relu_train`` followed by the convolution as two nodes, and the graph
-        keeps the unpooled maps' bytes less."""
+    def test_bitwise_those_of_the_separate_ops(self, partial_basis, kind, dtype, fused_ops,
+                                               separate_ops):
+        """Logits, every parameter gradient and the running statistics equal those of the
+        layer path (``batchnorm_train``, ``relu``, then the reader), and the graph keeps
+        exactly the maps' bytes less: the BatchNorm and the ReLU output of each block."""
         x = np.random.default_rng(2).standard_normal((3, 1, 8, 8)).astype(dtype)
         runs = []
         for separate in (False, True):
-            if separate:
-                monkeypatch.setattr(T, "batchnorm_relu_conv_input", lambda a, g, b, axes:
-                                    T.batchnorm_relu_train(a, g, b, axes, False))
             model = self.model(kind, partial_basis, dtype)
-            logits = model.forward(x, training=True)
+            logits = self.layer_path(model, x) if separate else model.forward(x, training=True)
             ops, kept, stack, seen = collections.Counter(), 0, [logits], set()
             while stack:
                 node = stack.pop()
@@ -360,26 +372,26 @@ class TestRebuiltBatchNormReLU:
         (ops, kept, got), (separate_ops_seen, separate_kept, want) = runs
         assert {op: ops[op] for op in fused_ops} == fused_ops
         assert {op: separate_ops_seen[op] for op in separate_ops} == separate_ops
-        maps = 3 * (4 * 8 * 8 * 8 if kind == "group" else (4 + 6) * 8 * 8) * x.itemsize
-        assert separate_kept - kept == maps
+        maps = 3 * ((4 + 6) * 8 * 8 * 8 if kind == "group" else 4 * 8 * 8 + 2 * 6 * 4 * 4)
+        assert separate_kept - kept == 2 * maps * x.itemsize
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_op_level_bitwise_and_mask_without_grad_w(self, rng, frozen):
-        """``batchnorm_relu_conv_input`` into ``correlate2d`` against ``batchnorm_relu_train``
+        """``batchnorm_relu_train`` into ``correlate2d`` against ``batchnorm_train``, ``relu``
         then ``correlate2d``. With the kernel frozen no grad-w reads the rebuilt map, so
         the ReLU mask comes from a rebuild of its own."""
         x = rng.standard_normal((3, 4, 6, 6))
         gamma, beta = rng.random(4) + 0.5, 0.3 * rng.standard_normal(4)
         w = rng.standard_normal((5, 4, 3, 3))
         runs = []
-        for op in (T.batchnorm_relu_conv_input,
-                   lambda a, g, b, axes: T.batchnorm_relu_train(a, g, b, axes, False)):
+        for op in (lambda a, g, b, axes: T.batchnorm_relu_train(a, g, b, axes)[0],
+                   lambda a, g, b, axes: T.relu(T.batchnorm_train(a, g, b, axes)[0])):
             xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
             wt = Tensor(w, requires_grad=not frozen)
-            out = T.correlate2d(op(xt, gt, bt, (0, 2, 3))[0], wt)
+            out = T.correlate2d(op(xt, gt, bt, (0, 2, 3)), wt)
             T.l1_norm(out).backward()
             runs.append([out.data, xt.grad, gt.grad, bt.grad] + ([] if frozen else [wt.grad]))
         for a, b in zip(*runs):
@@ -404,7 +416,7 @@ def _model_conv_shapes():
         for dtype in ("float32", "float64"):
             model, x_bytes = _model(kind, dtype), np.dtype(dtype).itemsize
             hw, rebuilt = 32, False
-            for layer, then in _training_plan(model.layers):
+            for layer, fused in _training_plan(model.layers):
                 if isinstance(layer, _CONVOLUTIONS):
                     order = model.group_order
                     c_in = layer.in_channels * (order if isinstance(layer, GConvIntermediate)
@@ -421,8 +433,8 @@ def _model_conv_shapes():
                             id=f"{kind}-{c_in}to{c_out}-k{k}-{hw}px-"
                                f"{'rebuilt' if rebuilt else 'kept'}-{dtype}-"
                                f"{f'{slabs}slab' if blocks else 'chunks'}"))
-                hw //= 2 if then == "pool" else 1
-                rebuilt = then == "conv"
+                hw //= 2 if isinstance(layer, MaxPool2x2) else 1
+                rebuilt = fused
     return params
 
 
@@ -454,7 +466,7 @@ class TestModelLayerBackward:
             for p in params:
                 p.grad = None
             xt = Tensor(x, requires_grad=True)
-            out = conv.forward(batchnorm.forward_relu(xt, "conv") if rebuilt else xt, True)
+            out = conv.forward(batchnorm.forward_relu(xt) if rebuilt else xt, True)
             g = np.random.default_rng(7).standard_normal(out.data.shape).astype(dtype)
             out._backward(g)
             return [out.data, xt.grad] + [p.grad for p in params[1:]], kernel.grad
@@ -579,8 +591,9 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_training_forward_fuses_and_matches_per_layer(self, rng, partial_basis, dtype):
-        """A training forward runs each BatchNorm -> ReLU (-> MaxPool2x2) as one op, with
-        logits, gradients and running statistics bitwise those of the per-layer path."""
+        """A training forward runs each BatchNorm -> ReLU as one node with the convolution or
+        pool that reads it, with logits, gradients and running statistics bitwise those of
+        the per-layer path."""
         x = rng.standard_normal((3, 1, 8, 8)).astype(dtype)
         labels = np.array([0, 3, 1])
         runs = []
@@ -599,7 +612,7 @@ class TestBatchNorm:
             T.softmax_cross_entropy(logits, labels).backward()
             runs.append((ops, [logits.data] + [p.grad for p in model.parameters()]
                          + [b for _, b in model.named_buffers()]))
-        assert {"batchnorm_relu"} <= runs[0][0]
+        assert {"batchnorm_relu_maxpool2x2"} <= runs[0][0]
         assert not {"batchnorm_train", "relu", "maxpool2x2"} & runs[0][0]
         assert {"batchnorm_train", "relu", "maxpool2x2"} <= runs[1][0]
         for got, want in zip(runs[0][1], runs[1][1]):

@@ -334,16 +334,16 @@ class TestImageTerms:
     def live_columns(monkeypatch):
         """Patch im2col to record, at each call, the bytes of earlier column buffers still alive."""
         buffers, live = [], []
-        columns = T._columns
+        column_blocks = T._column_blocks
 
-        def tracked(xp, k):
+        def tracked(x, k, step):
             alive = [ref() for ref in buffers if ref() is not None]
             live.append(sum(a.nbytes for a in alive))
-            out = columns(xp, k)
-            buffers.append(weakref.ref(out))
-            return out
+            for sl, cols in column_blocks(x, k, step):
+                buffers.append(weakref.ref(cols.base))  # the buffer each block is built in
+                yield sl, cols
 
-        monkeypatch.setattr(T, "_columns", tracked)
+        monkeypatch.setattr(T, "_column_blocks", tracked)
         return live
 
     def test_no_grad_keeps_no_columns(self, rng, monkeypatch):

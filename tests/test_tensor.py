@@ -115,7 +115,7 @@ class TestCorrelate2dAgainstOracles:
         g = rng.standard_normal((5, 3, 6, 6))
         sample_bytes = 2 * 3 * 3 * 6 * 6 * x.itemsize
         monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * sample_bytes)
-        assert len(T._sample_chunks(5, sample_bytes)) == 3  # 2 + 2 + 1 samples
+        assert [sl.stop - sl.start for sl, _ in T._column_blocks(x, 3, len(x))] == [2, 2, 1]
         got = _conv_and_grads(x, w, g)
         want_out, _, want_gx, want_gw = _oracle_conv_and_grads(x, w, g)
         assert np.abs(got[0] - want_out).max() <= 1e-10
@@ -170,22 +170,32 @@ def _forward_and_grad_x(op, x, w, g):
 
 
 class TestColumnBuffers:
-    """On the block path, forwards, grad-x and grad-w take their columns in blocks of whole
-    samples (``_column_blocks``); elsewhere in chunks (``_column_chunks``)."""
+    """Forwards, grad-x and grad-w take their columns from ``_column_blocks``: on the block
+    path in blocks of whole samples, elsewhere in chunks of the whole batch."""
 
-    def test_chunk_padding_dropped_before_its_columns_are_yielded(self, rng, monkeypatch):
-        padded = []
-        columns = T._columns
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_holds_one_block_and_one_padded_block(self, rng, monkeypatch, k):
+        """Iterating over the blocks of a batch allocates one block of columns and, for
+        k > 1, one padded block, however many blocks there are; at k = 1 no padded copy."""
+        c, hw, block = 4, 16, 2
+        monkeypatch.setattr(T, "_COLUMN_BYTES", block * c * k * k * hw * hw * 8)
 
-        def tracked(xp, k):
-            padded.append(weakref.ref(xp))
-            return columns(xp, k)
+        def peak(batch):
+            x = rng.standard_normal((batch, c, hw, hw))
+            tracemalloc.start()
+            try:
+                sizes = [sl.stop - sl.start for sl, _ in T._column_blocks(x, k, batch)]
+                return sizes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(T, "_columns", tracked)
-        monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * 9 * 6 * 6 * 8)
-        for _ in T._column_chunks(rng.standard_normal((3, 2, 6, 6)), 3):
-            assert padded[-1]() is None
-        assert len(padded) == 3
+        sizes, small = peak(3)
+        assert sizes == [2, 1]
+        sizes, large = peak(9)
+        assert sizes == [2, 2, 2, 2, 1]
+        padded_block = block * c * (hw + k - 1) ** 2 * 8 if k > 1 else 0
+        assert large <= block * c * k * k * hw * hw * 8 + padded_block + 8192
+        assert large <= small + 2048  # slices and views: under 200 bytes a block
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -193,8 +203,8 @@ class TestColumnBuffers:
         slices = []
         blocks = T._column_blocks
 
-        def spied(x, k):
-            for sl, cols in blocks(x, k):
+        def spied(x, k, step):
+            for sl, cols in blocks(x, k, step):
                 slices.append(sl)
                 yield sl, cols
 
@@ -245,7 +255,7 @@ class TestColumnBuffers:
                                                        blocks, backward_blocks, dtype,
                                                        grad_w_rtol):
         """With both gradients asked for, the backward makes one pass over blocks of g's
-        columns, of at most ``_BLOCK_COLUMNS`` columns, and builds no chunk. At the
+        columns, of at most ``_BLOCK_COLUMNS`` columns, and builds no other. At the
         shapes of ``test_bitwise_equal_at_any_block_size``, forward and grad-x are
         bitwise those of the chunk path, and grad-w, whose sum the blocks group
         differently, is equal to rounding."""
@@ -272,20 +282,9 @@ class TestColumnBuffers:
         want = forward_and_grads()
         monkeypatch.undo()
         monkeypatch.setattr(T, "_BLOCK_COLUMNS", block_columns)
-        slices, column_blocks = [], T._column_blocks
-
-        def spied(a, k, **kwargs):
-            for sl, cols in column_blocks(a, k, **kwargs):
-                slices.append(sl)
-                yield sl, cols
-
-        monkeypatch.setattr(T, "_column_blocks", spied)
-        chunks, column_chunks = [], T._column_chunks
-        monkeypatch.setattr(T, "_column_chunks",
-                            lambda a, k: chunks.append(a.shape) or column_chunks(a, k))
+        slices = self.spy_blocks(monkeypatch)
         got = forward_and_grads()
         assert [sl.stop - sl.start for sl in slices] == blocks + backward_blocks
-        assert chunks == []
         for arr, ref in zip(got[:2], want[:2]):
             assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
         assert got[2].dtype == want[2].dtype
@@ -451,8 +450,26 @@ def closure_arrays(node):
             if isinstance(c.cell_contents, np.ndarray)]
 
 
+def held_arrays(node):
+    """The numpy arrays a node's adjoint keeps alive through its closure, the closures it
+    calls and any ``_RebuiltMap`` they hold, apart from views of its parents' data."""
+    parents = [p.data for p in node._parents]
+    held, stack = {}, [node._backward]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            if not any(np.shares_memory(obj, p) for p in parents):
+                held[id(obj)] = obj
+        elif isinstance(obj, T._RebuiltMap):
+            stack.extend(vars(obj).values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(c.cell_contents for c in obj.__closure__)
+    return list(held.values())
+
+
 class TestBatchNormReLU:
-    """The fused op against batchnorm_train -> relu (-> maxpool2x2), bit for bit."""
+    """A training BatchNorm-ReLU handed to a pool against batchnorm_train -> relu -> the
+    pool, bit for bit."""
 
     @staticmethod
     def tricky_input(shape, dtype, rng):
@@ -466,20 +483,22 @@ class TestBatchNormReLU:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, axes", [((3, 2, 6, 6), (0, 2, 3)),
                                              ((2, 2, 8, 6, 6), (0, 2, 3, 4))])
-    @pytest.mark.parametrize("pool", [False, True])
+    @pytest.mark.parametrize("pool", [T.global_maxpool, T.maxpool2x2],
+                             ids=["global_pool", "pool"])
     def test_matches_unfused_chain_bitwise(self, rng, dtype, shape, axes, pool):
         x = self.tricky_input(shape, dtype, rng)
+        x[0, 0] = -10.0  # a dead sample channel, whose global max is a ReLU zero
         gamma = (rng.random(shape[1]) + 0.5).astype(dtype)
         beta = (0.2 * rng.standard_normal(shape[1])).astype(dtype)
         results = []
         for fused in (True, False):
             xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta))
             if fused:
-                out, mean, var = T.batchnorm_relu_train(xt, gt, bt, axes, pool)
+                out, mean, var = T.batchnorm_relu_train(xt, gt, bt, axes)
             else:
                 out, mean, var = T.batchnorm_train(xt, gt, bt, axes)
                 out = T.relu(out)
-                out = T.maxpool2x2(out) if pool else out
+            out = pool(out)
             upstream = np.random.default_rng(9).standard_normal(out.data.shape).astype(dtype)
             T.matmul(T.reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1))).backward()
             results.append((out.data, mean, var, xt.grad, gt.grad, bt.grad))
@@ -488,12 +507,15 @@ class TestBatchNormReLU:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_node_keeps_output_index_and_stats_only(self, rng):
+        """The pool node that took the map over keeps its pooled output as its data, and
+        in its adjoint a uint8 index per pooled value and the mean and inverse std; its
+        parents are the BatchNorm's input and parameters, and no map is kept."""
         x = Tensor(rng.standard_normal((2, 3, 8, 4, 4)).astype(np.float32), requires_grad=True)
         gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
-        out, _, _ = T.batchnorm_relu_train(x, gamma, beta, (0, 2, 3, 4), True)
-        held = closure_arrays(out)
-        assert sorted(a.nbytes for a in held) == [12, 12, out.data.size, out.data.nbytes]
-        assert any(a is out.data for a in held)
+        out = T.maxpool2x2(T.batchnorm_relu_train(x, gamma, beta, (0, 2, 3, 4))[0])
+        assert out._op == "batchnorm_relu_maxpool2x2" and out._parents == (x, gamma, beta)
+        held = held_arrays(out)
+        assert sorted(a.nbytes for a in held) == [12, 12, out.data.size]
         assert np.uint8 in [a.dtype for a in held]
 
     def test_batchnorm_train_keeps_stats_only(self, rng):
