@@ -9,7 +9,15 @@ from .tensor import Tensor
 
 
 class AMSGrad:
-    """Per-parameter adaptive steps; weight decay enters as an L2 gradient term."""
+    """Per-parameter adaptive steps; weight decay enters as an L2 gradient term.
+
+    The moments ``m``, ``v`` and ``v_max`` are kept in each parameter's own dtype and
+    updated in place, in the order of the textbook expressions, so a float64 model
+    steps as a float64 formula does. A step works in one scratch array of a parameter's
+    size at a time and in the parameter's gradient, which it leaves holding scratch
+    values. A training loop runs ``zero_grad`` -> forward -> backward -> ``step``, so
+    no gradient is held through the next forward.
+    """
 
     beta1 = 0.9  # decay of the first-moment estimate
     beta2 = 0.999  # decay of the second-moment estimate
@@ -20,9 +28,9 @@ class AMSGrad:
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
-        self.v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
-        self.v_max = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.v_max = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -32,17 +40,28 @@ class AMSGrad:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
+        for p, m, v, v_max in zip(self.params, self.m, self.v, self.v_max):
+            g = p.grad
+            if g is None:
                 continue
-            g = p.grad.astype(np.float64)
+            scratch = np.empty_like(m)
             if self.weight_decay:
-                g = g + self.weight_decay * p.data.astype(np.float64)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            np.maximum(self.v_max[i], self.v[i] / bc2, out=self.v_max[i])
-            step = self.learning_rate * (self.m[i] / bc1) / (np.sqrt(self.v_max[i]) + self.eps)
-            p.data -= step.astype(p.data.dtype)
+                g += np.multiply(p.data, self.weight_decay, out=scratch)
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=scratch)
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            v += np.multiply(scratch, g, out=scratch)
+            np.maximum(v_max, np.divide(v, bc2, out=scratch), out=v_max)
+            # step = learning_rate * (m / bc1) / (sqrt(v_max) + eps), the root in g
+            np.sqrt(v_max, out=g)
+            g += self.eps
+            np.divide(m, bc1, out=scratch)
+            scratch *= self.learning_rate
+            scratch /= g
+            p.data -= scratch
 
 
 def check_run_config(config) -> None:
@@ -73,11 +92,11 @@ def _run_epochs(params, config, n: int, rng: np.random.Generator, batch_loss,
         sums = np.zeros(len(fields))
         weight = 0
         for start in range(0, n - batch + 1 if drop_last else n, batch):
+            optimizer.zero_grad()
             loss, terms, w = batch_loss(perm[start:start + batch])
             if not np.isfinite(loss.item()):
                 detail = " ".join(f"{f}={t / w}" for f, t in zip(fields, terms))
                 raise diverged(f"non-finite loss at epoch {epoch}: {detail}")
-            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             sums += terms

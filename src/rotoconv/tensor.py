@@ -121,6 +121,14 @@ class Tensor:
         but its node does not keep (a ``BatchNormReLUMap``, which a convolution or a pool
         reads) is rebuilt by that node's adjoint. A second backward through a released
         node raises ``GraphError``.
+
+        Each closure is handed its node's ``grad``, which no other node shares and nothing
+        reads once the closure returns, so the closure may write into it. Only the
+        BatchNorm adjoint does (``_bn_backward``): it builds its input's gradient there
+        and stores that array as the input's first gradient, as it does with the grad-x
+        that a reader of a ``BatchNormReLUMap`` made and masked. Every other closure
+        writes into no array it is handed or reads, and passes its parents' gradients to
+        ``accumulate_grad``, which copies a first gradient, so no two nodes share one.
         """
         if self.data.size != 1:
             raise GraphError("backward() expects a scalar loss tensor")
@@ -186,10 +194,17 @@ class Tensor:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add g into ``t.grad``; the first gradient is stored as a copy in t's layout and dtype.
+
+    g may be a view of an array that the caller still reads, or hands to another
+    parent as well (``add`` hands one g to both), so it is never kept. The one other
+    writer of a gradient array is the BatchNorm adjoint (``_bn_backward``): it works in
+    its node's own ``grad`` or in the grad-x its reader made, and stores that array as
+    its input's first gradient without a copy.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # The first gradient is stored as a copy in t's layout and dtype.
         t.grad = np.empty_like(t.data)
         np.copyto(t.grad, g)
     else:
@@ -786,25 +801,42 @@ def _bn_forward(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> tuple:
 
 def _bn_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
                  mu: np.ndarray, inv: np.ndarray) -> None:
-    """The BatchNorm adjoint, with ``xhat`` recomputed from the saved mean and inverse std."""
+    """The BatchNorm adjoint, with ``xhat`` recomputed from the saved mean and inverse std.
+
+    g is an output gradient that the caller gives up: the BatchNorm node's own ``grad``,
+    or the masked grad-x of the reader that took the BatchNorm-ReLU over. x's gradient
+    is built inside g and, as x's first gradient, stored as it is when it has x's layout
+    and dtype. So the adjoint holds three map-sized arrays: g, ``xhat`` and one scratch
+    array for ``g * xhat`` and then ``gxhat * xhat``. g has x's dtype, in which the
+    forward computed the map (``_normalize`` scales x's dtype in place), and the adjoint
+    stays in it.
+    """
     xhat = x.data - mu
     xhat *= inv
+    scratch = np.empty_like(xhat) if gamma.requires_grad or x.requires_grad else None
     if gamma.requires_grad:
-        accumulate_grad(gamma, (g * xhat).sum(axis=axes).reshape(gamma.data.shape))
+        np.multiply(g, xhat, out=scratch)
+        accumulate_grad(gamma, scratch.sum(axis=axes).reshape(gamma.data.shape))
     if beta.requires_grad:
         accumulate_grad(beta, g.sum(axis=axes).reshape(beta.data.shape))
     if x.requires_grad:
         m = int(np.prod([x.data.shape[ax] for ax in axes]))
-        gxhat = g * gamma.data.reshape(mu.shape)
-        s1 = gxhat.sum(axis=axes, keepdims=True)
-        s2 = (gxhat * xhat).sum(axis=axes, keepdims=True)
-        gx = m * gxhat
-        del gxhat
-        gx -= s1
+        g *= gamma.data.reshape(mu.shape)  # gxhat
+        s1 = g.sum(axis=axes, keepdims=True)
+        s2 = np.multiply(g, xhat, out=scratch).sum(axis=axes, keepdims=True)
+        del scratch
+        # gx = (m * gxhat - s1 - xhat * s2) * (inv / m)
+        g *= m
+        g -= s1
         xhat *= s2
-        gx -= xhat
-        gx *= inv / m
-        accumulate_grad(x, gx)
+        g -= xhat
+        del xhat
+        g *= inv / m
+        if x.grad is None and (g.shape, g.strides, g.dtype) == (x.data.shape, x.data.strides,
+                                                                 x.data.dtype):
+            x.grad = g  # the caller gave g up, so x keeps it rather than a copy
+        else:
+            accumulate_grad(x, g)
 
 
 def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):

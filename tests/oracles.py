@@ -118,6 +118,45 @@ def brute_maxpool2x2(x, g):
     return out, grad
 
 
+# -- AMSGrad with float64 moments ---------------------------------------------------
+
+
+class Float64AMSGrad:
+    """AMSGrad with its moments rebuilt in float64 every step and each step cast to the
+    parameter's dtype: the library's optimizer before its moments moved into each
+    parameter's dtype, its step copied unchanged. ``params`` need only ``data`` and
+    ``grad`` arrays; ``grad`` is read, never written."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, learning_rate=1e-3, weight_decay=0.0):
+        self.params = list(params)
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+        self.v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+        self.v_max = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad.astype(np.float64)
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data.astype(np.float64)
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            np.maximum(self.v_max[i], self.v[i] / bc2, out=self.v_max[i])
+            step = self.learning_rate * (self.m[i] / bc1) / (np.sqrt(self.v_max[i]) + self.eps)
+            p.data -= step.astype(p.data.dtype)
+
+
 # -- p4-style periodic group convolution, fully independent --------------------------
 
 

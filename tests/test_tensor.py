@@ -524,6 +524,46 @@ class TestBatchNormReLU:
         assert sorted(a.nbytes for a in closure_arrays(out)) == [24, 24]
 
 
+class TestGradientHandOver:
+    """The BatchNorm adjoint builds its input's gradient inside the output gradient it
+    owns and gives that array to the input. Gradients handed over and then added to, or
+    added to and then handed over, must each stay an array of their own."""
+
+    @pytest.mark.parametrize("direct_first", [False, True], ids=["handed_first", "added_first"])
+    def test_conv_output_read_by_a_fused_reader_and_the_loss(self, rng, direct_first):
+        """The conv output c takes the fused BatchNorm-ReLU -> conv reader's gradient as
+        its own array, then the direct read's two gradients (of c * c) are added to it;
+        or it stores a copy of the direct read's first and then adds the handed one."""
+        def build(x, w1, w2, gamma, beta):
+            c = T.correlate2d(x, w1)
+            fused = T.l1_norm(T.correlate2d(T.batchnorm_relu_train(c, gamma, beta,
+                                                                   (0, 2, 3))[0], w2))
+            direct = T.l1_norm(T.mul(c, c))
+            return direct + fused if direct_first else fused + direct
+
+        T.check_gradient(build, [rng.standard_normal((2, 2, 4, 4)),
+                                 rng.standard_normal((3, 2, 3, 3)),
+                                 rng.standard_normal((2, 3, 3, 3)),
+                                 rng.random(3) + 0.5, 0.2 * rng.standard_normal(3)])
+
+    @pytest.mark.parametrize("relu_first", [False, True], ids=["add_first", "relu_first"])
+    def test_batchnorm_output_read_by_two_ops(self, rng, relu_first):
+        """The BatchNorm output's gradient is the sum of what a ReLU and an ``add`` with a
+        leaf c give it, which the adjoint then works in; ``add`` gives c and the output
+        one gradient, so each must take a copy. The BatchNorm input is a leaf that the loss
+        reads directly too."""
+        def build(x, gamma, beta, c, d):
+            out, _, _ = T.batchnorm_train(x, gamma, beta, (0, 2, 3))
+            added = T.l1_norm(T.mul(T.add(out, c), d))
+            relu = T.l1_norm(T.relu(out))
+            return (relu + added if relu_first else added + relu) + T.l1_norm(T.mul(x, x))
+
+        T.check_gradient(build, [rng.standard_normal((3, 2, 3, 3)),
+                                 rng.random(2) + 0.5, 0.2 * rng.standard_normal(2),
+                                 rng.standard_normal((3, 2, 3, 3)),
+                                 rng.standard_normal((3, 2, 3, 3))])
+
+
 class TestBatchNormEval:
     @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
                                         (np.float32, np.float64, np.float32),
