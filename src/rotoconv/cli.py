@@ -124,7 +124,10 @@ def _load_dataset(name: str, data_dir, split: str, seed: int,
 
 def _count(text: str, least: int = 1) -> int:
     """argparse type of an image count: an int of at least ``least``."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value

@@ -3,8 +3,9 @@
 A group layer never owns filters, only rotation-invariant coefficients. Its
 filter bank for all orientations (synthesis from the frozen basis, then the
 orientation roll as an index gather) is applied as one standard correlation,
-and the whole group convolution is one graph node that keeps no bank: the
-backward gathers it again, as its grad-x kernel, rather than store it.
+and the whole group convolution is ``correlate2d``'s graph node over that bank
+(``tensor._convolution``), which keeps no bank: the backward synthesizes it
+again, and grad-x's kernel is its adjoint, as for any correlation.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ def _synthesis_matrix(elements: np.ndarray, dtype) -> np.ndarray:
         elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
 
 
-def _synthesized(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
-    """The synthesized filters of ``_filter_bank``, f[O, C*slots*order, k*k]."""
-    order, n, k, _ = elements.shape
-    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
-    return f.reshape(coefficients.shape[0], -1, k * k)
-
-
 def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
     """Every orientation's filters: coefficients [O,C,(slots,)n] -> bank [O*order, C*slots, k, k].
 
@@ -69,31 +63,13 @@ def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.nd
     the coefficient block that lands on input orientation s when the filter
     sits at orientation r (no slot axis: one slot, plain lifting).
     """
-    order, _, k, _ = elements.shape
-    out_ch, in_ch = coefficients.shape[:2]
-    (slots,) = coefficients.shape[2:-1] or (1,)
-    index, _ = _roll_index(in_ch, order, slots)
-    f = _synthesized(coefficients, elements, dtype)
-    return np.take(f, index, axis=1).reshape(out_ch * order, in_ch * slots, k, k)
-
-
-def _adjoint_filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
-    """``_filter_bank``'s bank with its channel axes swapped and flipped in both spatial
-    axes, [C*slots, O*order, k, k]: the kernel of its correlation's grad-x.
-
-    Flipping both spatial axes reverses the flattened k*k axis, so the synthesis
-    reverses it, and one gather of whole k*k rows, in (C*slots, O, order) order,
-    takes the rolled filters.
-    """
     order, n, k, _ = elements.shape
     out_ch, in_ch = coefficients.shape[:2]
     (slots,) = coefficients.shape[2:-1] or (1,)
     index, _ = _roll_index(in_ch, order, slots)
-    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements[:, :, ::-1, ::-1], dtype)
-    rows = index.reshape(order, in_ch * slots).T[:, None, :] \
-        + (np.arange(out_ch) * len(index))[:, None]
-    return np.take(f.reshape(-1, k * k), rows.ravel(), axis=0).reshape(
-        in_ch * slots, out_ch * order, k, k)
+    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
+    return np.take(f.reshape(out_ch, -1, k * k), index, axis=1).reshape(
+        out_ch * order, in_ch * slots, k, k)
 
 
 def _filter_bank_adjoint(g: np.ndarray, elements: np.ndarray, dtype, shape) -> np.ndarray:
@@ -116,9 +92,9 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     [O,C,order,n] act on orientation maps [B,C,order,H,W]. Output slice r
     sums, over input slots s, correlations with the filter at coefficient
     slot (s - r) mod order synthesized in the orientation-r basis; lifting is
-    the case of one input slot. The node keeps no filter bank: the forward
-    drops it once it has correlated, and the backward gathers it again as the
-    grad-x kernel (``_adjoint_filter_bank``).
+    the case of one input slot. The node is ``correlate2d``'s over the bank
+    (``T._convolution``) and keeps no bank: the forward drops it once it has
+    correlated, and the backward synthesizes it again for grad-x's kernel.
     """
     elements = basis.elements if isinstance(basis, Basis) else np.asarray(basis)
     if elements.ndim != 4:
@@ -139,32 +115,11 @@ def gconv(x: Tensor, coefficients: Tensor, basis) -> Tensor:
     if x.data.ndim != len(layout) + 3 or x.data.shape[1:-2] != layout:
         raise ValueError(f"input of shape {x.data.shape} does not match the coefficients' "
                          f"input axes {layout} (channels, then orientations if any)")
-    b, h, w = x.data.shape[0], *x.data.shape[-2:]
     dtype = x.data.dtype
-    out_data = T._correlate(x.data.reshape(b, -1, h, w),
-                            _filter_bank(coefficients.data, elements, dtype))
-    parents, maps, adjoint_x = T._operand(x, (b, -1, h, w))
-    grad_x = x.requires_grad
-
-    def backward(g):
-        # The grad-x kernel is gathered again (``_adjoint_filter_bank``) rather than
-        # kept. No more than two bank-sized arrays are alive at once: the synthesized
-        # filters and the adjoint bank gathered from them; on the block path, the
-        # adjoint bank and grad-w's accumulator during the one pass, then the
-        # accumulator and the bank gradient unflipped from it; then the bank
-        # gradient and the copy that its gather takes. grad-x goes last, once none is.
-        gx, gw = T._correlate_backward(
-            g.reshape(b, -1, h, w), maps,
-            lambda: _adjoint_filter_bank(coefficients.data, elements, dtype), k,
-            grad_x, coefficients.requires_grad)
-        if gw is not None:
-            T.accumulate_grad(coefficients, _filter_bank_adjoint(gw, elements, dtype, shape))
-        del gw
-        if gx is not None:
-            adjoint_x(gx)
-
-    return Tensor.from_op(out_data.reshape(b, shape[0], order, h, w), parents + (coefficients,),
-                          backward, "gconv")
+    return T._convolution(
+        x, coefficients, lambda: _filter_bank(coefficients.data, elements, dtype),
+        lambda gw: _filter_bank_adjoint(gw, elements, dtype, shape),
+        x.data.shape[:1] + (shape[0], order) + x.data.shape[-2:], "gconv")
 
 
 gconv_input = gconv_intermediate = gconv

@@ -154,14 +154,14 @@ def _draw_crops(images: np.ndarray, kernels: np.ndarray, ops: RotationOperators,
             responses[j] = T._correlate(images, kernels[j], image_columns)
         turned, turned_cols = rotated[s]
         response = ops.apply(responses[j], s)
-        equiv = rec = flipped = response_cols = None
+        equiv = rec = response_cols = None
         if "equiv" in want:
             equiv = (T._correlate(turned, kernels[r], turned_cols) - response)[sl].copy()
         if "rec" in want:
-            flipped = np.ascontiguousarray(kernels[r].transpose(1, 0, 2, 3))[..., ::-1, ::-1].copy()
             response_cols = columns(response)
-            rec = (turned - T._correlate(response, flipped, response_cols))[sl].copy()
-        yield ((s, j, r, image_columns, turned, turned_cols, response, response_cols, flipped),
+            rec = (turned - T._correlate(response, T._adjoint_kernel(kernels[r]),
+                                         response_cols))[sl].copy()
+        yield ((s, j, r, image_columns, turned, turned_cols, response, response_cols),
                equiv, rec)
 
 
@@ -244,7 +244,7 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
 
     def backward(g):
         ge, gr = g[0, ...] * scale, g[1, ...] * scale
-        for (s, j, r, image_columns, turned, turned_cols, response, response_cols, flipped,
+        for (s, j, r, image_columns, turned, turned_cols, response, response_cols,
              sign_e, sign_r) in saved:
             # the crop and L1 adjoints of both differences, then of their convolutions
             full_e = np.zeros(images.shape[:1] + (n,) + images.shape[2:], dtype=images.dtype)
@@ -254,8 +254,8 @@ def image_terms(images: np.ndarray, slots: Tensor, ops: RotationOperators, draws
             grad_tc = -full_r
             grad_kernel = T._correlate_grad_w(full_e, turned, k, turned_cols).reshape(n, 1, k, k)
             grad_flipped = T._correlate_grad_w(grad_tc, response, k, response_cols)
-            grad_kernel += grad_flipped.reshape(1, n, k, k)[..., ::-1, ::-1].transpose(1, 0, 2, 3)
-            grad_response = ops.apply(-full_e + T._correlate_grad_x(grad_tc, flipped), s,
+            grad_kernel += T._adjoint_kernel(grad_flipped.reshape(1, n, k, k))
+            grad_response = ops.apply(-full_e + T._correlate(grad_tc, kernels[r]), s,
                                       transpose=True)
             grad_slots = np.zeros_like(kernels)
             grad_slots[j] += T._correlate_grad_w(grad_response, images, k,

@@ -98,9 +98,9 @@ class Tensor:
         """Wrap an op result, recording parents and the adjoint closure.
 
         ``backward_fn(grad)`` must accumulate into each requiring parent via
-        ``accumulate_grad``. The closure is dropped when no parent needs it or
-        inside ``no_grad()``. The node keeps ``data``; what else the op needs in
-        backward its closure keeps, which need not be every input it read: a
+        ``accumulate_grad`` or ``_hand_over``. The closure is dropped when no parent
+        needs it or inside ``no_grad()``. The node keeps ``data``; what else the op needs
+        in backward its closure keeps, which need not be every input it read: a
         convolution or pool fed a ``BatchNormReLUMap`` keeps that map's BatchNorm input
         and statistics instead, and rebuilds the map.
         """
@@ -124,11 +124,12 @@ class Tensor:
 
         Each closure is handed its node's ``grad``, which no other node shares and nothing
         reads once the closure returns, so the closure may write into it. Only the
-        BatchNorm adjoint does (``_bn_backward``): it builds its input's gradient there
-        and stores that array as the input's first gradient, as it does with the grad-x
-        that a reader of a ``BatchNormReLUMap`` made and masked. Every other closure
-        writes into no array it is handed or reads, and passes its parents' gradients to
-        ``accumulate_grad``, which copies a first gradient, so no two nodes share one.
+        BatchNorm adjoint does (``_bn_backward``): it builds its input's gradient there,
+        as it does in the grad-x that a reader of a ``BatchNormReLUMap`` made and masked.
+        A gradient that an adjoint made and reads no more (that one, and a convolution's
+        or pool's grad-x) is handed over (``_hand_over``): stored uncopied as its parent's
+        first gradient. Every other one goes to ``accumulate_grad``, which copies a first
+        gradient, so no two nodes share one.
         """
         if self.data.size != 1:
             raise GraphError("backward() expects a scalar loss tensor")
@@ -197,10 +198,8 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add g into ``t.grad``; the first gradient is stored as a copy in t's layout and dtype.
 
     g may be a view of an array that the caller still reads, or hands to another
-    parent as well (``add`` hands one g to both), so it is never kept. The one other
-    writer of a gradient array is the BatchNorm adjoint (``_bn_backward``): it works in
-    its node's own ``grad`` or in the grad-x its reader made, and stores that array as
-    its input's first gradient without a copy.
+    parent as well (``add`` hands one g to both), so it is never kept. An adjoint that
+    made g itself and reads it no more passes it to ``_hand_over`` instead.
     """
     if not t.requires_grad:
         return
@@ -209,6 +208,18 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         np.copyto(t.grad, g)
     else:
         t.grad += g
+
+
+def _hand_over(t: Tensor, g: np.ndarray) -> None:
+    """Give t a gradient that its caller made and reads no more: stored as it is as t's
+    first gradient when it has t's shape, strides and dtype, else ``accumulate_grad``.
+    The convolution and pool adjoints hand over grad-x so (``_operand``), and the
+    BatchNorm adjoint the gradient it builds in place (``_bn_backward``)."""
+    if t.requires_grad and t.grad is None and (g.shape, g.strides, g.dtype) == (
+            t.data.shape, t.data.strides, t.data.dtype):
+        t.grad = g
+    else:
+        accumulate_grad(t, g)
 
 
 def _lift(x, dtype) -> Tensor:
@@ -562,11 +573,6 @@ def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
-def _correlate_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """grad-x of ``_correlate(x, w)``: the same kernel run on g with the adjoint filter."""
-    return _correlate(g, _adjoint_kernel(w))
-
-
 def _correlate_grad_w(g: np.ndarray, x, k: int, columns=None) -> np.ndarray:
     """grad-w of ``_correlate(x, w)`` as [O, C*k*k]: ``g @ cols.T``, over x's kept
     ``columns`` when given, else with the columns rebuilt chunk by chunk (from x's
@@ -621,21 +627,43 @@ def _correlate_grads(g: np.ndarray, x, adjoint, k: int) -> tuple:
     return gx, gw
 
 
-def _correlate_backward(g: np.ndarray, x, adjoint, k: int,
-                        grad_x: bool, grad_w: bool) -> tuple:
-    """(grad-x, grad-w as [O, C*k*k]) of ``_correlate(x, w)`` for the output gradient g,
-    each None unless asked for; ``adjoint()`` builds the grad-x kernel [C,O,k,k]. x
-    is the input array or a ``_RebuiltMap`` of it: only grad-w reads it, by samples.
+def _convolution(x, param: Tensor, bank, param_grad, out_shape, op: str) -> Tensor:
+    """The one graph node of every convolution: ``_correlate`` of x, viewed as [B,C,H,W],
+    with the kernel [O,C,k,k] that ``bank()`` builds from ``param``, as ``out_shape``.
+    x is a Tensor or a ``BatchNormReLUMap``, whose map the node rebuilds rather than
+    keeps (``_operand``).
 
-    When both are asked for and grad-x takes the block path, one pass over g's
-    column blocks gives both (``_correlate_grads``). Otherwise grad-x is
-    ``_correlate(g, adjoint())`` and grad-w ``_correlate_grad_w`` over chunks of x.
+    The node keeps no kernel: the forward drops it, and the backward builds it again for
+    grad-x's kernel, ``_adjoint_kernel(bank())``. When both gradients are asked for and
+    grad-x takes the block path, one pass over g's column blocks gives both
+    (``_correlate_grads``); otherwise grad-x is ``_correlate(g, adjoint)`` and grad-w
+    ``_correlate_grad_w`` over chunks of x. ``param_grad`` maps grad-w [O, C*k*k] to
+    param's gradient. No more than two kernel-sized arrays are alive at once (while
+    ``bank()`` builds one, while the adjoint is copied from it, in the one pass beside
+    grad-w's accumulator, and in ``param_grad``), and grad-x is handed over last.
     """
-    if grad_x and grad_w and _takes_blocks(g, x.shape[1], k):
-        return _correlate_grads(g, x, adjoint, k)
-    gx = _correlate(g, adjoint()) if grad_x else None
-    gw = _correlate_grad_w(g, x, k) if grad_w else None
-    return gx, gw
+    view = x.data.shape[:1] + (-1,) + x.data.shape[-2:]
+    kernel = bank()
+    k = kernel.shape[-1]
+    out_data = _correlate(x.data.reshape(view), kernel).reshape(out_shape)
+    del kernel
+    parents, maps, adjoint_x = _operand(x, view)
+    grad_x = x.requires_grad
+
+    def backward(g):
+        g = g.reshape(view)
+        if grad_x and param.requires_grad and _takes_blocks(g, maps.shape[1], k):
+            gx, gw = _correlate_grads(g, maps, lambda: _adjoint_kernel(bank()), k)
+        else:
+            gx = _correlate(g, _adjoint_kernel(bank())) if grad_x else None
+            gw = _correlate_grad_w(g, maps, k) if param.requires_grad else None
+        if gw is not None:
+            accumulate_grad(param, param_grad(gw))
+        del gw
+        if gx is not None:
+            adjoint_x(gx)
+
+    return Tensor.from_op(out_data, parents + (param,), backward, op)
 
 
 def correlate2d(x, kernel: Tensor) -> Tensor:
@@ -644,30 +672,15 @@ def correlate2d(x, kernel: Tensor) -> Tensor:
     im2col + GEMM: each block or chunk of samples becomes a column matrix
     [C*k*k, n*H*W] and the forward pass is ``W @ cols``. grad-x is the same
     kernel run on ``g`` with the adjoint filter (spatially flipped, channel
-    axes swapped); grad-w is ``g @ cols.T`` with x's columns rebuilt in
-    backward rather than kept on the graph, or, when grad-x takes the block
-    path, comes from the same blocks of g's columns (``_correlate_backward``).
-    x is a Tensor or a ``BatchNormReLUMap``, whose map the node rebuilds
-    rather than keeps (``_operand``).
+    axes swapped); grad-w is ``g @ cols.T`` (``_convolution``). x is a Tensor or
+    a ``BatchNormReLUMap``, whose map the node rebuilds rather than keeps.
     """
     _check_conv_args(x, kernel)
-    k = kernel.data.shape[2]
-    out_data = _correlate(x.data, kernel.data)
-    parents, maps, adjoint_x = _operand(x, x.data.shape)
-    grad_x = x.requires_grad
-
-    def backward(g):
-        gx, gw = _correlate_backward(g, maps, lambda: _adjoint_kernel(kernel.data), k,
-                                     grad_x, kernel.requires_grad)
-        if gw is not None:
-            accumulate_grad(kernel, gw.reshape(kernel.data.shape))
-        del gw
-        if gx is not None:
-            adjoint_x(gx)
-
     # A correlation node's parents are (x, kernel) unless it took over a BatchNorm-ReLU.
     op = "correlate2d" if isinstance(x, Tensor) else "batchnorm_relu_correlate2d"
-    return Tensor.from_op(out_data, parents + (kernel,), backward, op)
+    return _convolution(x, kernel, lambda: kernel.data,
+                        lambda gw: gw.reshape(kernel.data.shape),
+                        x.data.shape[:1] + kernel.data.shape[:1] + x.data.shape[2:], op)
 
 
 def transpose_correlate2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -832,11 +845,7 @@ def _bn_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, axes,
         g -= xhat
         del xhat
         g *= inv / m
-        if x.grad is None and (g.shape, g.strides, g.dtype) == (x.data.shape, x.data.strides,
-                                                                 x.data.dtype):
-            x.grad = g  # the caller gave g up, so x keeps it rather than a copy
-        else:
-            accumulate_grad(x, g)
+        _hand_over(x, g)
 
 
 def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, axes):
@@ -928,8 +937,7 @@ def _operand(x, shape) -> tuple:
     mask of the rebuilt map and runs the BatchNorm adjoint, in place of the two separate
     nodes' adjoints."""
     if isinstance(x, Tensor):
-        return (x,), x.data.reshape(shape), lambda gx: accumulate_grad(
-            x, gx.reshape(x.data.shape))
+        return (x,), x.data.reshape(shape), lambda gx: _hand_over(x, gx.reshape(x.data.shape))
     source, gamma, beta, axes, mu, inv = x._batchnorm
     maps = _RebuiltMap(source.data, gamma.data, beta.data, mu, inv, x.data.reshape(shape).shape)
 

@@ -127,7 +127,8 @@ def gradient_cases(seed: int = 0) -> list:
     one pass over those blocks gives grad-x and grad-w (``tensor._correlate_grads``).
     The ``_model`` cases (``model_directions``) run a training forward of a whole
     ``build_model`` model on one 3x32x32 image, where the 33- and 67-channel layers
-    sum grad-w in several row slabs.
+    sum grad-w in several row slabs. The last case feeds a BatchNorm-ReLU map into
+    ``gconv`` with constant coefficients, so the node's backward makes grad-x alone.
     """
     rng = np.random.default_rng(seed)
     x, w, xp = (rng.standard_normal(s) for s in [(2, 2, 5, 5), (3, 2, 3, 3), (2, 2, 4, 4)])
@@ -186,7 +187,7 @@ def gradient_cases(seed: int = 0) -> list:
             return T.matmul(model.forward(image, training=True), weights)
         return build, [np.zeros(len(moved))]
 
-    return [
+    cases = [
         ("correlate2d_same", lambda a, k: T.l1_norm(T.correlate2d(a, k)), [x, w]),
         ("maxpool2x2", lambda a: T.l1_norm(T.maxpool2x2(a)), [xp]),
         ("batchnorm_train",
@@ -228,6 +229,12 @@ def gradient_cases(seed: int = 0) -> list:
             # at the default step a kink is crossed at 1 of 10 seeds, at 1e-6 at none
             [(2, 8, 20, 20), (8,), (8,), (40, 8, 3, 3)], (2, 40, 20, 20), 1e-6)),
     ]
+    # drawn after every other case's arrays, which it leaves where they were
+    frozen = T.Tensor(rng.standard_normal((3, 2, 8, 2)))
+    cases.append(("batchnorm_relu_gconv_frozen", lambda a, gg, bb: T.l1_norm(gconv(
+        T.batchnorm_relu_train(a, gg, bb, (0, 2, 3, 4))[0], frozen, basis)),
+        [rng.standard_normal((2, 2, 8, 4, 4)), g[:2], b[:2]]))
+    return cases
 
 
 def check_gradients(seed: int = 0, tol: float = 1e-5) -> CheckResult:

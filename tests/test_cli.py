@@ -256,6 +256,20 @@ class TestPretrainBasis:
         assert "--config" in err and message in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("pretrain-basis", "--n-images"), ("train", "--n-train"), ("train", "--n-val"),
+    ("eval-rotations", "--n-images"), ("eval-activations", "--n-images"),
+    ("inspect-basis", "--cell-scale"),
+])
+def test_non_int_count_is_usage_error_that_names_the_flag(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, flag, "abc")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an int, got 'abc'" in err
+    assert "_count" not in err
+
+
 @pytest.mark.parametrize("command", ["pretrain-basis", "train"])
 @pytest.mark.parametrize("dtype", ["int32", "float16"])
 def test_non_float_dtype_is_usage_error(tmp_path, capsys, command, dtype):

@@ -12,8 +12,8 @@ from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
                               GConvIntermediate, GlobalMaxPool, MaxPool2x2, Model,
-                              _CONVOLUTIONS, _adjoint_filter_bank, _filter_bank,
-                              _filter_bank_adjoint, _training_plan, build_model,
+                              _CONVOLUTIONS, _filter_bank, _filter_bank_adjoint,
+                              _training_plan, build_model,
                               count_parameters, gconv_input, gconv_intermediate,
                               load_checkpoint, model_from_arch, read_checkpoint,
                               save_checkpoint)
@@ -175,19 +175,6 @@ class TestRolledBank:
         lhs = float(np.vdot(bank, g))
         rhs = float(np.vdot(a, _filter_bank_adjoint(g, elements, np.float64, a.shape)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("slots", [(), (8,)], ids=["lift", "rolled"])
-    def test_adjoint_bank_is_the_flipped_transposed_bank(self, rng, partial_basis, slots, dtype):
-        """The one gather of the grad-x kernel gives bitwise the bank with its channel axes
-        swapped and both spatial axes flipped."""
-        elements = partial_basis.elements
-        a = rng.standard_normal((3, 2, *slots, elements.shape[1])).astype(dtype)
-        want = _filter_bank(a, elements, dtype).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        got = _adjoint_filter_bank(a, elements, dtype)
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert np.array_equal(got, want)
 
 
 class TestGConvGraph:
@@ -378,20 +365,27 @@ class TestRebuiltBatchNormReLU:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_op_level_bitwise_and_mask_without_grad_w(self, rng, frozen):
-        """``batchnorm_relu_train`` into ``correlate2d`` against ``batchnorm_train``, ``relu``
-        then ``correlate2d``. With the kernel frozen no grad-w reads the rebuilt map, so
-        the ReLU mask comes from a rebuild of its own."""
-        x = rng.standard_normal((3, 4, 6, 6))
+    @pytest.mark.parametrize("reader, frozen", [
+        ("correlate2d", False), ("correlate2d", True), ("gconv", False), ("gconv", True),
+    ], ids=["False", "True", "gconv-False", "gconv-True"])
+    def test_op_level_bitwise_and_mask_without_grad_w(self, rng, partial_basis, reader, frozen):
+        """``batchnorm_relu_train`` into ``correlate2d`` or ``gconv`` against
+        ``batchnorm_train``, ``relu`` then the reader. With the kernel or coefficients
+        frozen no grad-w reads the rebuilt map, so the ReLU mask comes from a rebuild of
+        its own."""
+        order, n = partial_basis.elements.shape[:2]
+        group = reader == "gconv"
+        x = rng.standard_normal((3, 4) + (order,) * group + (6, 6))
         gamma, beta = rng.random(4) + 0.5, 0.3 * rng.standard_normal(4)
-        w = rng.standard_normal((5, 4, 3, 3))
+        w = rng.standard_normal((5, 4, order, n) if group else (5, 4, 3, 3))
+        conv = (lambda a, c: gconv_intermediate(a, c, partial_basis)) if group else T.correlate2d
+        axes = (0, 2, 3, 4) if group else (0, 2, 3)
         runs = []
         for op in (lambda a, g, b, axes: T.batchnorm_relu_train(a, g, b, axes)[0],
                    lambda a, g, b, axes: T.relu(T.batchnorm_train(a, g, b, axes)[0])):
             xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
             wt = Tensor(w, requires_grad=not frozen)
-            out = T.correlate2d(op(xt, gt, bt, (0, 2, 3)), wt)
+            out = conv(op(xt, gt, bt, axes), wt)
             T.l1_norm(out).backward()
             runs.append([out.data, xt.grad, gt.grad, bt.grad] + ([] if frozen else [wt.grad]))
         for a, b in zip(*runs):

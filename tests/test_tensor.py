@@ -615,6 +615,19 @@ class TestBackward:
         T.accumulate_grad(t, g)
         assert t.grad[0].tolist() == [0.0, 8.0, 4.0]
 
+    @pytest.mark.parametrize("op, adjoint", [
+        (lambda a: T.correlate2d(a, t64(np.ones((2, 3, 3, 3)))), "_correlate"),
+        (T.maxpool2x2, "_unpool2x2"),
+    ], ids=["correlate2d", "maxpool2x2"])
+    def test_fresh_grad_x_is_handed_over_uncopied(self, rng, monkeypatch, op, adjoint):
+        """A convolution's or pool's grad-x becomes its plain input's first gradient as the
+        array its adjoint made, not as a copy (``_hand_over``)."""
+        made, kernel = [], getattr(T, adjoint)
+        monkeypatch.setattr(T, adjoint, lambda *args: made.append(kernel(*args)) or made[-1])
+        x = t64(rng.standard_normal((2, 3, 4, 4)), grad=True)
+        T.l1_norm(op(x)).backward()
+        assert np.shares_memory(x.grad, made[-1])
+
     def test_non_scalar_loss_rejected(self, rng):
         x = t64(rng.random((2, 2)), grad=True)
         with pytest.raises(GraphError, match="scalar"):
