@@ -24,8 +24,7 @@ from . import tensor as T
 from .basis import quarter_stride
 from .datasets import LabeledImageSet
 from .fileio import write_csv
-from .groups import (RotationOperators, _act, check_crop_fraction, check_rotation_index,
-                     crop_margin, rotate_exact90)
+from .groups import RotationOperators, _act, check_rotation_index, crop_margin, rotate_exact90
 from .network import Model
 from .training import evaluate, model_input, rotate_images
 
@@ -81,19 +80,20 @@ def _pair_value(ref: np.ndarray, norm_ref: np.ndarray, rect: np.ndarray) -> floa
 
 
 _KINDS = ("group", "spatial", "vector")
+_CROP_FRACTION = 0.25  # of each side of a map, left out of every pair error
 
 
 def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
-                          kind: str = "group", order: int = 8, crop_fraction: float = 0.25,
+                          kind: str = "group", order: int = 8,
                           ops: RotationOperators | None = None) -> float:
     """Normalized squared L2 error between activations after rectification.
 
     ``a_s`` is transformed by rotation index (r - s) mod order before the
     comparison: spatial rotation plus slice roll for ``kind="group"``, spatial
     rotation alone for ``kind="spatial"``, identity for ``kind="vector"``.
-    Channels with zero norm contribute zero. Comparison happens on the
-    cropped interior to keep boundary interpolation out of the measurement,
-    and only the interior is rectified, by ``ops`` or else the Gaussian operators.
+    Channels with zero norm contribute zero. Comparison happens on the interior
+    left by cropping a quarter of each side, to keep boundary interpolation out;
+    only the interior is rectified, by ``ops`` or else the Gaussian operators.
     """
     check_rotation_index(r, s)
     if a_r.shape != a_s.shape:
@@ -106,14 +106,14 @@ def activation_pair_error(a_r: np.ndarray, a_s: np.ndarray, r: int, s: int,
     if kind != "vector":
         if ops is None:
             ops = RotationOperators(a_s.shape[-1], order)
-        margin = crop_margin(a_r.shape[-1], crop_fraction)
+        margin = crop_margin(a_r.shape[-1], _CROP_FRACTION)
         ref = a_r[T._crop_slice(a_r.shape, margin)]
     ref = _flat(ref)
     return _pair_value(ref, _norms(ref), _rectified(a_s, (r - s) % order, kind, ops, margin))
 
 
 def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
-                     variant: str = "model", crop_fraction: float = 0.25) -> RobustnessReport:
+                     variant: str = "model") -> RobustnessReport:
     """Per-layer mean of the pair error over images and rotation indices.
 
     The order is a group model's ``group_order``, else 8, and integer indices default
@@ -130,7 +130,6 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
-    check_crop_fraction(crop_fraction)
     arr = images.images if isinstance(images, LabeledImageSet) else np.asarray(images)
     arr = arr[:n_images]
     order = model.group_order if model.kind == "group" else 8
@@ -154,7 +153,7 @@ def robustness_suite(model: Model, images, n_images: int, angle_indices=None,
             ops, margin, ref = None, 0, acts[0]
             if kind != "vector":
                 size = acts.shape[-1]
-                ops, margin = ops_for(size), crop_margin(size, crop_fraction)
+                ops, margin = ops_for(size), crop_margin(size, _CROP_FRACTION)
                 ref = ref[T._crop_slice(ref.shape, margin)]
             ref = _flat(ref)
             norm_ref = _norms(ref)

@@ -146,8 +146,7 @@ def initialize_elements(n_elements: int, kernel_size: int, n_orientations: int,
 
 def make_baseline_basis(kind: str, n_elements: int = 9, kernel_size: int = 3,
                         order: int = 8, zero_orientation: np.ndarray | None = None,
-                        seed: int = 0, sigma: float = 0.5,
-                        interp_kernel_size: int = 3) -> Basis:
+                        seed: int = 0) -> Basis:
     """Non-learned comparison bases.
 
     ``random``: i.i.d. orientations with no rotational relationship.
@@ -165,7 +164,7 @@ def make_baseline_basis(kind: str, n_elements: int = 9, kernel_size: int = 3,
         zero = np.ascontiguousarray(zero_orientation, dtype=np.float64)
         if zero.ndim != 3 or zero.shape[1] != zero.shape[2]:
             raise ValueError("zero_orientation must have shape [n_elements, k, k]")
-        ops = RotationOperators(zero.shape[-1], order, kind, sigma, interp_kernel_size)
+        ops = RotationOperators(zero.shape[-1], order, kind)
         elements = np.stack([ops.apply(zero, r) for r in range(order)])
         return Basis(elements, kind)
     raise ValueError(f"unknown baseline kind {kind!r}")

@@ -10,6 +10,7 @@ the manifest names and hashes it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -163,11 +164,15 @@ def _angles(text: str) -> list:
         f"expected comma-separated finite numbers of degrees, got {text!r}")
 
 
+def _add_config(p):
+    p.add_argument("--config", action="append", default=None,
+                   help="key=value file applied before explicit flags")
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--config", action="append", default=None,
-                   help="key=value file applied before explicit flags")
+    _add_config(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,24 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("inspect-basis", help="render a basis as a grayscale grid")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--basis", required=True)
     p.add_argument("--cell-scale", type=_count, default=8)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the property-check suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_config(p)
     return parser
 
 
+def _config_from(cls, args):
+    """``cls`` with each field that a parsed flag of its name sets; the rest keep defaults."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags})
+
+
 def _cmd_pretrain(args) -> list:
-    config = PretrainConfig(
-        n_elements=args.n_elements, kernel_size=args.kernel_size,
-        partial=args.partial, epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, weight_decay=args.weight_decay,
-        sigma=args.sigma, crop_fraction=args.crop_fraction,
-        loss_weights=args.loss_weights, sum_all_pairs=args.sum_all_pairs,
-        seed=args.seed, dtype=args.dtype)
+    config = _config_from(PretrainConfig, args)
     if args.corpus == "synthetic":
         n_images = 256 if args.n_images is None else args.n_images
         corpus = synthetic_image_corpus(n_images, size=20, seed=args.seed)
@@ -283,12 +289,7 @@ def _cmd_pretrain(args) -> list:
 
 
 def _cmd_train(args) -> list:
-    config = TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay, batch_size=args.batch_size,
-        flip=args.flip, color_normalize=args.color_normalize,
-        max_translate=args.max_translate, rotation_augment=args.rotation_augment,
-        seed=args.seed)
+    config = _config_from(TrainConfig, args)
     basis = load_basis(args.basis) if args.basis else None
     train_set = _load_dataset(args.dataset, args.data_dir, "train", args.seed, args.n_train)
     val_set = None

@@ -39,6 +39,8 @@ class LabeledImageSet:
     n_classes: int = 10
 
     def __post_init__(self):
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValueError(f"labels must have an integer dtype, got {self.labels.dtype}")
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("image/label count mismatch")
         if self.images.shape[0] == 0:

@@ -143,15 +143,14 @@ def _permutation_matrix(size: int, quarter_turns: int):
 
 
 _METHODS = ("gaussian", "bilinear")
+_GAUSSIAN_WINDOW = 3  # side of the square a Gaussian rotation weights
 
 
-def _check_interpolation(method: str, sigma: float, kernel_size: int,
-                         size_name: str = "kernel_size") -> None:
+def _check_interpolation(method: str, sigma: float) -> None:
     if method not in _METHODS:
         raise ValueError(f"unknown rotation method {method!r}")
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    check_odd_size(size_name, kernel_size)
 
 
 def check_rotation_index(*indices) -> None:
@@ -161,35 +160,27 @@ def check_rotation_index(*indices) -> None:
             raise ValueError(f"rotation index must be an integer, got {r!r}")
 
 
-def check_odd_size(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive odd int (a window with a center)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1 or value % 2 == 0):
-        raise ValueError(f"{name} must be a positive odd int, got {value!r}")
-
-
-def rotation_matrix(size: int, angle: float, method: str = "gaussian",
-                    sigma: float = 0.5, kernel_size: int = 3):
+def rotation_matrix(size: int, angle: float, method: str = "gaussian", sigma: float = 0.5):
     """CSR matrix rotating a flattened ``size x size`` image by ``angle`` CCW.
 
-    ``gaussian``: weights exp(-d^2 / 2 sigma^2) over the ``kernel_size`` square
-    integer neighborhood of the rounded inverse-rotated source point.
+    ``gaussian``: weights exp(-d^2 / 2 sigma^2) over the 3x3 integer neighborhood
+    of the rounded inverse-rotated source point.
     ``bilinear``: weights (1-|dy|)(1-|dx|) over the 2x2 neighborhood of the
     floored source point. Out-of-grid neighbors are dropped and the remaining
     weights renormalized to sum 1 (a row with no weight stays empty); angles
     that are exact multiples of 90 degrees short-circuit to the grid
-    permutation. Raises ValueError for a non-finite angle, an unknown method,
-    ``sigma <= 0`` or a ``kernel_size`` that is not a positive odd int.
+    permutation. Raises ValueError for a non-finite angle, an unknown method or
+    ``sigma <= 0``.
     """
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    _check_interpolation(method, sigma, kernel_size)
+    _check_interpolation(method, sigma)
     quarter = angle / (math.pi / 2)
     if abs(quarter - round(quarter)) < 1e-12:
         return _permutation_matrix(size, int(round(quarter)))
     sy, sx = _source_coords(size, angle).T[:, :, None, None]
     if method == "gaussian":
-        half = kernel_size // 2
+        half = _GAUSSIAN_WINDOW // 2
         snap, offs = np.round, np.arange(-half, half + 1)
     else:
         snap, offs = np.floor, np.arange(2)
@@ -223,14 +214,13 @@ class RotationOperators:
     order: int = 8
     method: str = "gaussian"
     sigma: float = 0.5
-    kernel_size: int = 3
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name in ("size", "order"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _check_interpolation(self.method, self.sigma, self.kernel_size)
+        _check_interpolation(self.method, self.sigma)
 
     def matrix(self, r: int):
         """The float64 CSR matrix of index ``r``, built on first use."""
@@ -238,7 +228,7 @@ class RotationOperators:
         key = (r % self.order, "<f8", False, 0)
         if key not in self._cache:
             self._cache[key] = rotation_matrix(self.size, 2.0 * math.pi * key[0] / self.order,
-                                               self.method, self.sigma, self.kernel_size)
+                                               self.method, self.sigma)
         return self._cache[key]
 
     def _cast(self, r: int, dtype, transposed: bool, margin: int = 0):

@@ -590,6 +590,8 @@ def read_checkpoint(path) -> tuple:
             raise CheckpointFormatError(f"array {name!r} runs past the end of the file")
         arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
         offset += count * dtype.itemsize
+    if offset != end:
+        raise CheckpointFormatError(f"{end - offset} payload bytes belong to no array")
     return header, arrays
 
 

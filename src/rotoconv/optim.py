@@ -64,15 +64,20 @@ class AMSGrad:
             p.data -= scratch
 
 
+def _require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int (NumPy integers too, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_run_config(config) -> None:
     """Raise ValueError unless ``config`` has int ``epochs`` and ``batch_size`` >= 1 and a finite
     ``learning_rate`` and ``weight_decay`` >= 0: a negative rate ascends, a NaN one poisons."""
     for name, least in (("epochs", 1), ("batch_size", 1),
                         ("learning_rate", 0), ("weight_decay", 0)):
         value = getattr(config, name)
-        if name in ("epochs", "batch_size") and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        if name in ("epochs", "batch_size"):
+            _require_int(name, value)
         if not (np.isfinite(value) and value >= least):
             raise ValueError(f"{name} must be finite and >= {least}, got {value!r}")
 

@@ -25,9 +25,8 @@ from . import tensor as T
 from .basis import (Basis, _quarter_turn_stack, initialize_elements, orthogonality_defect,
                     populate_partial, quarter_stride)
 from .fileio import write_csv
-from .groups import (RotationOperators, _check_interpolation, check_crop_fraction,
-                     check_odd_size, crop_margin)
-from .optim import _run_epochs, check_run_config
+from .groups import RotationOperators, _check_interpolation, check_crop_fraction, crop_margin
+from .optim import _require_int, _run_epochs, check_run_config
 from .tensor import Tensor
 
 
@@ -50,7 +49,6 @@ class PretrainConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 1e-6
     sigma: float = 0.5
-    interp_kernel_size: int = 3
     crop_fraction: float = 0.25
     loss_weights: tuple = (1.0, 1.0, 1.0)
     sum_all_pairs: bool = False
@@ -58,13 +56,16 @@ class PretrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_odd_size("kernel_size", self.kernel_size)
+        _require_int("kernel_size", self.kernel_size)
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be a positive odd int, got {self.kernel_size}")
+        _require_int("n_elements", self.n_elements)
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
         check_run_config(self)
         check_crop_fraction(self.crop_fraction)
-        _check_interpolation("gaussian", self.sigma, self.interp_kernel_size,
-                             "interp_kernel_size")
+        _check_interpolation("gaussian", self.sigma)
+        _require_int("group order", self.order)
         if self.order < 1 or self.order % 4:
             raise ValueError(f"group order must be a positive multiple of 4, got {self.order}")
         T.check_float_dtype(self.dtype)
@@ -288,8 +289,7 @@ def orthogonality_term(slots: Tensor) -> Tensor:
 
 
 def _ops_for(images: np.ndarray, config: PretrainConfig) -> RotationOperators:
-    return RotationOperators(images.shape[-1], config.order, "gaussian",
-                             config.sigma, config.interp_kernel_size)
+    return RotationOperators(images.shape[-1], config.order, "gaussian", config.sigma)
 
 
 def _stored(images, basis: Basis, config: PretrainConfig | None, dtype: str) -> tuple:

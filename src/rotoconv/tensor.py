@@ -438,6 +438,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     batch, classes = logits.data.shape
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(f"label out of range [0, {classes})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)

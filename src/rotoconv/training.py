@@ -18,8 +18,10 @@ from .datasets import LabeledImageSet
 from .fileio import write_csv
 from .groups import rotation_matrix
 from .network import Model
-from .optim import _run_epochs, check_run_config
+from .optim import _require_int, _run_epochs, check_run_config
 from .tensor import Tensor
+
+_EVAL_BATCH = 200  # images per evaluation forward
 
 
 class TrainingDivergence(RuntimeError):
@@ -41,6 +43,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.rotation_augment not in ("none", "quarter", "eighth", "full"):
             raise ValueError(f"unknown rotation_augment {self.rotation_augment!r}")
+        _require_int("max_translate", self.max_translate)
         if not 0 <= self.max_translate <= 4:
             raise ValueError("max_translate must be within [0, 4]")
         check_run_config(self)
@@ -91,12 +94,11 @@ def _translate(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
-            stats=None) -> np.ndarray:
-    """Random flips/translations/rotations, then normalization by ``stats`` if given.
+def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+    """Random flips/translations/rotations.
 
-    With every flag off and no stats this is the identity. Quarter-turn
-    rotation mode only ever applies exact grid permutations.
+    With every flag off this is the identity. Quarter-turn rotation mode only
+    ever applies exact grid permutations.
     """
     out = images
     b = images.shape[0]
@@ -111,8 +113,6 @@ def augment(images: np.ndarray, config: TrainConfig, rng: np.random.Generator,
                         for img, (dy, dx) in zip(out, offsets)])
     if config.rotation_augment != "none":
         out = _rotate_batch(out, config.rotation_augment, rng)
-    if stats is not None:
-        out = normalize(out, stats)
     return out
 
 
@@ -165,7 +165,7 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
 
     def batch_loss(take):
         y = train_set.labels[take]
-        x = augment(images[take], config, rng, model.input_stats)
+        x = model_input(model, augment(images[take], config, rng))
         logits = model.forward(Tensor(x), training=True)
         loss = T.softmax_cross_entropy(logits, y)
         correct = int((logits.data.argmax(axis=1) == y).sum())
@@ -180,7 +180,7 @@ def train(model: Model, train_set: LabeledImageSet, config: TrainConfig,
     return rows
 
 
-def evaluate(model: Model, dataset: LabeledImageSet, batch_size: int = 200) -> EvalResult:
+def evaluate(model: Model, dataset: LabeledImageSet) -> EvalResult:
     """Frozen-statistics evaluation: accuracy plus per-class confusion counts.
 
     Holds one batch at a time: each batch is converted to the model's dtype
@@ -190,9 +190,9 @@ def evaluate(model: Model, dataset: LabeledImageSet, batch_size: int = 200) -> E
     k = dataset.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     with T.no_grad():
-        for start in range(0, len(dataset), batch_size):
-            x = model_input(model, dataset.images[start:start + batch_size])
-            y = dataset.labels[start:start + batch_size]
+        for start in range(0, len(dataset), _EVAL_BATCH):
+            x = model_input(model, dataset.images[start:start + _EVAL_BATCH])
+            y = dataset.labels[start:start + _EVAL_BATCH]
             logits = model.forward(Tensor(x), training=False)
             if start == 0:
                 _check_classes(logits.data.shape[1], dataset)

@@ -125,8 +125,7 @@ class TestActivationPairError:
         a_r = rng.standard_normal((1, 4, 2, 2))
         a_s = rng.standard_normal((1, 4, 2, 2))
         ops = RotationOperators(2, 4)
-        got = activation_pair_error(a_r, a_s, 0, 1, kind="group", order=4,
-                                    crop_fraction=0.25, ops=ops)
+        got = activation_pair_error(a_r, a_s, 0, 1, kind="group", order=4, ops=ops)
         rect = act_on_group_feature_map(a_s, (0 - 1) % 4, ops)
         num = ((a_r[0] - rect[0]) ** 2).sum()
         den = np.sqrt((a_r[0] ** 2).sum()) * np.sqrt((rect[0] ** 2).sum())
@@ -182,12 +181,6 @@ class TestActivationPairError:
             norm_rect = np.sqrt((rect.astype(np.float64) ** 2).sum(axis=1))
             want = float((sq_diff / (norm_ref * norm_rect)).sum())
             assert activation_pair_error(a_r, a_s, 0, s, kind, ops=ops) == want
-
-    @pytest.mark.parametrize("fraction", [-0.25, 0.6])
-    def test_crop_fraction_outside_range_rejected(self, rng, fraction):
-        a = rng.standard_normal((2, 28, 28))
-        with pytest.raises(ValueError, match="crop fraction"):
-            activation_pair_error(a, a[:, ::-1], 0, 0, kind="spatial", crop_fraction=fraction)
 
     def test_operators_of_another_order_rejected(self, rng):
         a = rng.standard_normal((2, 9, 9))

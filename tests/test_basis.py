@@ -95,11 +95,6 @@ class TestBaselines:
         c = make_baseline_basis("random", n_elements=5, seed=43)
         assert not np.array_equal(a.elements, c.elements)
 
-    def test_even_interpolation_window_rejected(self, rng):
-        with pytest.raises(ValueError, match="kernel_size"):
-            make_baseline_basis("gaussian", zero_orientation=rng.uniform(-1, 1, (4, 3, 3)),
-                                interp_kernel_size=2)
-
     def test_missing_zero_orientation_rejected(self):
         with pytest.raises(ValueError, match="zero-orientation"):
             make_baseline_basis("bilinear")

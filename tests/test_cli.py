@@ -7,9 +7,11 @@ import pytest
 from rotoconv import network
 from rotoconv import tensor as T
 from rotoconv.basis import load_basis, populate_partial, save_basis
-from rotoconv.cli import _load_config_tokens, _load_dataset, build_parser, main
+from rotoconv.cli import _config_from, _load_config_tokens, _load_dataset, build_parser, main
 from rotoconv.groups import RotationOperators
+from rotoconv.pretrain import PretrainConfig
 from rotoconv.tensor import check_gradient
+from rotoconv.training import TrainConfig
 from rotoconv.verify import (check_gradients, check_partial_model_equivariance, format_table,
                              gradient_cases, run_all)
 
@@ -268,6 +270,23 @@ def test_non_int_count_is_usage_error_that_names_the_flag(capsys, command, flag)
     err = capsys.readouterr().err
     assert f"argument {flag}: expected an int, got 'abc'" in err
     assert "_count" not in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["pretrain-basis", "--out", "b"], PretrainConfig), (["train", "--out", "m"], TrainConfig)])
+def test_default_flags_build_the_default_config(argv, config):
+    assert _config_from(config, build_parser().parse_args(argv)) == config()
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect-basis", "--basis", "b", "--out", "g", "--seed", "1"],
+    ["inspect-basis", "--basis", "b", "--out", "g", "--data-dir", "d"],
+    ["verify", "--data-dir", "d"]])
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["pretrain-basis", "train"])

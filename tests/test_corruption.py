@@ -79,6 +79,15 @@ def test_checkpoint_damage_raises_documented_types(tmp_path, tiny_basis):
     assert CheckpointFormatError in seen
 
 
+def test_checkpoint_bytes_outside_every_array_rejected(tmp_path, tiny_basis, tiny_model):
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(tiny_model, path)
+    payload = path.read_bytes()[:-32] + bytes(64)
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(CheckpointFormatError, match="64 payload bytes belong to no array"):
+        load_checkpoint(path, tiny_basis)
+
+
 def rewrite_checkpoint(model, path, edit) -> None:
     """Save ``model`` to ``path`` with header and arrays passed through ``edit``, re-hashed."""
     save_checkpoint(model, path)

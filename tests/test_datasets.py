@@ -170,6 +170,10 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="empty"):
             LabeledImageSet(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=np.int64), "train")
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            LabeledImageSet(np.zeros((2, 1, 4, 4)), np.array([0.5, 1.0]), "train", 3)
+
 
 class TestCacheReads:
     """A load reads each source file exactly once: nothing is hashed or cached."""

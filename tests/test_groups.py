@@ -243,10 +243,7 @@ class TestOperatorFamily:
             RotationOperators(size, order)
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"kernel_size": 2}, "kernel_size"), ({"kernel_size": 4}, "kernel_size"),
-        ({"kernel_size": -3}, "kernel_size"), ({"kernel_size": 0}, "kernel_size"),
-        ({"kernel_size": 3.0}, "kernel_size"), ({"sigma": 0.0}, "sigma"),
-        ({"sigma": -0.5}, "sigma"), ({"sigma": float("nan")}, "sigma"),
+        ({"sigma": 0.0}, "sigma"), ({"sigma": -0.5}, "sigma"), ({"sigma": float("nan")}, "sigma"),
     ])
     def test_bad_interpolation_parameters_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -406,8 +406,8 @@ def test_single_draw_step_builds_few_graph_nodes(monkeypatch):
     ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
     ("sigma", 0), ("sigma", -0.5), ("sigma", float("nan")),
-    ("interp_kernel_size", 0), ("interp_kernel_size", 4),
-    ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", True)])
+    ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", True),
+    ("n_elements", 2.5), ("n_elements", True), ("order", 8.0)])
 def test_config_range_checked(field, value):
     with pytest.raises(ValueError, match="group order" if field == "order" else field):
         PretrainConfig(**{field: value})

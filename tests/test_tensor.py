@@ -373,6 +373,10 @@ class TestPointwise:
         with pytest.raises(ValueError, match="label"):
             T.softmax_cross_entropy(t64(np.zeros((2, 3))), np.array([0, 3]))
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            T.softmax_cross_entropy(t64(np.zeros((2, 3))), np.array([0.5, 1.0]))
+
     def test_batchnorm_gamma_length_mismatch(self, rng):
         x = t64(rng.random((2, 3, 4, 4)))
         with pytest.raises(ValueError, match="gamma"):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from rotoconv import training
 from rotoconv.basis import populate_partial
 from rotoconv.datasets import LabeledImageSet, synthetic_labeled_set
 from rotoconv.groups import rotate_exact90
@@ -12,8 +13,8 @@ from rotoconv.network import build_model
 from rotoconv.optim import AMSGrad
 from rotoconv.tensor import Tensor
 from rotoconv.training import (TrainConfig, TrainingDivergence, augment,
-                               channel_stats, evaluate, normalize, rotate_images, train,
-                               write_training_csv)
+                               channel_stats, evaluate, model_input, normalize, rotate_images,
+                               train, write_training_csv)
 from rotoconv.verify import small_group_model
 
 from oracles import Float64AMSGrad, rotation_dense_matrix
@@ -63,9 +64,9 @@ class TestAugment:
 
     def test_normalization_uses_given_stats(self, rng):
         batch = rng.random((4, 3, 6, 6)).astype(np.float32)
-        stats = channel_stats(batch)
+        model = TestEvaluate.StubModel("float32", channel_stats(batch))
         cfg = TrainConfig(color_normalize=True)
-        out = augment(batch, cfg, np.random.default_rng(0), stats)
+        out = model_input(model, augment(batch, cfg, np.random.default_rng(0)))
         assert np.abs(out.mean(axis=(0, 2, 3))).max() <= 1e-5
 
     def test_full_mode_runs(self, rng):
@@ -171,7 +172,8 @@ class TestTrain:
         ("epochs", 0), ("epochs", -1), ("batch_size", 0),
         ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", True),
         ("learning_rate", -5.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf"))])
+        ("weight_decay", -1e-6), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("max_translate", 2.5), ("max_translate", True)])
     def test_config_range_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -344,13 +346,14 @@ class TestEvaluate:
             return Tensor(np.zeros((x.data.shape[0], 10), dtype=self.dtype))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_batches_equal_whole_set_normalization_bitwise(self, dtype):
+    def test_batches_equal_whole_set_normalization_bitwise(self, dtype, monkeypatch):
         """Converting and normalizing batch by batch feeds the forward the very
         inputs that normalizing the whole converted set did, so logits are unchanged."""
         ds = synthetic_labeled_set(50, 8, 10, seed=0, channels=3)
         stats = channel_stats(ds.images)
         model = self.StubModel(dtype, stats, keep=True)
-        evaluate(model, ds, batch_size=16)
+        monkeypatch.setattr(training, "_EVAL_BATCH", 16)
+        evaluate(model, ds)
         want = normalize(ds.images.astype(dtype), stats)
         assert [len(b) for b in model.batches] == [16, 16, 16, 2]
         got = np.concatenate(model.batches)
