@@ -1,8 +1,9 @@
 """Command-line entry points wiring the library together.
 
 One executable, subcommand style. Every artifact-producing run drops a
-``<output>.manifest.json`` beside its outputs with the full configuration and
-content hashes, so a run can be reproduced from the manifest alone. A simple
+``<output>.manifest.json`` beside its outputs with the full configuration,
+content hashes and the platform it ran on, so a run can be reproduced from the
+manifest alone. A simple
 ``key=value`` config file can seed any subcommand's flags; explicit flags win;
 the manifest names and hashes it.
 """
@@ -12,10 +13,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .audit import emit_reports, robustness_suite, rotation_sweep
@@ -46,6 +52,27 @@ def _input_hashes(args) -> dict:
     return {str(p): _sha256_file(p) for p in paths if p and Path(p).exists()}
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _platform() -> dict:
+    """The interpreter and library versions, the CPUs the process may run on, and each BLAS
+    thread variable as set (None when unset). scipy's version comes from its installed
+    metadata, so a run that needs no rotation matrix still never imports scipy."""
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(out_path, command: str, options: dict, inputs: dict, outputs: list):
     manifest = {
         "tool": "rotoconv",
@@ -54,6 +81,7 @@ def _write_manifest(out_path, command: str, options: dict, inputs: dict, outputs
         "options": {k: v for k, v in sorted(options.items()) if not k.startswith("_")},
         "inputs": inputs,
         "outputs": {str(p): _sha256_file(p) for p in outputs if Path(p).exists()},
+        "platform": _platform(),
     }
     path = Path(str(out_path) + ".manifest.json")
     with atomic_write(path, "w") as fh:

@@ -24,7 +24,6 @@ numpy alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,17 @@ def _check_interpolation(method: str, sigma: float) -> None:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
 
 
+def _is_index(r) -> bool:
+    """Whether r is a rotation index: an int or a NumPy integer, not a bool (``optim``'s
+    int rule), since ``True`` would turn by one step."""
+    return isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+
+
 def check_rotation_index(*indices) -> None:
-    """Raise ValueError unless every rotation index is an integer (NumPy integers too)."""
+    """Raise ValueError unless every rotation index is an integer (NumPy integers too, bools
+    not)."""
     for r in indices:
-        if not isinstance(r, numbers.Integral):
+        if not _is_index(r):
             raise ValueError(f"rotation index must be an integer, got {r!r}")
 
 

@@ -5,7 +5,10 @@ filter bank for all orientations (synthesis from the frozen basis, then the
 orientation roll as an index gather) is applied as one standard correlation,
 and the whole group convolution is ``correlate2d``'s graph node over that bank
 (``tensor._convolution``), which keeps no bank: the backward synthesizes it
-again, and grad-x's kernel is its adjoint, as for any correlation.
+again, and grad-x's kernel is its adjoint, as for any correlation. Synthesis
+holds one bank-sized array, the bank, plus one chunk of at most
+``tensor._SLAB_BYTES``: it runs over out-channels, gathering each run's
+product straight into the bank.
 """
 
 from __future__ import annotations
@@ -54,6 +57,25 @@ def _synthesis_matrix(elements: np.ndarray, dtype) -> np.ndarray:
         elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
 
 
+def _bank_chunks(out_ch: int, rows: int, madds: int, nbytes: int) -> list:
+    """(start, stop) of the equal runs of out-channels that ``_filter_bank`` synthesizes
+    at a time, given each out-channel's product rows, multiply-adds and bytes.
+
+    A run's product holds at most ``T._SLAB_BYTES`` (or one out-channel), unless more
+    runs would break one of two rules: no run is a one-row product, and when the whole
+    product has more than 100**3 multiply-adds, neither has any run. OpenBLAS runs the
+    first as a matrix-vector product and the second with its small-matrix kernel, either
+    of which may round otherwise than the whole product; so each run's rows are bitwise
+    the whole product's.
+    """
+    fewest = 2 if rows == 1 else 1
+    if out_ch * madds > 100 ** 3:
+        fewest = max(fewest, 100 ** 3 // madds + 1)
+    runs = max(1, min(-(-out_ch // max(1, T._SLAB_BYTES // nbytes)), out_ch // fewest))
+    bounds = [-(-run * out_ch // runs) for run in range(runs + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.ndarray:
     """Every orientation's filters: coefficients [O,C,(slots,)n] -> bank [O*order, C*slots, k, k].
 
@@ -62,14 +84,31 @@ def _filter_bank(coefficients: np.ndarray, elements: np.ndarray, dtype) -> np.nd
     gather out[o, r, c, s] = f[o, c, (s - r) % slots, r], where slot s - r is
     the coefficient block that lands on input orientation s when the filter
     sits at orientation r (no slot axis: one slot, plain lifting).
+
+    f is built a run of out-channels at a time (``_bank_chunks``) and gathered
+    straight into the bank's rows, so the call holds the bank and one bounded
+    chunk of f, never a second bank-sized array. The gather's index is a
+    permutation, so ``mode="wrap"`` changes no value; it spares ``take`` the
+    buffered copy of ``out`` that the default mode makes.
     """
     order, n, k, _ = elements.shape
     out_ch, in_ch = coefficients.shape[:2]
     (slots,) = coefficients.shape[2:-1] or (1,)
     index, _ = _roll_index(in_ch, order, slots)
-    f = coefficients.reshape(-1, n) @ _synthesis_matrix(elements, dtype)
-    return np.take(f.reshape(out_ch, -1, k * k), index, axis=1).reshape(
-        out_ch * order, in_ch * slots, k, k)
+    synthesis = _synthesis_matrix(elements, dtype)
+    rows, width = in_ch * slots, order * k * k
+    coefficients = coefficients.reshape(out_ch, rows, n)
+    result = np.result_type(coefficients, synthesis)
+    runs = _bank_chunks(out_ch, rows, rows * n * width, rows * width * result.itemsize)
+    # The chunk before the bank: freed, it leaves heap pages below the bank that the
+    # correlation's buffers reuse, with fewer page faults than past the bank's end.
+    f = np.empty(max(hi - lo for lo, hi in runs) * rows * width, result)
+    bank = np.empty((out_ch, rows * order, k * k), dtype=result)
+    for lo, hi in runs:
+        part = f[:(hi - lo) * rows * width]
+        np.matmul(coefficients[lo:hi].reshape(-1, n), synthesis, out=part.reshape(-1, width))
+        np.take(part.reshape(hi - lo, -1, k * k), index, axis=1, out=bank[lo:hi], mode="wrap")
+    return bank.reshape(out_ch * order, rows, k, k)
 
 
 def _filter_bank_adjoint(g: np.ndarray, elements: np.ndarray, dtype, shape) -> np.ndarray:

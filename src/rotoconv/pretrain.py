@@ -25,7 +25,8 @@ from . import tensor as T
 from .basis import (Basis, _quarter_turn_stack, initialize_elements, orthogonality_defect,
                     populate_partial, quarter_stride)
 from .fileio import write_csv
-from .groups import RotationOperators, _check_interpolation, check_crop_fraction, crop_margin
+from .groups import (RotationOperators, _check_interpolation, _is_index, check_crop_fraction,
+                     crop_margin)
 from .optim import _require_int, _run_epochs, check_run_config
 from .tensor import Tensor
 
@@ -139,7 +140,7 @@ def _draw_crops(images: np.ndarray, kernels: np.ndarray, ops: RotationOperators,
     the reconstruction input.
     """
     for s, r in draws:
-        if not (isinstance(s, numbers.Integral) and isinstance(r, numbers.Integral)):
+        if not (_is_index(s) and _is_index(r)):
             raise ValueError(f"draw {(s, r)!r} needs integer rotation indices (s, r)")
     order = kernels.shape[0]
     image_columns = columns(images)

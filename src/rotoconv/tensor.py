@@ -490,6 +490,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # multiply-adds, which 8 rows of 1 MB of columns exceed); grad-w without grad-x (the
 # lifting layer, whose input needs no gradient); and pretraining's kept columns, one
 # chunk. Either way a call holds one block of columns however large the batch grows.
+# ``network._filter_bank`` bounds its synthesis chunks by ``_SLAB_BYTES`` too.
 _COLUMN_BYTES = 32 << 20
 _BLOCK_COLUMNS = 392
 _SMALL_SAMPLE_BYTES = 1 << 20
@@ -640,9 +641,11 @@ def _convolution(x, param: Tensor, bank, param_grad, out_shape, op: str) -> Tens
     grad-x takes the block path, one pass over g's column blocks gives both
     (``_correlate_grads``); otherwise grad-x is ``_correlate(g, adjoint)`` and grad-w
     ``_correlate_grad_w`` over chunks of x. ``param_grad`` maps grad-w [O, C*k*k] to
-    param's gradient. No more than two kernel-sized arrays are alive at once (while
-    ``bank()`` builds one, while the adjoint is copied from it, in the one pass beside
-    grad-w's accumulator, and in ``param_grad``), and grad-x is handed over last.
+    param's gradient. No more than two kernel-sized arrays are alive at once (while the
+    adjoint is copied from the kernel, in the one pass beside grad-w's accumulator, and in
+    ``param_grad``), and grad-x is handed over last. ``bank()`` may build the kernel
+    through a bounded chunk, not a second kernel-sized array: ``gconv``'s synthesis
+    holds the bank and one chunk of at most ``_SLAB_BYTES``.
     """
     view = x.data.shape[:1] + (-1,) + x.data.shape[-2:]
     kernel = bank()

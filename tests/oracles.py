@@ -222,6 +222,23 @@ def p4_response_transform(resp, t, n):
     return out
 
 
+def one_shot_filter_bank(coefficients, elements, dtype):
+    """``network._filter_bank`` as one product and one gather: f = coefficients @ synthesis,
+    as large as the bank, then out[o, r, c, s] = f[o, c, (s - r) % slots, r]."""
+    order, n, k, _ = elements.shape
+    out_ch, in_ch = coefficients.shape[:2]
+    (slots,) = coefficients.shape[2:-1] or (1,)
+    r = np.arange(order)[:, None, None]
+    c = np.arange(in_ch)[None, :, None]
+    s = np.arange(slots)[None, None, :]
+    index = ((c * slots + (s - r) % slots) * order + r).ravel()
+    synthesis = np.ascontiguousarray(
+        elements.transpose(1, 0, 2, 3).reshape(n, order * k * k).astype(dtype))
+    f = coefficients.reshape(-1, n) @ synthesis
+    return np.take(f.reshape(out_ch, -1, k * k), index, axis=1).reshape(
+        out_ch * order, in_ch * slots, k, k)
+
+
 def filter_bank_op(coefficients, elements):
     """``network._filter_bank`` as a Tensor op whose adjoint is ``_filter_bank_adjoint``.
 

@@ -306,7 +306,7 @@ class TestRobustnessSuite:
         with pytest.raises(ValueError, match="angle_indices"):
             robustness_suite(model, rng.random((2, 1, 8, 8)), 2, angle_indices=[])
 
-    @pytest.mark.parametrize("angles", [[1.5], [0, 2.0], [1, np.float64(3.0)]])
+    @pytest.mark.parametrize("angles", [[1.5], [0, 2.0], [1, np.float64(3.0)], [True]])
     def test_non_integer_index_rejected_before_any_forward(self, rng, partial_basis,
                                                            monkeypatch, angles):
         model = small_group_model(partial_basis, classes=5, seed=2)

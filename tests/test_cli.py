@@ -1,8 +1,10 @@
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from rotoconv import network
 from rotoconv import tensor as T
@@ -144,6 +146,22 @@ class TestPretrainBasis:
         assert manifest["command"] == "pretrain-basis"
         assert manifest["options"]["epochs"] == 2
         assert str(pretrained) in manifest["outputs"]
+
+    def test_manifest_records_the_platform(self, tmp_path, pretrained, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "basis.pgm"
+        assert run("inspect-basis", "--basis", str(pretrained), "--out", str(out)) == 0
+        block = json.loads((tmp_path / "basis.pgm.manifest.json").read_text())["platform"]
+        assert set(block) == {"python", "numpy", "scipy", "cpus", "blas_threads"}
+        assert block["python"] == platform.python_version()
+        assert block["numpy"] == np.__version__
+        assert block["scipy"] == scipy.__version__
+        assert isinstance(block["cpus"], int) and block["cpus"] >= 1
+        assert block["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert block["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(block["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS"}
 
     def test_reproducible_artifact_hash(self, tmp_path):
         args = ["pretrain-basis", "--corpus", "synthetic", "--n-images", "16",

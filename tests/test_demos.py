@@ -55,6 +55,7 @@ def test_demo_runs(tmp_path, name, outputs):
 
 
 NON_ROTATING_PATHS = """
+import json
 import sys
 
 import numpy as np
@@ -78,6 +79,8 @@ audit.quarter_turn_drift(model, data.images)
 assert cli.main(["train", "--n-train", "8", "--epochs", "1", "--batch-size", "8",
                  "--basis", "basis.rcbs", "--out", "cli.ckpt"]) == 0
 assert cli.main(["inspect-basis", "--basis", "basis.rcbs", "--out", "basis.pgm"]) == 0
+with open("cli.ckpt.manifest.json") as fh:
+    assert json.load(fh)["platform"]["scipy"], "the train manifest names no scipy version"
 assert "scipy" not in sys.modules, "scipy loaded before any rotation matrix"
 
 RotationOperators(9, 8).apply(np.ones((2, 9, 9)), 1)

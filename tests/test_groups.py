@@ -82,7 +82,7 @@ class TestGroupAlgebra:
         with pytest.raises(ValueError, match="group order must be >= 1"):
             GroupElement(0, order=order)
 
-    @pytest.mark.parametrize("rot", [1.5, 2.0, np.float64(3.0), "1"])
+    @pytest.mark.parametrize("rot", [1.5, 2.0, np.float64(3.0), "1", True])
     def test_non_integer_rotation_index_rejected(self, rot):
         with pytest.raises(ValueError, match="rotation index must be an integer"):
             GroupElement(rot, (0.0, 0.0), 8)
@@ -277,7 +277,7 @@ class TestOperatorFamily:
         ops.matrix(3)
         assert built == [2 * math.pi / 8, 3 * 2 * math.pi / 8]
 
-    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(2.0), "1"])
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(2.0), "1", True])
     def test_non_integer_index_rejected(self, rng, r):
         ops = RotationOperators(9, 8)
         with pytest.raises(ValueError, match="rotation index must be an integer"):

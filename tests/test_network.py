@@ -12,7 +12,8 @@ from rotoconv.basis import Basis, populate_partial
 from rotoconv.groups import RotationOperators, act_on_group_feature_map, rotate_exact90
 from rotoconv.network import (CheckpointFormatError, FingerprintMismatch, GConvInput,
                               GConvIntermediate, GlobalMaxPool, MaxPool2x2, Model,
-                              _CONVOLUTIONS, _filter_bank, _filter_bank_adjoint,
+                              _CONVOLUTIONS, _bank_chunks, _filter_bank,
+                              _filter_bank_adjoint,
                               _training_plan, build_model,
                               count_parameters, gconv_input, gconv_intermediate,
                               load_checkpoint, model_from_arch, read_checkpoint,
@@ -21,7 +22,7 @@ from rotoconv.tensor import Tensor
 from rotoconv.verify import small_group_model
 
 from formats import read_checkpoint_file, write_checkpoint_file
-from oracles import brute_correlate2d
+from oracles import brute_correlate2d, one_shot_filter_bank
 
 
 def t64(arr):
@@ -175,6 +176,106 @@ class TestRolledBank:
         lhs = float(np.vdot(bank, g))
         rhs = float(np.vdot(a, _filter_bank_adjoint(g, elements, np.float64, a.shape)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+class TestChunkedSynthesis:
+    """``_filter_bank`` synthesizes runs of out-channels into a bounded chunk and gathers
+    each into the bank's rows; every value is the one product's and gather's."""
+
+    # id: (coefficient shape, k). The first six are every gconv shape of
+    # build_model("group", ...) over a 9-element 3x3 basis of order 8; the rest name
+    # the run structure they take at the chunk budget (``RUNS``).
+    SHAPES = {
+        "lift_1": ((33, 1, 9), 3), "lift_3": ((33, 3, 9), 3),
+        "33_33": ((33, 33, 8, 9), 3), "33_67": ((67, 33, 8, 9), 3),
+        "67_67": ((67, 67, 8, 9), 3), "67_67_ones": ((67, 67, 8, 1), 1),
+        "uneven": ((7, 100, 8, 9), 3), "last_one": ((5, 500, 8, 9), 3),
+        "n_1": ((67, 67, 8, 1), 3), "k_5": ((20, 67, 8, 9), 5),
+    }
+    RUNS = {
+        ("67_67", "float32"): [17, 17, 17, 16],
+        ("uneven", "float64"): [4, 3],
+        ("last_one", "float32"): [2, 2, 1],
+        ("last_one", "float64"): [1, 1, 1, 1, 1],
+        ("n_1", "float32"): [34, 33],  # the budget alone would give four runs
+        ("k_5", "float64"): [3, 3, 3, 3, 3, 3, 2],
+    }
+
+    @staticmethod
+    def runs(shape, k, dtype):
+        """The run sizes ``_filter_bank`` takes for coefficients of ``shape`` and order 8."""
+        out_ch, in_ch, n = shape[0], shape[1], shape[-1]
+        rows, width = in_ch * (shape[2] if len(shape) == 4 else 1), 8 * k * k
+        bounds = _bank_chunks(out_ch, rows, rows * n * width,
+                              rows * width * np.dtype(dtype).itemsize)
+        return [hi - lo for lo, hi in bounds]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_bitwise_the_one_shot_bank(self, name, dtype):
+        shape, k = self.SHAPES[name]
+        r = np.random.default_rng(sorted(self.SHAPES).index(name))
+        coefficients = r.uniform(-1, 1, shape).astype(dtype)
+        elements = np.ones((8, 1, 1, 1)) if name.endswith("_ones") \
+            else r.uniform(-1, 1, (8, shape[-1], k, k))
+        bank = _filter_bank(coefficients, elements, dtype)
+        want = one_shot_filter_bank(coefficients, elements, dtype)
+        assert bank.dtype == want.dtype and bank.shape == want.shape
+        assert bank.tobytes() == want.tobytes()
+        if (name, dtype) in self.RUNS:
+            assert self.runs(shape, k, dtype) == self.RUNS[name, dtype]
+
+    @pytest.mark.parametrize("in_channels", [1, 3])
+    def test_shapes_cover_the_group_model(self, in_channels):
+        basis = populate_partial(np.random.default_rng(0).uniform(-1, 1, (2, 9, 3, 3)))
+        model = build_model("group", "partial", basis, in_channels=in_channels)
+        listed = {(shape, k, name.endswith("_ones")) for name, (shape, k) in self.SHAPES.items()}
+        for layer in model.layers:
+            if isinstance(layer, (GConvInput, GConvIntermediate)):
+                k = layer.elements.shape[-1]
+                ones = k == 1 and bool(np.all(layer.elements == 1))
+                assert (layer.coefficients.data.shape, k, ones) in listed, layer.name
+
+    def test_runs_stay_on_the_whole_products_side_of_blas_kernel_choices(self):
+        """Every run has more than one product row, and when the whole product has more than
+        100**3 multiply-adds, so does every run; a run holds at most the chunk budget unless
+        one more run would break either rule."""
+        small = 100 ** 3
+        for out_ch in (1, 2, 3, 5, 7, 33, 67, 1000, 5000):
+            for rows in (1, 2, 3, 67, 536, 4000):
+                for n, width in ((1, 8), (9, 72), (1, 72), (25, 200), (9, 200000)):
+                    for itemsize in (4, 8):
+                        madds, nbytes = rows * n * width, rows * width * itemsize
+                        bounds = _bank_chunks(out_ch, rows, madds, nbytes)
+                        sizes = [hi - lo for lo, hi in bounds]
+                        case = (out_ch, rows, n, width, itemsize, sizes)
+                        assert bounds[0][0] == 0 and bounds[-1][1] == out_ch, case
+                        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:])), case
+                        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, case
+                        if out_ch * rows > 1:
+                            assert min(sizes) * rows >= 2, case
+                        if out_ch * madds > small:
+                            assert min(sizes) * madds > small, case
+                        more = out_ch // (len(sizes) + 1)  # the smallest of one more run
+                        if max(sizes) * nbytes > T._SLAB_BYTES and max(sizes) > 1:
+                            assert more * rows < 2 or small < out_ch * madds and \
+                                more * madds <= small, case
+
+    def test_holds_the_bank_and_one_chunk(self):
+        """One 67x67 float32 synthesis at the model's order 8 and 9 elements allocates the
+        bank, one chunk of at most the budget, and small arrays: not a second bank."""
+        r = np.random.default_rng(0)
+        coefficients = r.uniform(-1, 1, (67, 67, 8, 9)).astype(np.float32)
+        elements = r.uniform(-1, 1, (8, 9, 3, 3))
+        bank_bytes = 67 * 8 * 67 * 8 * 9 * 4
+        tracemalloc.start()
+        try:
+            bank = _filter_bank(coefficients, elements, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.nbytes == bank_bytes
+        assert peak <= bank_bytes + T._SLAB_BYTES + (64 << 10)
 
 
 class TestGConvGraph:

@@ -172,10 +172,10 @@ def _image_terms_of(images, basis, s, r):
 
 @pytest.mark.parametrize("evaluator", [_image_terms_of, total_loss, equivariance_loss,
                                        reconstruction_loss])
-@pytest.mark.parametrize("s, r", [(1.5, 1), (1, 3.0), (np.float64(2), 2)])
+@pytest.mark.parametrize("s, r", [(1.5, 1), (1, 3.0), (np.float64(2), 2), (True, 1), (1, False)])
 def test_non_integer_draw_indices_rejected(small_corpus, partial_basis, evaluator, s, r):
     """A fractional s would turn the images by a fraction of a group step; r would be
-    truncated to a slot."""
+    truncated to a slot; a bool would pass for 0 or 1."""
     images = corpus_images(small_corpus, "float64")
     with pytest.raises(ValueError, match=r"draw \(.*\) needs integer"):
         evaluator(images, partial_basis, s, r)
